@@ -13,7 +13,9 @@ from array import array
 
 MAGIC = 0x4E494250  # "PBIN", matches perfbench/harness.cpp
 FIELDS = 12
-BLOB_BYTES = 4 << 20
+# Kept small: the harness holds the whole file in memory, and that counts
+# in the process's peak RSS next to the library's own.
+BLOB_BYTES = 2 << 20
 
 EAGER_SIZES = (1, 1024)  # all below SCI's 8 KB switch point
 RNDV_SIZES = (64 << 10, 1 << 20)  # above every switch point
@@ -25,10 +27,11 @@ ALLTOALL_BYTES = 256
 ALLREDUCE_COUNT = 8
 ALLREDUCE_BASE_LIMIT = 1 << 20  # keeps every sum exact in a double
 
+# Op records per file; the harness cycles through them.
 OP_COUNT = {
-    "eager_pingpong": 1 << 16,
-    "rndv_pingpong": 1 << 14,
-    "metacluster_coll": 1 << 12,
+    "eager_pingpong": 1 << 13,
+    "rndv_pingpong": 1 << 12,
+    "metacluster_coll": 1 << 11,
     "anchor": 64,
 }
 
@@ -45,9 +48,17 @@ def make_ops(workload, seed):
         raise ValueError(f"unknown workload {workload!r}")
     rng = _rng(workload, seed)
     blob = rng.randbytes(BLOB_BYTES)
+    count = OP_COUNT[workload]
+    # Ping-pong sizes are stratified: record k (k >= 1) draws from its own
+    # 1/(count-1) slice of the size range, in a seeded order. Every seed then
+    # has the same size mix, and a span of ops covering the records a whole
+    # number of times (the harness's virtual prefix) has the same virtual
+    # median on every seed.
+    strata = list(range(count - 1))
+    rng.shuffle(strata)
     ops = []
     pad = (0,) * FIELDS
-    for index in range(OP_COUNT[workload]):
+    for index in range(count):
         if workload == "metacluster_coll":
             a2a_span = COLL_RANKS * COLL_RANKS * ALLTOALL_BYTES
             op = (
@@ -60,7 +71,11 @@ def make_ops(workload, seed):
             low, high = RNDV_SIZES if workload == "rndv_pingpong" else EAGER_SIZES
             # Op 0 is the one every set-up finishes: its size is fixed, so
             # set-up time does not depend on the seed.
-            size = low if index == 0 else rng.randint(low, high)
+            if index == 0:
+                size = low
+            else:
+                slot = strata[index - 1] + rng.random()
+                size = low + int(slot * (high - low + 1) / (count - 1))
             op = (
                 size,
                 rng.randrange(BLOB_BYTES - size + 1),

@@ -111,7 +111,6 @@ std::int64_t wall_ns() {
 struct Usage {
   double cpu_us = 0.0;       // user + system, whole process
   std::int64_t ctx = 0;      // voluntary + involuntary context switches
-  std::int64_t max_rss_kib = 0;
 };
 
 Usage usage() {
@@ -122,44 +121,69 @@ Usage usage() {
                  1e6 +
              static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
   u.ctx = ru.ru_nvcsw + ru.ru_nivcsw;
-  u.max_rss_kib = ru.ru_maxrss;
   return u;
+}
+
+/// Peak resident set of this process image, in KiB: VmHWM from
+/// /proc/self/status. ru_maxrss is not used because on Linux it keeps the
+/// high-water mark of the process that exec'd this one (run.py), which can
+/// exceed anything the harness ever touches.
+std::int64_t peak_rss_kib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot read /proc/self/status\n");
+    std::exit(2);
+  }
+  char line[256];
+  long long kib = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lld kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  if (kib < 0) {
+    std::fprintf(stderr, "no VmHWM in /proc/self/status\n");
+    std::exit(2);
+  }
+  return kib;
 }
 
 // ---- workloads ----------------------------------------------------------------
 
 enum class Workload { kEager, kRndv, kColl, kAnchor };
 
+// Op-time percentiles are taken per chunk of this many consecutive ops, so
+// a chunk's 99th percentile has 10 samples beyond it.
+constexpr std::size_t kChunkOps = 1000;
+
 struct WorkloadSpec {
   Workload kind = Workload::kEager;
   std::uint64_t warm_ops = 0;   // untimed ops before the first segment
   std::uint64_t virt_ops = 0;   // measured ops the virtual metrics cover
-  double max_rate = 0.0;        // ops/s the sample store is sized for
   int batch = 1;                // ops between two stop decisions
   std::size_t ladder_msgs = 0;  // round trips per ladder rung
 
-  /// Floor on a measured segment's op count: the virtual prefix, and 3000
-  /// op times, so the 99th percentile over the fastest third of the run (at
-  /// least a third of its ops; see metrics.py) has 10 samples beyond it.
+  /// Floor on a measured segment's op count: the virtual prefix, and at
+  /// least one full percentile chunk.
   std::uint64_t min_ops() const {
-    return std::max<std::uint64_t>(virt_ops, 3000);
+    return std::max<std::uint64_t>(virt_ops, kChunkOps);
   }
 };
 
 // Virtual metrics cover a fixed count of ops from a fixed op index, so they
-// depend on the seed alone, not on how fast the host ran. max_rate is about
-// ten times what a 4-core x86 host reaches today.
+// depend on the seed alone, not on how fast the host ran. On the
+// ping-pongs the count is a multiple of the input's op records, so every
+// record (and the whole stratified size mix) is covered equally often.
 WorkloadSpec spec_for(const std::string& name) {
   if (name == "eager_pingpong") {
-    return {Workload::kEager, 2000, 20000, 250000.0, 64, 2000};
+    return {Workload::kEager, 2000, 16384, 64, 2000};
   }
   if (name == "rndv_pingpong") {
-    return {Workload::kRndv, 100, 8000, 25000.0, 8, 200};
+    return {Workload::kRndv, 100, 8192, 8, 200};
   }
   if (name == "metacluster_coll") {
-    return {Workload::kColl, 16, 1000, 2500.0, 4, 600};
+    return {Workload::kColl, 16, 1000, 4, 600};
   }
-  if (name == "anchor") return {Workload::kAnchor, 0, 0, 0.0, 1, 4};
+  if (name == "anchor") return {Workload::kAnchor, 0, 0, 1, 4};
   std::fprintf(stderr, "unknown workload %s\n", name.c_str());
   std::exit(2);
 }
@@ -285,13 +309,15 @@ struct SegmentResult {
   std::int64_t ctx = 0;
 };
 
-// A batch boundary of a measured segment, as seen by the leader rank.
-struct Mark {
-  int segment = 0;
-  double t_s = 0.0;  // since the segment started
-  std::uint64_t ops = 0;
-  double cpu_us = 0.0;  // process CPU since the segment started
-};
+/// q-th percentile (0..100) of `values`, linear between the two closest
+/// ranks, as perfbench/metrics.py computes it. Reorders `values`.
+double percentile(std::vector<float>& values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = static_cast<double>(values.size() - 1) * q / 100.0;
+  const auto low = static_cast<std::size_t>(pos);
+  const std::size_t high = std::min(low + 1, values.size() - 1);
+  return values[low] + (values[high] - values[low]) * (pos - static_cast<double>(low));
+}
 
 constexpr int kCollCalls = 3;  // allreduce, bcast, alltoall
 
@@ -307,13 +333,15 @@ struct Run {
   core::Session* session = nullptr;
   std::vector<mad::Channel*> channels;  // the session's own channels
 
-  // leader: per-op samples of plain segments, in op order. The stores are
-  // allocated and touched before the session exists, so their size does
-  // not depend on host speed and peak RSS reflects the library alone.
-  std::vector<float> op_host_us;             // one per op, up to capacity
+  // leader: samples of plain segments. Ops are reduced chunk by chunk to
+  // each chunk's wall time, process CPU, and median and 99th-percentile op
+  // time, so the harness keeps four numbers per chunk rather than one per
+  // op. A chunk lies within one plain segment.
+  std::vector<float> chunk;  // op times of the open chunk
+  std::int64_t chunk_start_ns = 0;
+  double chunk_start_cpu_us = 0.0;
+  std::vector<double> chunk_wall_s, chunk_cpu_us, chunk_p50, chunk_p99;
   std::vector<double> op_virt_us, op_bytes;  // the first virt_ops ops
-  std::size_t recorded = 0;
-  std::vector<Mark> marks;
   std::vector<SegmentResult> segments;
   // leader: traced spans
   std::vector<double> send_ns, recv_ns;
@@ -332,15 +360,27 @@ struct Run {
       : in(inputs), spec(workload) {}
 
   void record(double host_us, double virt_us, double bytes) {
-    if (recorded < op_virt_us.size()) {
-      op_virt_us[recorded] = virt_us;
-      op_bytes[recorded] = bytes;
+    if (op_virt_us.size() < spec.virt_ops) {
+      op_virt_us.push_back(virt_us);
+      op_bytes.push_back(bytes);
     }
-    op_host_us[recorded++] = static_cast<float>(host_us);
+    chunk.push_back(static_cast<float>(host_us));
+    if (chunk.size() == kChunkOps) {
+      const std::int64_t now_ns = wall_ns();
+      const double now_cpu_us = usage().cpu_us;
+      chunk_wall_s.push_back((now_ns - chunk_start_ns) * 1e-9);
+      chunk_cpu_us.push_back(now_cpu_us - chunk_start_cpu_us);
+      chunk_p50.push_back(percentile(chunk, 50));
+      chunk_p99.push_back(percentile(chunk, 99));
+      open_chunk();
+    }
   }
-  /// True while the sample store has room (trace runs allocate none).
-  bool recording() const { return recorded < op_host_us.size(); }
-  bool store_full() const { return !op_host_us.empty() && !recording(); }
+  /// Starts a chunk; an unfinished one is dropped.
+  void open_chunk() {
+    chunk.clear();
+    chunk_start_ns = wall_ns();
+    chunk_start_cpu_us = usage().cpu_us;
+  }
 
   void fail(std::uint64_t op) {
     std::lock_guard<std::mutex> lock(failures_mutex);
@@ -368,21 +408,15 @@ class SegmentClock {
     const Segment& seg = run_.plan[segment_];
     ops_ += static_cast<std::uint64_t>(run_.batch);
     const double elapsed = (wall_ns() - start_ns_) * 1e-9;
-    const Usage now = usage();
-    if (seg.kind != SegmentKind::kWarm) {
-      run_.marks.push_back(
-          {segment_, elapsed, ops_, now.cpu_us - start_usage_.cpu_us});
-    }
-    // A measured segment also ends when the sample store is full. One that
-    // cannot reach its op floor gives up after three times its length plus
-    // 30 s; run.py then rejects the run.
-    const bool full = seg.kind == SegmentKind::kPlain && run_.store_full();
+    // A measured segment that cannot reach its op floor gives up after three
+    // times its length plus 30 s; run.py then rejects the run.
     const bool done =
         seg.kind == SegmentKind::kWarm
             ? ops_ >= seg.min_ops
-            : (elapsed >= seg.seconds && ops_ >= seg.min_ops) || full ||
+            : (elapsed >= seg.seconds && ops_ >= seg.min_ops) ||
                   elapsed >= 3.0 * seg.seconds + 30.0;
     if (!done) return segment_;
+    const Usage now = usage();
     if (seg.kind == SegmentKind::kTraced) {
       accumulate(run_.traced, traced_before_,
                  read_counters(*run_.session, run_.channels));
@@ -408,6 +442,7 @@ class SegmentClock {
     }
     start_usage_ = usage();
     start_ns_ = wall_ns();
+    if (run_.plan[segment].kind == SegmentKind::kPlain) run_.open_chunk();
   }
 
   Run& run_;
@@ -425,15 +460,46 @@ bool same_bytes(const std::byte* a, const std::byte* b, std::size_t n) {
   return n == 0 || std::memcmp(a, b, n) == 0;
 }
 
+// One MPI ping-pong round trip: the leader sends `ping` and receives the
+// pong into `buffer`; the peer receives the ping and echoes `pong`. Each
+// side checks what it receives byte for byte. The leader's host stamps
+// bracket its send and its recv; the peer's t[1] is when its pong left the
+// send call.
+struct RoundTrip {
+  std::array<std::int64_t, 3> t{};  // host ns
+  usec_t v0 = 0, v1 = 0;            // the leader's virtual clock around it
+};
+
+bool mpi_round_trip(mpi::Comm& comm, bool leader, int other,
+                    const std::byte* ping, const std::byte* pong,
+                    std::size_t size, std::byte* buffer, RoundTrip& rt) {
+  const auto byte = mpi::Datatype::byte();
+  const int count = static_cast<int>(size);
+  if (leader) {
+    rt.v0 = comm.wtime_us();
+    rt.t[0] = wall_ns();
+    const Status sent = comm.send(ping, count, byte, other, kDataTag);
+    rt.t[1] = wall_ns();
+    const mpi::MpiStatus got = comm.recv(buffer, count, byte, other, kDataTag);
+    rt.t[2] = wall_ns();
+    rt.v1 = comm.wtime_us();
+    return sent.is_ok() && got.error == ErrorCode::kOk && got.bytes == size &&
+           same_bytes(buffer, pong, size);
+  }
+  const mpi::MpiStatus got = comm.recv(buffer, count, byte, other, kDataTag);
+  const Status sent = comm.send(pong, count, byte, other, kDataTag);
+  rt.t[1] = wall_ns();
+  return sent.is_ok() && got.error == ErrorCode::kOk && got.bytes == size &&
+         same_bytes(buffer, ping, size);
+}
+
 // Closed loop between ranks 0 and 1: rank 0 sends the op's ping payload and
-// waits for the pong; rank 1 echoes with the op's pong payload. Both check
-// what they receive byte for byte.
+// waits for the pong; rank 1 echoes with the op's pong payload.
 void pingpong_rank(mpi::Comm comm, Run& run) {
   const int rank = comm.rank();
   if (rank > 1) return;
   const bool leader = rank == 0;
   const int other = 1 - rank;
-  const auto byte = mpi::Datatype::byte();
   const auto int32 = mpi::Datatype::int32();
 
   std::size_t max_size = 1;
@@ -449,39 +515,25 @@ void pingpong_rank(mpi::Comm comm, Run& run) {
     for (int k = 0; k < run.batch; ++k, ++i) {
       const Op& op = run.in.op(i);
       const std::size_t size = op.f[0];
-      const int count = static_cast<int>(size);
-      const std::byte* ping = run.in.at(op.f[1], size);
-      const std::byte* pong = run.in.at(op.f[2], size);
-      bool ok = false;
+      RoundTrip rt;
+      const bool ok = mpi_round_trip(comm, leader, other,
+                                     run.in.at(op.f[1], size),
+                                     run.in.at(op.f[2], size), size,
+                                     buffer.data(), rt);
       if (leader) {
-        const usec_t v0 = comm.wtime_us();
-        const std::int64_t t0 = wall_ns();
-        const Status sent = comm.send(ping, count, byte, other, kDataTag);
-        const std::int64_t t1 = wall_ns();
-        const mpi::MpiStatus got =
-            comm.recv(buffer.data(), count, byte, other, kDataTag);
-        const std::int64_t t2 = wall_ns();
-        const usec_t v1 = comm.wtime_us();
-        ok = sent.is_ok() && got.error == ErrorCode::kOk &&
-             got.bytes == size && same_bytes(buffer.data(), pong, size);
         run.attempted.fetch_add(1, std::memory_order_relaxed);
-        if (kind == SegmentKind::kPlain && run.recording()) {
+        if (kind == SegmentKind::kPlain) {
           // Virtual time per op is one-way: half the round trip.
-          run.record((t2 - t0) * 1e-3, (v1 - v0) / 2.0,
+          run.record((rt.t[2] - rt.t[0]) * 1e-3, (rt.v1 - rt.v0) / 2.0,
                      2.0 * static_cast<double>(size));
         } else if (kind == SegmentKind::kTraced) {
-          run.send_ns.push_back(static_cast<double>(t1 - t0));
-          run.recv_ns.push_back(static_cast<double>(t2 - t1));
-          run.recv_start_ns.push_back(t1);
-          run.recv_end_ns.push_back(t2);
+          run.send_ns.push_back(static_cast<double>(rt.t[1] - rt.t[0]));
+          run.recv_ns.push_back(static_cast<double>(rt.t[2] - rt.t[1]));
+          run.recv_start_ns.push_back(rt.t[1]);
+          run.recv_end_ns.push_back(rt.t[2]);
         }
-      } else {
-        const mpi::MpiStatus got =
-            comm.recv(buffer.data(), count, byte, other, kDataTag);
-        const Status sent = comm.send(pong, count, byte, other, kDataTag);
-        if (kind == SegmentKind::kTraced) run.peer_sent_ns.push_back(wall_ns());
-        ok = sent.is_ok() && got.error == ErrorCode::kOk &&
-             got.bytes == size && same_bytes(buffer.data(), ping, size);
+      } else if (kind == SegmentKind::kTraced) {
+        run.peer_sent_ns.push_back(rt.t[1]);
       }
       if (!ok) run.fail(i);
     }
@@ -578,7 +630,7 @@ void coll_rank(mpi::Comm comm, Run& run) {
 
       if (leader) {
         run.attempted.fetch_add(1, std::memory_order_relaxed);
-        if (kind == SegmentKind::kPlain && run.recording()) {
+        if (kind == SegmentKind::kPlain) {
           run.record((t[3] - t[0]) * 1e-3, v[3] - v[0], iteration_bytes);
         } else if (kind == SegmentKind::kTraced) {
           for (int c = 0; c < kCollCalls; ++c) {
@@ -786,35 +838,18 @@ Rung mpi_rung(core::Session& session, const std::vector<LadderMsg>& msgs,
     const bool leader = comm.rank() == 0;
     if (!leader && comm.rank() != peer) return;
     const rank_t other = leader ? peer : 0;
-    const auto byte = mpi::Datatype::byte();
     std::vector<std::byte> buffer(max_size);
+    // Message 0 doubles as the untimed warm-up round trip.
     for (std::size_t i = 0; i <= msgs.size(); ++i) {
       const LadderMsg& m = msgs[i == 0 ? 0 : i - 1];
-      const int count = static_cast<int>(m.size);
-      if (leader) {
-        const usec_t v0 = comm.wtime_us();
-        const std::int64_t t0 = wall_ns();
-        const Status sent = comm.send(m.ping, count, byte, other, kDataTag);
-        const mpi::MpiStatus got =
-            comm.recv(buffer.data(), count, byte, other, kDataTag);
-        const std::int64_t t1 = wall_ns();
-        const usec_t v1 = comm.wtime_us();
-        if (!sent.is_ok() || got.error != ErrorCode::kOk ||
-            got.bytes != m.size || !same_bytes(buffer.data(), m.pong, m.size)) {
-          failures.fetch_add(1);
-        }
-        if (i == 0) continue;
-        rung.host_ns.push_back(static_cast<double>(t1 - t0) / 2.0);
-        rung.virt_us.push_back((v1 - v0) / 2.0);
-      } else {
-        const mpi::MpiStatus got =
-            comm.recv(buffer.data(), count, byte, other, kDataTag);
-        const Status sent = comm.send(m.pong, count, byte, other, kDataTag);
-        if (!sent.is_ok() || got.error != ErrorCode::kOk ||
-            got.bytes != m.size || !same_bytes(buffer.data(), m.ping, m.size)) {
-          failures.fetch_add(1);
-        }
+      RoundTrip rt;
+      if (!mpi_round_trip(comm, leader, other, m.ping, m.pong, m.size,
+                          buffer.data(), rt)) {
+        failures.fetch_add(1);
       }
+      if (!leader || i == 0) continue;
+      rung.host_ns.push_back(static_cast<double>(rt.t[2] - rt.t[0]) / 2.0);
+      rung.virt_us.push_back((rt.v1 - rt.v0) / 2.0);
     }
   });
   run.attempted.fetch_add(msgs.size() + 1);
@@ -939,7 +974,8 @@ Args parse_args(int argc, char** argv) {
 
 void write_run(std::FILE* f, const Args& args, Run& run,
                const std::vector<double>& setup_s,
-               std::array<const Rung*, 3> ladder, const Usage& end) {
+               std::array<const Rung*, 3> ladder, std::int64_t harness_rss_kib,
+               std::int64_t end_rss_kib) {
   const Rung& net = *ladder[0];
   const Rung& mad = *ladder[1];
   const Rung& mpi = *ladder[2];
@@ -951,7 +987,8 @@ void write_run(std::FILE* f, const Args& args, Run& run,
   out.num("shards", static_cast<double>(marcel::engine_shards_from_env()));
   out.num("attempted", static_cast<double>(run.attempted.load()));
   out.num("failed", static_cast<double>(run.failures.size()));
-  out.num("peak_rss_kib", static_cast<double>(end.max_rss_kib));
+  out.num("peak_rss_kib", static_cast<double>(end_rss_kib));
+  out.num("harness_rss_kib", static_cast<double>(harness_rss_kib));
   out.num("batch", run.batch);
   out.num("virt_ops", static_cast<double>(run.spec.virt_ops));
   out.array("setup_s", setup_s);
@@ -967,28 +1004,14 @@ void write_run(std::FILE* f, const Args& args, Run& run,
     out.end();
   }
   out.end();
-  std::vector<double> mark_segment, mark_t, mark_ops, mark_cpu;
-  for (const Mark& m : run.marks) {
-    mark_segment.push_back(m.segment);
-    mark_t.push_back(m.t_s);
-    mark_ops.push_back(static_cast<double>(m.ops));
-    mark_cpu.push_back(m.cpu_us);
-  }
-  out.begin("marks");
-  out.array("segment", mark_segment);
-  out.array("t_s", mark_t);
-  out.array("ops", mark_ops);
-  out.array("cpu_us", mark_cpu);
-  out.end();
   out.begin("ops");
-  const auto virt_count = std::min(run.recorded, run.op_virt_us.size());
-  out.array("host_us", std::vector<float>(run.op_host_us.begin(),
-                                          run.op_host_us.begin() +
-                                              static_cast<std::ptrdiff_t>(run.recorded)));
-  out.array("virt_us", std::vector<double>(run.op_virt_us.begin(),
-                                           run.op_virt_us.begin() + virt_count));
-  out.array("bytes", std::vector<double>(run.op_bytes.begin(),
-                                         run.op_bytes.begin() + virt_count));
+  out.num("chunk_ops", static_cast<double>(kChunkOps));
+  out.array("chunk_wall_s", run.chunk_wall_s);
+  out.array("chunk_cpu_us", run.chunk_cpu_us);
+  out.array("chunk_p50_us", run.chunk_p50);
+  out.array("chunk_p99_us", run.chunk_p99);
+  out.array("virt_us", run.op_virt_us);
+  out.array("bytes", run.op_bytes);
   out.end();
   if (args.trace) {
     out.begin("trace");
@@ -1070,14 +1093,12 @@ int main(int argc, char** argv) {
   }
 
   const bool measure = args.seconds > 0.0;
-  if (measure && !args.trace) {
-    run.op_host_us.assign(
-        spec.min_ops() +
-            static_cast<std::uint64_t>(spec.max_rate * args.seconds),
-        0.0f);
-    run.op_virt_us.assign(spec.virt_ops, 0.0);
-    run.op_bytes.assign(spec.virt_ops, 0.0);
-  }
+  run.chunk.reserve(kChunkOps);
+  run.op_virt_us.reserve(spec.virt_ops);
+  run.op_bytes.reserve(spec.virt_ops);
+  // The harness's own footprint (inputs, sample stores), before any
+  // session exists: peak RSS minus this is what the library added.
+  const std::int64_t harness_rss_kib = peak_rss_kib();
 
   // Set-up: build the session and finish the first op, several times; the
   // last session goes on to the measured run.
@@ -1099,7 +1120,6 @@ int main(int argc, char** argv) {
   run.batch = spec.batch;
   run.first_op = 1;
   run.segments.clear();
-  run.marks.clear();
   if (args.trace) {
     // Untraced and traced halves alternate so drift hits both alike.
     const double quarter = args.seconds / 4.0;
@@ -1125,6 +1145,7 @@ int main(int argc, char** argv) {
   }
   session->finalize();
 
-  write_run(f, args, run, setup_s, {&net, &mad, &mpi}, usage());
+  write_run(f, args, run, setup_s, {&net, &mad, &mpi}, harness_rss_kib,
+            peak_rss_kib());
   return std::fclose(f) == 0 ? 0 : 2;
 }

@@ -4,27 +4,12 @@ Every helper here is pure: it takes the JSON document the harness wrote
 and returns numbers, so the tests can check them on hand-made inputs.
 """
 
-import math
 import statistics
 
 MIB = float(1 << 20)
 
 # Samples a percentile must leave beyond it before it is reported.
 TAIL_SAMPLES = 10
-
-# The measured segment is cut into WINDOWS slices of equal host time. On a
-# shared host a neighbour's burst slows a few seconds of a run at a time,
-# and noise only ever slows a slice down, so the host metrics are taken
-# over the fastest FAST_SHARE of the slices: a burst covering less than the
-# rest of the run leaves them untouched, while a change to the code moves
-# every slice alike.
-WINDOWS = 30
-FAST_SHARE = 1.0 / 3.0
-
-# Op-time percentiles are taken per run of this many consecutive ops (so a
-# 99th percentile has 10 samples beyond it) and reported as the median over
-# those runs: a burst of slow ops then moves one chunk, not the figure.
-CHUNK_OPS = 1000
 
 PINGPONG = ("eager_pingpong", "rndv_pingpong")
 
@@ -62,82 +47,33 @@ def median(values):
     return statistics.median(values) if values else 0.0
 
 
-def measured_segment(doc):
-    """Index (as a string key) of the untraced measured segment."""
-    plain = [k for k, s in doc["segments"].items() if s["kind"] == "plain"]
-    if len(plain) != 1:
-        raise ValueError(f"expected one plain segment, found {len(plain)}")
-    return plain[0]
-
-
-def windows(t_s, ops, cpu_us, duration, count=WINDOWS):
-    """Cuts cumulative batch marks into about `count` slices of equal time.
-
-    Marks are (seconds, ops, CPU us) since the segment started, in order.
-    Each slice ends at the first mark on or past its time edge and is
-    returned as (seconds, first op, end op, CPU us); slices without an op
-    are dropped.
-    """
-    result = []
-    width = duration / count
-    prev_t, prev_ops, prev_cpu = 0.0, 0, 0.0
-    edge = 1
-    for t, n, cpu in zip(t_s, ops, cpu_us):
-        n = int(n)
-        if t < edge * width and t < duration:
-            continue
-        if n > prev_ops and t > prev_t:
-            result.append((t - prev_t, prev_ops, n, cpu - prev_cpu))
-        prev_t, prev_ops, prev_cpu = t, n, cpu
-        while edge * width <= t:
-            edge += 1
-    return result
-
-
-def fastest(slices, share=FAST_SHARE):
-    """The `share` of the slices with the highest op rate (at least one)."""
-    ranked = sorted(slices, key=lambda s: (s[2] - s[1]) / s[0], reverse=True)
-    return ranked[:max(1, math.ceil(share * len(ranked)))] if ranked else []
-
-
-def chunked_percentile(values, q, size=CHUNK_OPS):
-    """Median over consecutive `size`-sample chunks of each chunk's q-th
-    percentile; the trailing partial chunk is dropped."""
-    chunks = [values[i:i + size] for i in range(0, len(values) - size + 1, size)]
-    return median([percentile(c, q) for c in chunks])
-
-
 def end_to_end(workload, doc, setup_docs=()):
     """End-to-end metrics of an untraced run: (metrics, samples, problems).
 
-    `samples` is the number of op times the latency percentiles rest on.
-    `setup_docs` come from set-up-only harness processes: setup_s is the
-    median of every set-up sample of the run, and ok_ops_ratio counts
-    every op the run attempted.
+    The harness reduces the measured segment chunk by chunk (chunk_ops
+    consecutive ops) to each chunk's wall time, process CPU, and median and
+    99th-percentile op time. Every host metric is the median of its
+    per-chunk figure over all full chunks, so a neighbour's burst moves a
+    few chunks, not the figure, while a change to the code moves every
+    chunk. `samples` is the number of ops they rest on. `setup_docs` come
+    from set-up-only harness processes: setup_s is the median of every
+    set-up sample of the run, and ok_ops_ratio counts every op the run
+    attempted.
     """
     problems = []
-    seg = measured_segment(doc)
-    marks = doc["marks"]
-    keep = [i for i, s in enumerate(marks["segment"]) if str(int(s)) == seg]
-    fast = fastest(windows(
-        [marks["t_s"][i] for i in keep],
-        [marks["ops"][i] for i in keep],
-        [marks["cpu_us"][i] for i in keep],
-        doc["segments"][seg]["wall_s"],
-    ))
-    # Op times are recorded in op order, so a slice's ops are a range.
-    recorded = doc["ops"]["host_us"]
-    host = [x for _, first, end, _ in fast for x in recorded[first:end]]
-    fast_ops = sum(end - first for _, first, end, _ in fast)
-    fast_secs = sum(s[0] for s in fast)
-    fast_cpu = sum(s[3] for s in fast)
+    ops = doc["ops"]
+    chunk_ops = int(ops["chunk_ops"])
+    p50s, p99s = ops["chunk_p50_us"], ops["chunk_p99_us"]
+    rates = [ratio(chunk_ops, s) for s in ops["chunk_wall_s"]]
+    cpu_per_op = [c / chunk_ops for c in ops["chunk_cpu_us"]]
     # The harness keeps virtual samples for a fixed count of ops from a
     # fixed op index, so they depend on the seed alone, not on host speed.
-    virt = doc["ops"]["virt_us"]
-    nbytes = doc["ops"]["bytes"]
+    virt = ops["virt_us"]
+    nbytes = ops["bytes"]
 
-    if len(host) < CHUNK_OPS or not tail_supported(CHUNK_OPS, 99):
-        problems.append(f"only {len(host)} op times: p99 needs chunks of {CHUNK_OPS}")
+    if not p99s or not tail_supported(chunk_ops, 99):
+        problems.append(f"{len(p99s)} chunks of {chunk_ops} op times: p99 needs one "
+                        f"with {TAIL_SAMPLES} samples beyond it")
     if len(virt) < doc["virt_ops"]:
         problems.append(f"only {len(virt)} ops: virtual metrics need {int(doc['virt_ops'])}")
 
@@ -148,17 +84,17 @@ def end_to_end(workload, doc, setup_docs=()):
     attempted = sum(int(d["attempted"]) for d in docs)
     failed = sum(int(d["failed"]) for d in docs)
     metrics = {
-        "host_ops_per_s": (ratio(fast_ops, fast_secs), "ops/s"),
-        "host_op_p50_us": (chunked_percentile(host, 50), "us"),
-        "host_op_p99_us": (chunked_percentile(host, 99), "us"),
-        "host_cpu_us_per_op": (ratio(fast_cpu, fast_ops), "us"),
+        "host_ops_per_s": (median(rates), "ops/s"),
+        "host_op_p50_us": (median(p50s), "us"),
+        "host_op_p99_us": (median(p99s), "us"),
+        "host_cpu_us_per_op": (median(cpu_per_op), "us"),
         "virt_op_p50_us": (percentile(virt, 50) if virt else 0.0, "us"),
         "virt_mb_s": (ratio(sum(nbytes) / MIB, elapsed_us * 1e-6), "MiB/s"),
         "setup_s": (median([x for d in docs for x in d["setup_s"]]), "s"),
         "peak_rss_mb": (doc["peak_rss_kib"] / 1024.0, "MiB"),
         "ok_ops_ratio": (1.0 - ratio(failed, attempted), "ratio"),
     }
-    return metrics, len(host), problems
+    return metrics, len(p99s) * chunk_ops, problems
 
 
 def per_layer(doc):

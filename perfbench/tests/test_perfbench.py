@@ -99,27 +99,6 @@ class HelpersTest(unittest.TestCase):
         self.assertEqual(metrics.ratio(3, 4), 0.75)
         self.assertEqual(metrics.ratio(5, 0), 0.0)
 
-    def test_chunked_percentile_ignores_one_slow_chunk(self):
-        fast = [10.0] * 1000
-        slow = [100.0] * 1000
-        self.assertEqual(metrics.chunked_percentile(fast + slow + fast, 99), 10.0)
-        self.assertEqual(metrics.chunked_percentile(fast + [1.0] * 999, 50), 10.0)
-
-    def test_windows_and_fastest_share(self):
-        # 30 marks, one per 0.1 s; the middle third runs at half speed.
-        t, ops, cpu, n = [], [], [], 0
-        for i in range(1, 31):
-            n += 50 if 10 < i <= 20 else 100
-            t.append(i * 0.1)
-            ops.append(n)
-            cpu.append(i * 100.0)
-        slices = metrics.windows(t, ops, cpu, 3.0, count=30)
-        self.assertEqual(len(slices), 30)
-        self.assertEqual(slices[0], (0.1, 0, 100, 100.0))
-        fast = metrics.fastest(slices)
-        self.assertEqual(len(fast), 10)
-        self.assertTrue(all(end - first == 100 for _, first, end, _ in fast))
-
     def test_anchor_check(self):
         doc = {"failed": 0, "mad": {"virt_us": [4.49] * 4}, "mpi": {"virt_us": [27.097] * 3}}
         values, problems = metrics.anchor_check(doc)
@@ -128,18 +107,20 @@ class HelpersTest(unittest.TestCase):
         self.assertEqual(len(metrics.anchor_check(doc)[1]), 1)
 
 
-def fake_run(ops=3000, virt_ops=1000):
-    """A harness document of a steady untraced run."""
-    marks = list(range(100, ops + 1, 100))
+def fake_run(ops=3000, virt_ops=1000, chunk_ops=1000):
+    """A harness document of a steady untraced run: 1 ms per op."""
     virt = min(ops, virt_ops)
+    chunks = ops // chunk_ops
     return {
         "attempted": ops + 5, "failed": 0, "peak_rss_kib": 2048, "virt_ops": virt_ops,
         "setup_s": [0.2, 0.1, 0.3],
-        "segments": {"0": {"kind": "warm", "ops": 5, "wall_s": 0.1},
-                     "1": {"kind": "plain", "ops": ops, "wall_s": ops / 1000.0}},
-        "marks": {"segment": [1] * len(marks), "t_s": [m / 1000.0 for m in marks],
-                  "ops": marks, "cpu_us": [m * 900.0 for m in marks]},
-        "ops": {"host_us": [1000.0] * ops, "virt_us": [20.0] * virt,
+        "segments": {"0": {"kind": "warm", "ops": 5, "wall_s": 0.1, "cpu_us": 90.0},
+                     "1": {"kind": "plain", "ops": ops, "wall_s": ops / 1000.0,
+                           "cpu_us": ops * 900.0}},
+        "ops": {"chunk_ops": chunk_ops, "chunk_wall_s": [chunk_ops / 1000.0] * chunks,
+                "chunk_cpu_us": [chunk_ops * 900.0] * chunks,
+                "chunk_p50_us": [1000.0] * chunks,
+                "chunk_p99_us": [1000.0] * chunks, "virt_us": [20.0] * virt,
                 "bytes": [2048.0] * virt},
     }
 
@@ -161,12 +142,23 @@ class EndToEndTest(unittest.TestCase):
         self.assertAlmostEqual(values["setup_s"][0], 0.25)
         self.assertEqual(values["peak_rss_mb"][0], 2.0)
         self.assertEqual(values["ok_ops_ratio"][0], 1.0)
-        # The fastest third of the slices: at least a third of the ops.
-        self.assertGreaterEqual(samples, 1000)
+        self.assertEqual(samples, 3000)
+
+    def test_host_metrics_are_chunk_medians(self):
+        doc = fake_run()
+        doc["ops"]["chunk_p99_us"] = [1000.0, 5000.0, 1200.0]
+        doc["ops"]["chunk_wall_s"] = [1.0, 4.0, 2.0]  # 1000, 250, 500 ops/s
+        values, _, _ = metrics.end_to_end("eager_pingpong", doc)
+        self.assertEqual(values["host_op_p99_us"][0], 1200.0)
+        self.assertEqual(values["host_ops_per_s"][0], 500.0)
 
     def test_too_few_ops_is_a_problem(self):
         _, _, problems = metrics.end_to_end("eager_pingpong", fake_run(ops=600, virt_ops=1000))
         self.assertEqual(len(problems), 2)
+
+    def test_chunks_too_small_for_p99_are_a_problem(self):
+        _, _, problems = metrics.end_to_end("eager_pingpong", fake_run(chunk_ops=500))
+        self.assertEqual(len(problems), 1)
 
 
 class BenchmarkJsonTest(unittest.TestCase):
