@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,6 +146,69 @@ std::int64_t peak_rss_kib() {
     std::exit(2);
   }
   return kib;
+}
+
+// ---- machine-speed reference ---------------------------------------------------
+//
+// On a shared virtual machine the host cost of the kernel paths the
+// workloads lean on (futex wake-ups and context switches between threads on
+// one CPU) moves between two levels about 1.4x apart, tens of seconds at a
+// time, while plain computation barely moves. So between batches the harness
+// times a fixed reference that takes those same paths without any library
+// code: round trips between two threads of its own through a mutex and a
+// condition variable. perfbench/metrics.py scales host times by it.
+
+constexpr int kReferenceRoundTrips = 5;  // per reference block
+
+class Reference {
+ public:
+  Reference() : thread_([this] { serve(); }) {}
+  ~Reference() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  Reference(const Reference&) = delete;
+  Reference& operator=(const Reference&) = delete;
+
+  /// Host microseconds for kReferenceRoundTrips round trips.
+  double block_us() {
+    const std::int64_t t0 = wall_ns();
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (int i = 0; i < kReferenceRoundTrips; ++i) {
+      serve_turn_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !serve_turn_; });
+    }
+    lock.unlock();
+    return (wall_ns() - t0) * 1e-3;
+  }
+
+ private:
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      cv_.wait(lock, [this] { return serve_turn_ || stop_; });
+      if (stop_) return;
+      serve_turn_ = false;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool serve_turn_ = false;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts once the fields above exist
+};
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 // ---- workloads ----------------------------------------------------------------
@@ -334,13 +398,16 @@ struct Run {
   std::vector<mad::Channel*> channels;  // the session's own channels
 
   // leader: samples of plain segments. Ops are reduced chunk by chunk to
-  // each chunk's wall time, process CPU, and median and 99th-percentile op
-  // time, so the harness keeps four numbers per chunk rather than one per
-  // op. A chunk lies within one plain segment.
+  // each chunk's wall time, process CPU, median and 99th-percentile op time,
+  // and median reference block, so the harness keeps five numbers per chunk
+  // rather than one per op. A chunk lies within one plain segment.
+  Reference* reference = nullptr;  // sampled between batches when set
   std::vector<float> chunk;  // op times of the open chunk
-  std::int64_t chunk_start_ns = 0;
-  double chunk_start_cpu_us = 0.0;
-  std::vector<double> chunk_wall_s, chunk_cpu_us, chunk_p50, chunk_p99;
+  std::vector<double> chunk_refs;  // reference blocks within the open chunk
+  std::int64_t chunk_start_ns = 0, chunk_ref_ns = 0;
+  double chunk_start_cpu_us = 0.0, chunk_ref_cpu_us = 0.0;
+  std::vector<double> chunk_wall_s, chunk_cpu_us, chunk_p50, chunk_p99,
+      chunk_ref_us;
   std::vector<double> op_virt_us, op_bytes;  // the first virt_ops ops
   std::vector<SegmentResult> segments;
   // leader: traced spans
@@ -366,20 +433,35 @@ struct Run {
     }
     chunk.push_back(static_cast<float>(host_us));
     if (chunk.size() == kChunkOps) {
+      if (reference != nullptr && chunk_refs.empty()) sample_reference();
+      // The reference blocks' own time is not the workload's.
       const std::int64_t now_ns = wall_ns();
       const double now_cpu_us = usage().cpu_us;
-      chunk_wall_s.push_back((now_ns - chunk_start_ns) * 1e-9);
-      chunk_cpu_us.push_back(now_cpu_us - chunk_start_cpu_us);
+      chunk_wall_s.push_back((now_ns - chunk_start_ns - chunk_ref_ns) * 1e-9);
+      chunk_cpu_us.push_back(now_cpu_us - chunk_start_cpu_us - chunk_ref_cpu_us);
       chunk_p50.push_back(percentile(chunk, 50));
       chunk_p99.push_back(percentile(chunk, 99));
+      if (reference != nullptr) chunk_ref_us.push_back(median_of(chunk_refs));
       open_chunk();
     }
   }
   /// Starts a chunk; an unfinished one is dropped.
   void open_chunk() {
     chunk.clear();
+    chunk_refs.clear();
+    chunk_ref_ns = 0;
+    chunk_ref_cpu_us = 0.0;
     chunk_start_ns = wall_ns();
     chunk_start_cpu_us = usage().cpu_us;
+  }
+  /// Times one reference block into the open chunk. The leader calls it
+  /// between batches, while every other rank waits for its next message.
+  void sample_reference() {
+    const std::int64_t t0 = wall_ns();
+    const double cpu0 = usage().cpu_us;
+    chunk_refs.push_back(reference->block_us());
+    chunk_ref_cpu_us += usage().cpu_us - cpu0;
+    chunk_ref_ns += wall_ns() - t0;
   }
 
   void fail(std::uint64_t op) {
@@ -407,6 +489,9 @@ class SegmentClock {
   int boundary() {
     const Segment& seg = run_.plan[segment_];
     ops_ += static_cast<std::uint64_t>(run_.batch);
+    if (seg.kind == SegmentKind::kPlain && run_.reference != nullptr) {
+      run_.sample_reference();
+    }
     const double elapsed = (wall_ns() - start_ns_) * 1e-9;
     // A measured segment that cannot reach its op floor gives up after three
     // times its length plus 30 s; run.py then rejects the run.
@@ -974,6 +1059,7 @@ Args parse_args(int argc, char** argv) {
 
 void write_run(std::FILE* f, const Args& args, Run& run,
                const std::vector<double>& setup_s,
+               const std::vector<double>& setup_ref_us,
                std::array<const Rung*, 3> ladder, std::int64_t harness_rss_kib,
                std::int64_t end_rss_kib) {
   const Rung& net = *ladder[0];
@@ -992,6 +1078,7 @@ void write_run(std::FILE* f, const Args& args, Run& run,
   out.num("batch", run.batch);
   out.num("virt_ops", static_cast<double>(run.spec.virt_ops));
   out.array("setup_s", setup_s);
+  out.array("setup_ref_us", setup_ref_us);
   out.begin("segments");
   for (std::size_t s = 0; s < run.segments.size(); ++s) {
     const SegmentResult& r = run.segments[s];
@@ -1010,6 +1097,7 @@ void write_run(std::FILE* f, const Args& args, Run& run,
   out.array("chunk_cpu_us", run.chunk_cpu_us);
   out.array("chunk_p50_us", run.chunk_p50);
   out.array("chunk_p99_us", run.chunk_p99);
+  out.array("chunk_ref_us", run.chunk_ref_us);
   out.array("virt_us", run.op_virt_us);
   out.array("bytes", run.op_bytes);
   out.end();
@@ -1096,16 +1184,21 @@ int main(int argc, char** argv) {
   run.chunk.reserve(kChunkOps);
   run.op_virt_us.reserve(spec.virt_ops);
   run.op_bytes.reserve(spec.virt_ops);
-  // The harness's own footprint (inputs, sample stores), before any
-  // session exists: peak RSS minus this is what the library added.
+  Reference reference;
+  // The harness's own footprint (inputs, sample stores, reference thread),
+  // before any session exists: peak RSS minus this is what the library
+  // added.
   const std::int64_t harness_rss_kib = peak_rss_kib();
 
   // Set-up: build the session and finish the first op, several times; the
-  // last session goes on to the measured run.
-  std::vector<double> setup_s;
+  // last session goes on to the measured run. Each set-up follows the
+  // median of three reference blocks, its own machine-speed sample.
+  std::vector<double> setup_s, setup_ref_us;
   std::unique_ptr<core::Session> session;
   for (int k = 0; k < args.setups; ++k) {
     session.reset();
+    setup_ref_us.push_back(median_of(
+        {reference.block_us(), reference.block_us(), reference.block_us()}));
     const std::int64_t t0 = wall_ns();
     session = make_session(spec.kind);
     run.plan = {{SegmentKind::kWarm, 0.0, 1}};
@@ -1120,6 +1213,9 @@ int main(int argc, char** argv) {
   run.batch = spec.batch;
   run.first_op = 1;
   run.segments.clear();
+  // A traced run compares plain and traced segments as measured, so only
+  // untraced runs interleave reference blocks.
+  if (!args.trace) run.reference = &reference;
   if (args.trace) {
     // Untraced and traced halves alternate so drift hits both alike.
     const double quarter = args.seconds / 4.0;
@@ -1145,7 +1241,7 @@ int main(int argc, char** argv) {
   }
   session->finalize();
 
-  write_run(f, args, run, setup_s, {&net, &mad, &mpi}, harness_rss_kib,
-            peak_rss_kib());
+  write_run(f, args, run, setup_s, setup_ref_us, {&net, &mad, &mpi},
+            harness_rss_kib, peak_rss_kib());
   return std::fclose(f) == 0 ? 0 : 2;
 }

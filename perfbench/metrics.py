@@ -13,6 +13,20 @@ TAIL_SAMPLES = 10
 
 PINGPONG = ("eager_pingpong", "rndv_pingpong")
 
+# Host times are reported at a nominal machine speed: scaled by
+# REF_BLOCK_US over the harness's reference block (5 round trips between
+# two threads through a mutex and a condition variable on the harness's
+# CPU) timed in the same chunk, or just before the same set-up. 16 us is
+# that block on a quiet 4-vCPU VM; when the host slows its kernel paths,
+# the block and the workloads slow together and the ratio stays put.
+REF_BLOCK_US = 16.0
+
+# Figures that do not follow the reference, reported as measured. The
+# collective workload's slowest iterations stay near 5.5-6 ms whether the
+# reference block runs fast or 1.4x slower, so scaling them would add the
+# host's drift instead of removing it.
+UNSCALED = {("metacluster_coll", "host_op_p99_us")}
+
 # Calibration anchors on SCI at 4 B, each with the round trips its bench
 # averages over: raw Madeleine from bench/table1_raw_protocols (4.5 us) and
 # ch_mad with the TCP poller from bench/fig9_multiprotocol. The latter
@@ -47,25 +61,42 @@ def median(values):
     return statistics.median(values) if values else 0.0
 
 
+def scales(refs):
+    """Per-sample factors that bring host times to the nominal speed."""
+    return [REF_BLOCK_US / r if r > 0 else 0.0 for r in refs]
+
+
 def end_to_end(workload, doc, setup_docs=()):
-    """End-to-end metrics of an untraced run: (metrics, samples, problems).
+    """End-to-end metrics of an untraced run: (metrics, samples, problems,
+    measured).
 
     The harness reduces the measured segment chunk by chunk (chunk_ops
-    consecutive ops) to each chunk's wall time, process CPU, and median and
-    99th-percentile op time. Every host metric is the median of its
-    per-chunk figure over all full chunks, so a neighbour's burst moves a
-    few chunks, not the figure, while a change to the code moves every
-    chunk. `samples` is the number of ops they rest on. `setup_docs` come
-    from set-up-only harness processes: setup_s is the median of every
-    set-up sample of the run, and ok_ops_ratio counts every op the run
-    attempted.
+    consecutive ops) to each chunk's wall time, process CPU, median and
+    99th-percentile op time, and median reference block. Each chunk's host
+    figures are scaled by its reference to the nominal speed (except those in
+    UNSCALED), and every host metric is the median of its per-chunk figure
+    over all full chunks, so a neighbour's burst moves a few chunks, not the
+    figure, while a change to the code moves every chunk. `samples` is the
+    number of ops they rest on. `setup_docs` come from set-up-only harness
+    processes: setup_s is the median of every scaled set-up sample of the
+    run, and ok_ops_ratio counts every op the run attempted. `measured` holds
+    the same host medians unscaled and the median reference block, for the
+    record.
     """
     problems = []
     ops = doc["ops"]
     chunk_ops = int(ops["chunk_ops"])
-    p50s, p99s = ops["chunk_p50_us"], ops["chunk_p99_us"]
-    rates = [ratio(chunk_ops, s) for s in ops["chunk_wall_s"]]
-    cpu_per_op = [c / chunk_ops for c in ops["chunk_cpu_us"]]
+    refs = ops["chunk_ref_us"]
+    scale = scales(refs)
+    raw_p50s, raw_p99s = ops["chunk_p50_us"], ops["chunk_p99_us"]
+    walls, cpus = ops["chunk_wall_s"], ops["chunk_cpu_us"]
+    p50s = [p * s for p, s in zip(raw_p50s, scale)]
+    p99s = (list(raw_p99s) if (workload, "host_op_p99_us") in UNSCALED
+            else [p * s for p, s in zip(raw_p99s, scale)])
+    rates = [ratio(chunk_ops, w * s) for w, s in zip(walls, scale)]
+    cpu_per_op = [c * s / chunk_ops for c, s in zip(cpus, scale)]
+    if len(refs) != len(raw_p99s) or not all(r > 0 for r in refs):
+        problems.append(f"{len(refs)} reference samples for {len(raw_p99s)} chunks")
     # The harness keeps virtual samples for a fixed count of ops from a
     # fixed op index, so they depend on the seed alone, not on host speed.
     virt = ops["virt_us"]
@@ -83,6 +114,8 @@ def end_to_end(workload, doc, setup_docs=()):
     docs = [doc, *setup_docs]
     attempted = sum(int(d["attempted"]) for d in docs)
     failed = sum(int(d["failed"]) for d in docs)
+    setups = [s * f for d in docs
+              for s, f in zip(d["setup_s"], scales(d["setup_ref_us"]))]
     metrics = {
         "host_ops_per_s": (median(rates), "ops/s"),
         "host_op_p50_us": (median(p50s), "us"),
@@ -90,11 +123,19 @@ def end_to_end(workload, doc, setup_docs=()):
         "host_cpu_us_per_op": (median(cpu_per_op), "us"),
         "virt_op_p50_us": (percentile(virt, 50) if virt else 0.0, "us"),
         "virt_mb_s": (ratio(sum(nbytes) / MIB, elapsed_us * 1e-6), "MiB/s"),
-        "setup_s": (median([x for d in docs for x in d["setup_s"]]), "s"),
+        "setup_s": (median(setups), "s"),
         "peak_rss_mb": (doc["peak_rss_kib"] / 1024.0, "MiB"),
         "ok_ops_ratio": (1.0 - ratio(failed, attempted), "ratio"),
     }
-    return metrics, len(p99s) * chunk_ops, problems
+    measured = {
+        "host_ops_per_s": median([ratio(chunk_ops, w) for w in walls]),
+        "host_op_p50_us": median(raw_p50s),
+        "host_op_p99_us": median(raw_p99s),
+        "host_cpu_us_per_op": median([c / chunk_ops for c in cpus]),
+        "setup_s": median([x for d in docs for x in d["setup_s"]]),
+        "ref_block_us": median(refs),
+    }
+    return metrics, len(p99s) * chunk_ops, problems, measured
 
 
 def per_layer(doc):

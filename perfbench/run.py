@@ -19,7 +19,9 @@ The command builds perfbench/harness.cpp against the library sources under
 src/ (in $CARGO_TARGET_DIR, default .bench_build, under perfbench/), writes
 the workload's inputs from --seed, runs the harness on one CPU (see
 harness_cpus), and checks every payload and collective result. With
---trace 0 it reports the end-to-end metrics; with --trace 1 the per-layer metrics of a traced
+--trace 0 it reports the end-to-end metrics, host times scaled to a nominal
+machine speed by a reference the harness times between batches (see
+metrics.REF_BLOCK_US); with --trace 1 the per-layer metrics of a traced
 run, and it also checks the calibration anchors. The last line of standard
 output is one JSON object: {"correct", "attempted", "failed", "metrics"}.
 The line before it is the configuration stamp. Any failed check makes the
@@ -230,15 +232,16 @@ def run_workload(binary, bdir, workload, args, deadline):
         attempted = int(doc["attempted"]) + int(anchor_doc["attempted"])
         failed = int(doc["failed"]) + int(anchor_doc["failed"])
         samples = int(doc["trace"]["ops"])
-        harness_rss_mb = None
+        measured = None
     else:
         anchors = None
         doc = harness(0, args.seconds, 0)
+        setup_docs = [harness(k + 1, 0.0, 0) for k in range(SETUP_PROCESSES)]
+        values, samples, problems_e2e, measured = metrics.end_to_end(
+            workload, doc, setup_docs)
         # What the harness itself held before any session existed; the
         # rest of peak_rss_mb is the library's.
-        harness_rss_mb = doc["harness_rss_kib"] / 1024.0
-        setup_docs = [harness(k + 1, 0.0, 0) for k in range(SETUP_PROCESSES)]
-        values, samples, problems_e2e = metrics.end_to_end(workload, doc, setup_docs)
+        measured["harness_rss_mb"] = doc["harness_rss_kib"] / 1024.0
         problems += problems_e2e
         attempted = sum(int(d["attempted"]) for d in [doc, *setup_docs])
         failed = sum(int(d["failed"]) for d in [doc, *setup_docs])
@@ -248,7 +251,7 @@ def run_workload(binary, bdir, workload, args, deadline):
         "stamp": stamp(workload, args, env),
         "metrics": values,
         "samples": samples,
-        "harness_rss_mb": harness_rss_mb,
+        "measured": measured,
         "attempted": attempted,
         "failed": failed,
         "problems": problems,
@@ -287,9 +290,10 @@ def main(argv):
             combined[prefix + key] = {"value": value, "unit": unit}
             print(f"{name:18s} {key:34s} {value:14.6g} {unit}")
         print(f"{name:18s} {'samples':34s} {r['samples']:14d} ops")
-        if r["harness_rss_mb"] is not None:
-            print(f"{name:18s} {'harness_rss_mb (before any session)':34s} "
-                  f"{r['harness_rss_mb']:14.6g} MiB")
+        # Host figures before scaling to the nominal speed, the reference
+        # block they were scaled by, and the harness's own footprint.
+        for key, value in (r["measured"] or {}).items():
+            print(f"{name:18s} {'measured ' + key:34s} {value:14.6g}")
         problems += [f"{name}: {p}" for p in r["problems"]]
         with open(os.path.join(bdir, f"result-{name}-seed{args.seed}-trace{args.trace}.json"),
                   "w") as f:

@@ -113,23 +113,25 @@ def fake_run(ops=3000, virt_ops=1000, chunk_ops=1000):
     chunks = ops // chunk_ops
     return {
         "attempted": ops + 5, "failed": 0, "peak_rss_kib": 2048, "virt_ops": virt_ops,
-        "setup_s": [0.2, 0.1, 0.3],
+        "setup_s": [0.2, 0.1, 0.3], "setup_ref_us": [metrics.REF_BLOCK_US] * 3,
         "segments": {"0": {"kind": "warm", "ops": 5, "wall_s": 0.1, "cpu_us": 90.0},
                      "1": {"kind": "plain", "ops": ops, "wall_s": ops / 1000.0,
                            "cpu_us": ops * 900.0}},
         "ops": {"chunk_ops": chunk_ops, "chunk_wall_s": [chunk_ops / 1000.0] * chunks,
                 "chunk_cpu_us": [chunk_ops * 900.0] * chunks,
                 "chunk_p50_us": [1000.0] * chunks,
-                "chunk_p99_us": [1000.0] * chunks, "virt_us": [20.0] * virt,
+                "chunk_p99_us": [1000.0] * chunks,
+                "chunk_ref_us": [metrics.REF_BLOCK_US] * chunks, "virt_us": [20.0] * virt,
                 "bytes": [2048.0] * virt},
     }
 
 
 class EndToEndTest(unittest.TestCase):
     def test_metrics_match_benchmark_json(self):
-        values, samples, problems = metrics.end_to_end("eager_pingpong", fake_run(),
-                                                       [{"setup_s": [0.4], "attempted": 1,
-                                                         "failed": 0}])
+        values, samples, problems, _ = metrics.end_to_end(
+            "eager_pingpong", fake_run(),
+            [{"setup_s": [0.4], "setup_ref_us": [metrics.REF_BLOCK_US], "attempted": 1,
+              "failed": 0}])
         self.assertEqual(problems, [])
         names = [m["name"] for m in load_benchmark_json()["end_to_end"]]
         self.assertEqual(list(values), names)
@@ -148,16 +150,45 @@ class EndToEndTest(unittest.TestCase):
         doc = fake_run()
         doc["ops"]["chunk_p99_us"] = [1000.0, 5000.0, 1200.0]
         doc["ops"]["chunk_wall_s"] = [1.0, 4.0, 2.0]  # 1000, 250, 500 ops/s
-        values, _, _ = metrics.end_to_end("eager_pingpong", doc)
+        values, _, _, _ = metrics.end_to_end("eager_pingpong", doc)
         self.assertEqual(values["host_op_p99_us"][0], 1200.0)
         self.assertEqual(values["host_ops_per_s"][0], 500.0)
 
+    def test_host_times_scale_by_their_chunks_reference(self):
+        doc = fake_run()
+        # The middle chunk ran while the machine was half as fast: its op
+        # times and its reference block both doubled.
+        doc["ops"]["chunk_p50_us"] = [1000.0, 2000.0, 1000.0]
+        doc["ops"]["chunk_wall_s"] = [1.0, 2.0, 1.0]
+        doc["ops"]["chunk_cpu_us"] = [9e5, 1.8e6, 9e5]
+        doc["ops"]["chunk_ref_us"] = [metrics.REF_BLOCK_US * k for k in (1.0, 2.0, 1.0)]
+        doc["setup_s"] = [0.2, 0.4, 0.2]
+        doc["setup_ref_us"] = [metrics.REF_BLOCK_US * k for k in (1.0, 2.0, 1.0)]
+        values, _, problems, measured = metrics.end_to_end("eager_pingpong", doc)
+        self.assertEqual(problems, [])
+        for name, value in (("host_op_p50_us", 1000.0), ("host_ops_per_s", 1000.0),
+                            ("host_cpu_us_per_op", 900.0), ("setup_s", 0.2)):
+            self.assertEqual(values[name][0], value, name)
+        self.assertEqual(measured["ref_block_us"], metrics.REF_BLOCK_US)
+
+    def test_collective_p99_is_reported_as_measured(self):
+        doc = fake_run()
+        doc["ops"]["chunk_ref_us"] = [metrics.REF_BLOCK_US * 2] * 3
+        values = metrics.end_to_end("metacluster_coll", doc)[0]
+        self.assertEqual(values["host_op_p99_us"][0], 1000.0)
+        self.assertEqual(values["host_op_p50_us"][0], 500.0)
+
+    def test_missing_reference_is_a_problem(self):
+        doc = fake_run()
+        doc["ops"]["chunk_ref_us"] = doc["ops"]["chunk_ref_us"][1:]
+        self.assertEqual(len(metrics.end_to_end("eager_pingpong", doc)[2]), 1)
+
     def test_too_few_ops_is_a_problem(self):
-        _, _, problems = metrics.end_to_end("eager_pingpong", fake_run(ops=600, virt_ops=1000))
+        problems = metrics.end_to_end("eager_pingpong", fake_run(ops=600, virt_ops=1000))[2]
         self.assertEqual(len(problems), 2)
 
     def test_chunks_too_small_for_p99_are_a_problem(self):
-        _, _, problems = metrics.end_to_end("eager_pingpong", fake_run(chunk_ops=500))
+        problems = metrics.end_to_end("eager_pingpong", fake_run(chunk_ops=500))[2]
         self.assertEqual(len(problems), 1)
 
 
