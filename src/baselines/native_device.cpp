@@ -96,6 +96,8 @@ void NativeDevice::transmit(net::Endpoint& endpoint, node_id_t dst,
     block.zero_copy = zero_copy;
     blocks.push_back(block);
   }
+  // Ranks and helper tasks share the endpoint: keep a message's frames whole.
+  std::lock_guard<std::mutex> lock(state_of(endpoint.node().id()).send_mutex);
   endpoint.send_message(dst, control.span(), blocks);
 }
 
@@ -144,9 +146,10 @@ Status NativeDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   return Status::ok();
 }
 
-void NativeDevice::start() {
+void NativeDevice::start(marcel::Executor& executor) {
   MADMPI_CHECK(!started_);
   started_ = true;
+  executor_ = &executor;
   for (auto& [node_id, state] : states_) {
     net::Endpoint* endpoint = transport_->endpoint(node_id);
     const int peers = static_cast<int>(transport_->members().size()) - 1;
@@ -226,13 +229,11 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
                   WireHeader ack = header;
                   ack.kind = WireKind::kRndvAck;
                   ack.sync_address = sync_address;
-                  sim::Node* ack_node = state_ptr->node;
-                  const usec_t birth = ack_node->clock().advance(
-                      profile_.rndv_handshake_us * 0.5);
-                  std::thread([this, ack_node, birth, ep, peer, ack] {
-                    ack_node->clock().bind_lane(birth);
-                    transmit(*ep, peer, ack, {}, false);
-                  }).detach();
+                  executor_->post(*state_ptr->node,
+                                  profile_.rndv_handshake_us * 0.5,
+                                  [this, ep, peer, ack] {
+                                    transmit(*ep, peer, ack, {}, false);
+                                  });
                 });
         break;
       }
@@ -245,18 +246,15 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
           MADMPI_CHECK(it != state.pending_sends.end());
           pending = it->second;
         }
-        const usec_t birth =
-            node.clock().advance(profile_.rndv_handshake_us * 0.5);
-        sim::Node* data_node = &node;
         const node_id_t peer = incoming->source();
-        net::Endpoint* ep = &endpoint;
         WireHeader data = header;
         data.kind = WireKind::kRndvData;
-        std::thread([this, data_node, birth, ep, peer, data, pending] {
-          data_node->clock().bind_lane(birth);
-          transmit(*ep, peer, data, pending->data, profile_.rndv_zero_copy);
+        executor_->post(node, profile_.rndv_handshake_us * 0.5,
+                        [this, &endpoint, peer, data, pending] {
+          transmit(endpoint, peer, data, pending->data,
+                   profile_.rndv_zero_copy);
           pending->done->signal();
-        }).detach();
+        });
         break;
       }
 

@@ -85,7 +85,7 @@ class NativeDevice final : public core::ManagedDevice {
   Status send(rank_t src, rank_t dst, const mpi::Envelope& env,
               byte_span packed, mpi::TransferMode mode) override;
 
-  void start() override;
+  void start(marcel::Executor& executor) override;
   void shutdown() override;
 
   const NativeProfile& profile() const { return profile_; }
@@ -106,6 +106,7 @@ class NativeDevice final : public core::ManagedDevice {
   struct NodeState {
     sim::Node* node = nullptr;
     std::thread poller;
+    std::mutex send_mutex;  // serializes transmit() (see there)
     std::mutex mutex;
     std::uint64_t next_handle = 1;
     std::map<std::uint64_t, PendingSend*> pending_sends;
@@ -124,6 +125,7 @@ class NativeDevice final : public core::ManagedDevice {
   std::unique_ptr<net::ChannelTransport> transport_;
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
+  marcel::Executor* executor_ = nullptr;  // set by start()
 };
 
 }  // namespace madmpi::baselines

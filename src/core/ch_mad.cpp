@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 
 #include "common/datapath_stats.hpp"
 #include "common/log.hpp"
@@ -81,9 +80,10 @@ bool ChMadDevice::reaches(rank_t src, rank_t dst) const {
          forward_router_->connected(src_node.id(), dst_node.id());
 }
 
-void ChMadDevice::start() {
+void ChMadDevice::start(marcel::Executor& executor) {
   MADMPI_CHECK_MSG(!started_, "ch_mad started twice");
   started_ = true;
+  executor_ = &executor;
 
   // Direct channels: pollers dispatch ch_mad packets straight away.
   // Forwarding channels: pollers first read the routing header and either
@@ -131,13 +131,8 @@ void ChMadDevice::shutdown() {
   for (auto& [node_id, state] : states_) {
     state->poll_server->begin_drain();
   }
-  // Phase 0: let in-flight credit-return threads finish. Application
-  // traffic has quiesced, so no new ones can appear; waiting here keeps a
-  // straggling MAD_CREDIT_PKT from racing channel close below.
-  {
-    std::unique_lock<std::mutex> lock(credit_threads_mutex_);
-    credit_threads_cv_.wait(lock, [this] { return credit_threads_ == 0; });
-  }
+  // The session drained its executor before this, so no straggling
+  // MAD_CREDIT_PKT races channel close below.
   // Phase 1: every node announces termination to every direct peer, on
   // direct channels plainly and on forwarding channels wrapped in a
   // final-hop routing header.
@@ -331,57 +326,37 @@ Status ChMadDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   }
 
   // Rendezvous (paper §4.2.2): 1) request; 2) peer acknowledges with its
-  // sync_address once a receive is posted; 3) data goes out zero-copy.
-  rendezvous_sent_.fetch_add(1, std::memory_order_relaxed);
-  NodeState& state = state_of(src_node.id());
-  PendingSend pending;
-  pending.data = packed;
-  pending.header = header;
-  pending.done = std::make_unique<marcel::Semaphore>(src_node, 0);
-  pending.peer_node = dst_node.id();
-  pending.started_at = src_node.clock().now();
-
-  std::uint64_t handle = 0;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    handle = state.next_send_handle++;
-    state.pending_sends[handle] = &pending;
-  }
-  header.type = PacketType::kRndvRequest;
-  header.sender_handle = handle;
-  Status status = send_packet(src_node.id(), dst_node.id(), header, {});
-  if (!status.is_ok()) {
-    // The request never left: unregister and report. (If the request
-    // arrived but the *reply* path is severed, the sender waits — reverse
-    // routes are the receiver's to re-elect; see DESIGN.md.)
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.pending_sends.erase(handle);
-    return status;
-  }
-
-  // Park until the polling thread's data-push thread finished step 3 (or
-  // the watchdog gave up on the peer and completed the send with an
-  // error — it removes the handle from the table before signalling, so
-  // the erase below is a harmless no-op then).
-  pending.done->wait();
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.pending_sends.erase(handle);
-  }
-  return pending.result;
+  // sync_address once a receive is posted; 3) data goes out zero-copy. The
+  // sender parks on the request the data push (or the watchdog) completes.
+  auto done = std::make_shared<mpi::RequestState>(src_node);
+  Status status = start_rendezvous(src, dst, env, packed, {}, done);
+  if (!status.is_ok()) return status;  // the request never left
+  const ErrorCode error = done->wait().error;
+  if (error == ErrorCode::kOk) return Status::ok();
+  return Status(error, "rendezvous send to rank " + std::to_string(dst));
 }
 
 bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
                                    const mpi::Envelope& env, byte_span packed,
                                    std::vector<std::byte> owned,
                                    std::shared_ptr<mpi::RequestState> state) {
+  const Status status =
+      start_rendezvous(src, dst, env, packed, std::move(owned), state);
+  if (!status.is_ok()) {
+    state->complete(mpi::MpiStatus::of_send(env, status.code()));
+  }
+  return true;
+}
+
+Status ChMadDevice::start_rendezvous(
+    rank_t src, rank_t dst, const mpi::Envelope& env, byte_span packed,
+    std::vector<std::byte> owned,
+    std::shared_ptr<mpi::RequestState> completion) {
   sim::Node& src_node = directory_.node_of(src);
   sim::Node& dst_node = directory_.node_of(dst);
   rendezvous_sent_.fetch_add(1, std::memory_order_relaxed);
   NodeState& node_state = state_of(src_node.id());
 
-  // Heap entry: nobody parks on it, so its lifetime is owned by whichever
-  // finishing path runs (data push, cancel, or the watchdog).
   auto* pending = new PendingSend;
   pending->data = packed;
   pending->header.src_global = src;
@@ -389,9 +364,8 @@ bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
   pending->header.envelope = env;
   pending->peer_node = dst_node.id();
   pending->started_at = src_node.clock().now();
-  pending->completion = std::move(state);
+  pending->completion = std::move(completion);
   pending->owned = std::move(owned);
-
   {
     std::lock_guard<std::mutex> lock(node_state.mutex);
     pending->handle = node_state.next_send_handle++;
@@ -400,38 +374,27 @@ bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
   PacketHeader header = pending->header;
   header.type = PacketType::kRndvRequest;
   header.sender_handle = pending->handle;
-  // The request goes out on the calling thread: injection order per
-  // source stays the program order the matching layer's FIFO relies on.
   Status status = send_packet(src_node.id(), dst_node.id(), header, {});
   if (!status.is_ok()) {
+    // (A request that arrived over a since-severed reply path leaves the
+    // sender waiting until the watchdog cancels it; see DESIGN.md.)
     {
       std::lock_guard<std::mutex> lock(node_state.mutex);
       node_state.pending_sends.erase(pending->handle);
     }
-    pending->result = status;
-    finish_pending_send(node_state, pending, /*still_registered=*/false);
+    delete pending;
   }
-  return true;
+  return status;
 }
 
-void ChMadDevice::finish_pending_send(NodeState& state, PendingSend* pending,
-                                      bool still_registered) {
-  if (pending->completion == nullptr) {
-    // Blocking entry: the parked sender owns it and may return (destroying
-    // it) the instant the semaphore releases — never touch it afterwards.
-    pending->done->signal();
-    return;
-  }
-  if (still_registered) {
+void ChMadDevice::finish_pending_send(NodeState& state,
+                                      PendingSend* pending) {
+  {
     std::lock_guard<std::mutex> lock(state.mutex);
     state.pending_sends.erase(pending->handle);
   }
-  mpi::MpiStatus status;
-  status.source = pending->header.envelope.dst;  // send-side: peer and tag
-  status.tag = pending->header.envelope.tag;
-  status.bytes = pending->header.envelope.bytes;
-  status.error = pending->result.code();
-  pending->completion->complete(status);
+  pending->completion->complete(mpi::MpiStatus::of_send(
+      pending->header.envelope, pending->result.code()));
   delete pending;
 }
 
@@ -592,7 +555,22 @@ void ChMadDevice::credit_consumed(node_id_t me, node_id_t origin,
     batch = owed;
     owed = 0;
   }
-  spawn_credit_thread(state, origin, batch);
+  // Credit returns follow the same no-sends-from-pollers rule as
+  // rendezvous acks.
+  executor_->post(*state.node, marcel::ThreadCosts::kCreate,
+                  [this, &state, me, origin, batch] {
+    PacketHeader header;
+    header.type = PacketType::kCredit;
+    header.credit_bytes = batch;
+    header.credit_origin = me;
+    credit_packets_.fetch_add(1, std::memory_order_relaxed);
+    if (!send_packet(me, origin, header, {}).is_ok()) {
+      // The peer is gone; put the debt back so credit conservation holds
+      // for observers even though nobody will collect it.
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.pending_returns[origin] += batch;
+    }
+  });
 }
 
 void ChMadDevice::apply_credit(NodeState& state,
@@ -684,7 +662,7 @@ bool ChMadDevice::try_cancel_send(rank_t src, rank_t dst,
                           "send cancelled before the receiver matched it");
   sim::trace(state.node->clock().now(), state.node->id(),
              sim::TraceCategory::kComplete, env.bytes, "cancel-send");
-  finish_pending_send(state, victim, /*still_registered=*/false);
+  finish_pending_send(state, victim);
   return true;
 }
 
@@ -764,7 +742,7 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
                  "rendezvous abandoned: no route between node " +
                      std::to_string(me) + " and node " +
                      std::to_string(pending->peer_node));
-      finish_pending_send(state, pending, /*still_registered=*/false);
+      finish_pending_send(state, pending);
       ++canceled;
     }
     for (Rhandle& rhandle : dead_rhandles) {
@@ -781,50 +759,11 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
   return canceled;
 }
 
-void ChMadDevice::spawn_reply_thread(NodeState& state, node_id_t dst_node,
-                                     PacketHeader header) {
-  // Polling threads must not send (deadlock avoidance, §4.2.3): the
-  // OK_TO_SEND goes out on a temporary thread. Detached: after its single
-  // send it touches nothing.
+void ChMadDevice::post_rma_reply(NodeState& state, node_id_t dst_node,
+                                 PacketHeader header, ChunkRef body) {
   const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  NodeState* state_ptr = &state;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  std::thread([this, node, birth, src_node, dst_node, header,
-               state_ptr]() mutable {
-    node->clock().bind_lane(birth);
-    // Piggyback any flow-control credits owed to the ack's destination:
-    // the debt a receiver accumulates towards its eager senders rides on
-    // rendezvous acks for free instead of costing its own packet.
-    const std::size_t credits = take_pending_returns(*state_ptr, dst_node);
-    if (credits != 0) {
-      header.credit_bytes = credits;
-      header.credit_origin = src_node;
-    }
-    // A failed OK_TO_SEND used to leave the sender parked on its
-    // rendezvous forever; the progress watchdog now cancels the pending
-    // send once the reply route is declared dead. The failover loop
-    // inside send_packet makes this reachable only when the receiver has
-    // *no* route back at all.
-    Status status = send_packet(src_node, dst_node, header, {});
-    if (!status.is_ok() && credits != 0) {
-      std::lock_guard<std::mutex> lock(state_ptr->mutex);
-      state_ptr->pending_returns[dst_node] += credits;
-    }
-  }).detach();
-}
-
-void ChMadDevice::spawn_rma_reply_thread(NodeState& state, node_id_t dst_node,
-                                         PacketHeader header, ChunkRef body) {
-  // One-sided replies (lock grants, fence acks, get replies) obey the
-  // same pollers-never-send rule. The body chunk travels into the thread
-  // by refcount; it dies with the lambda after the send.
-  const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  std::thread([this, node, birth, src_node, dst_node, header,
-               body = std::move(body)] {
-    node->clock().bind_lane(birth);
+  executor_->post(*state.node, marcel::ThreadCosts::kCreate,
+                  [this, src_node, dst_node, header, body = std::move(body)] {
     // Failure is survivable: the origin's watchdog/fence error path owns
     // recovery, the same as a lost rendezvous ack.
     Status status =
@@ -833,62 +772,7 @@ void ChMadDevice::spawn_rma_reply_thread(NodeState& state, node_id_t dst_node,
       MADMPI_LOG_WARN("ch_mad", "one-sided reply to node %d failed: %s",
                       static_cast<int>(dst_node), status.message().c_str());
     }
-  }).detach();
-}
-
-void ChMadDevice::spawn_credit_thread(NodeState& state, node_id_t dst_node,
-                                      std::size_t credit_bytes) {
-  // Credit returns follow the same no-sends-from-pollers rule as
-  // rendezvous acks. Tracked (not fire-and-forget): shutdown() waits for
-  // stragglers before closing channels.
-  const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  {
-    std::lock_guard<std::mutex> lock(credit_threads_mutex_);
-    ++credit_threads_;
-  }
-  std::thread([this, node, birth, src_node, dst_node, credit_bytes] {
-    node->clock().bind_lane(birth);
-    PacketHeader header;
-    header.type = PacketType::kCredit;
-    header.credit_bytes = credit_bytes;
-    header.credit_origin = src_node;
-    credit_packets_.fetch_add(1, std::memory_order_relaxed);
-    Status status = send_packet(src_node, dst_node, header, {});
-    if (!status.is_ok()) {
-      // The peer is gone; put the debt back so credit conservation holds
-      // for observers even though nobody will collect it.
-      NodeState& origin_state = state_of(src_node);
-      std::lock_guard<std::mutex> lock(origin_state.mutex);
-      origin_state.pending_returns[dst_node] += credit_bytes;
-    }
-    {
-      std::lock_guard<std::mutex> lock(credit_threads_mutex_);
-      --credit_threads_;
-      credit_threads_cv_.notify_all();
-    }
-  }).detach();
-}
-
-void ChMadDevice::spawn_data_thread(NodeState& state, node_id_t dst_node,
-                                    PendingSend& pending,
-                                    std::uint64_t sync_address) {
-  const node_id_t src_node = state.node->id();
-  sim::Node* node = state.node;
-  const usec_t birth = node->clock().advance(marcel::ThreadCosts::kCreate);
-  std::thread([this, node, birth, src_node, dst_node, &pending,
-               sync_address] {
-    node->clock().bind_lane(birth);
-    PacketHeader header = pending.header;
-    header.type = PacketType::kRndvData;
-    header.sync_address = sync_address;
-    pending.result = send_packet(src_node, dst_node, header, pending.data);
-    // Unblocks a parked sender (which then destroys `pending`) or, for an
-    // asynchronous entry, completes its request and frees it.
-    finish_pending_send(state_of(src_node), &pending,
-                        /*still_registered=*/true);
-  }).detach();
+  });
 }
 
 void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
@@ -993,7 +877,27 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                 PacketHeader ack = header;
                 ack.type = PacketType::kRndvOkToSend;
                 ack.sync_address = sync_address;
-                spawn_reply_thread(*state_ptr, origin_node, ack);
+                // Pollers never send (§4.2.3): a helper task acks.
+                executor_->post(
+                    *state_ptr->node, marcel::ThreadCosts::kCreate,
+                    [this, state_ptr, origin_node, ack]() mutable {
+                      const node_id_t me = state_ptr->node->id();
+                      // Piggyback flow-control credits owed to the ack's
+                      // destination: a receiver's debt towards its eager
+                      // senders rides rendezvous acks for free.
+                      const std::size_t credits =
+                          take_pending_returns(*state_ptr, origin_node);
+                      if (credits != 0) {
+                        ack.credit_bytes = credits;
+                        ack.credit_origin = me;
+                      }
+                      // On failure the watchdog cancels the parked sender.
+                      if (!send_packet(me, origin_node, ack, {}).is_ok() &&
+                          credits != 0) {
+                        std::lock_guard<std::mutex> lock(state_ptr->mutex);
+                        state_ptr->pending_returns[origin_node] += credits;
+                      }
+                    });
               });
       return;
     }
@@ -1018,8 +922,16 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       }
       const node_id_t receiver_node =
           directory_.node_of(header.dst_global).id();
-      spawn_data_thread(state, receiver_node, *pending,
-                        header.sync_address);
+      executor_->post(*state.node, marcel::ThreadCosts::kCreate,
+                      [this, &state, receiver_node, pending,
+                       sync_address = header.sync_address] {
+        PacketHeader data = pending->header;
+        data.type = PacketType::kRndvData;
+        data.sync_address = sync_address;
+        pending->result = send_packet(state.node->id(), receiver_node, data,
+                                      pending->data);
+        finish_pending_send(state, pending);
+      });
       return;
     }
 
@@ -1251,7 +1163,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       const std::uint64_t bytes = header.rma.bytes;
       if (win != nullptr && bytes != 0 && bytes <= win->bytes &&
           offset <= win->bytes - bytes) {
-        // Snapshot the window range into a pool chunk (the reply thread
+        // Snapshot the window range into a pool chunk (the reply task
         // must not read live window memory unlocked); a big-endian target
         // ships it in its own order, the origin converts.
         body = SlabPool::global().allocate(bytes);
@@ -1276,7 +1188,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       }
       const node_id_t origin_node =
           directory_.node_of(header.src_global).id();
-      spawn_rma_reply_thread(state, origin_node, reply, std::move(body));
+      post_rma_reply(state, origin_node, reply, std::move(body));
       return;
     }
 
@@ -1287,7 +1199,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                                     mad::RecvMode::kCheaper);
       }
       incoming.end_unpacking();
-      if (incoming.aborted()) return;  // reply thread retries via failover
+      if (incoming.aborted()) return;  // reply task retries via failover
       RmaPending pending;
       {
         std::lock_guard<std::mutex> lock(state.mutex);
@@ -1342,7 +1254,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       NodeState* state_ptr = &state;
       auto fire = [this, state_ptr, origin_node, grant] {
-        spawn_rma_reply_thread(*state_ptr, origin_node, grant, ChunkRef());
+        post_rma_reply(*state_ptr, origin_node, grant, ChunkRef());
       };
       bool now = false;
       {
@@ -1376,7 +1288,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       NodeState* state_ptr = &state;
       auto fire = [this, state_ptr, origin_node, ack] {
-        spawn_rma_reply_thread(*state_ptr, origin_node, ack, ChunkRef());
+        post_rma_reply(*state_ptr, origin_node, ack, ChunkRef());
       };
       const bool is_unlock = header.type == PacketType::kRmaUnlock;
       std::vector<std::function<void()>> ready;

@@ -14,7 +14,8 @@
 //               rhandle semaphore (here: the request's completion).
 //
 // Polling threads never send (deadlock avoidance, §4.2.3): rendezvous
-// replies and data pushes run on temporary threads.
+// replies, data pushes and credit returns run as helper tasks on the
+// session's executor.
 #pragma once
 
 #include <atomic>
@@ -32,8 +33,8 @@
 #include "core/routing.hpp"
 #include "mad/forwarder.hpp"
 #include "mad/madeleine.hpp"
+#include "marcel/executor.hpp"
 #include "marcel/poll_server.hpp"
-#include "marcel/semaphore.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -119,7 +120,7 @@ class ChMadDevice final : public ManagedDevice {
 
   // --- lifecycle --------------------------------------------------------
   /// Spawn the polling threads (one per channel per member node).
-  void start() override;
+  void start(marcel::Executor& executor) override;
 
   /// Distributed termination: every node broadcasts MAD_TERM_PKT on every
   /// channel; pollers exit once all peers' terminations arrived. Must be
@@ -174,21 +175,17 @@ class ChMadDevice final : public ManagedDevice {
   struct PendingSend {
     byte_span data;
     PacketHeader header;
-    std::unique_ptr<marcel::Semaphore> done;
-    /// Outcome of the rendezvous data push, set by the data thread before
-    /// it signals `done` (the sender returns it from send()).
-    Status result;
-    /// kAwaitAck until OK_TO_SEND arrives; kPushing once a data thread
+    Status result;  // outcome of the data push, set by the data task
+    /// kAwaitAck until OK_TO_SEND arrives; kPushing once a data task
     /// owns the entry. The watchdog only cancels kAwaitAck entries — a
-    /// kPushing one is referenced by a live data thread.
+    /// kPushing one is referenced by a live data task.
     enum class Phase { kAwaitAck, kPushing } phase = Phase::kAwaitAck;
     node_id_t peer_node = kInvalidNode;
     usec_t started_at = 0.0;
-    /// Asynchronous (isend_rendezvous) entries: no parked sender thread
-    /// exists, so `done` is null and the finishing path completes
-    /// `completion` instead, erases `handle` from pending_sends itself,
-    /// and frees the heap-allocated entry. `owned`, when non-empty, is
-    /// the staging buffer backing `data`.
+    /// Heap-allocated and owned by whichever finishing path runs (data
+    /// push, cancel or watchdog): it completes `completion` — a blocking
+    /// sender waits on that request — and frees the entry. `owned`, when
+    /// non-empty, is the staging buffer backing `data`.
     std::shared_ptr<mpi::RequestState> completion;
     std::vector<std::byte> owned;
     std::uint64_t handle = 0;
@@ -266,24 +263,21 @@ class ChMadDevice final : public ManagedDevice {
   void relay(node_id_t me, mad::ForwardHeader fwd,
              mad::Unpacking& incoming);
 
-  void spawn_reply_thread(NodeState& state, node_id_t dst_node,
-                          PacketHeader header);
-  /// Same no-sends-from-pollers rule for one-sided replies; `body` (a
-  /// get-reply's window bytes) rides along by refcount, not by copy.
-  void spawn_rma_reply_thread(NodeState& state, node_id_t dst_node,
-                              PacketHeader header, ChunkRef body);
-  void spawn_data_thread(NodeState& state, node_id_t dst_node,
-                         PendingSend& pending, std::uint64_t sync_address);
-  /// Single completion discipline for a finished rendezvous send:
-  /// parked (blocking) entries are unblocked through their semaphore;
-  /// asynchronous entries complete their RequestState and are freed.
-  /// `still_registered` says the entry is still in pending_sends (the
-  /// data-push path) — asynchronous completion erases it first; the
-  /// cancel/watchdog paths pass false, having erased it already.
-  void finish_pending_send(NodeState& state, PendingSend* pending,
-                           bool still_registered);
-  void spawn_credit_thread(NodeState& state, node_id_t dst_node,
-                           std::size_t credit_bytes);
+  /// One-sided replies (lock grants, fence acks, get replies) go out as
+  /// helper tasks too; `body` (a get reply's bytes) rides by refcount.
+  void post_rma_reply(NodeState& state, node_id_t dst_node,
+                      PacketHeader header, ChunkRef body);
+  /// Register a rendezvous send that completes `completion` and inject its
+  /// REQUEST on the calling thread (per-source program order, which the
+  /// matching layer's FIFO relies on). A REQUEST that cannot leave
+  /// returns the error and leaves `completion` to the caller.
+  Status start_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
+                          byte_span packed, std::vector<std::byte> owned,
+                          std::shared_ptr<mpi::RequestState> completion);
+  /// Single completion discipline for a finished rendezvous send: drop
+  /// it from pending_sends (if a cancel path has not already: handles are
+  /// never reused), complete its request and free the entry.
+  void finish_pending_send(NodeState& state, PendingSend* pending);
 
   /// Credit bookkeeping. `account_of` lazily opens an account at the full
   /// window; `credit_consumed` runs when the destination rank drains an
@@ -315,13 +309,7 @@ class ChMadDevice final : public ManagedDevice {
   std::size_t rma_put_limit_ = 0;  // 0 = unlimited
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
-
-  /// Detached credit-return threads in flight. shutdown() waits for them
-  /// before broadcasting termination so a late MAD_CREDIT_PKT never races
-  /// channel close.
-  std::mutex credit_threads_mutex_;
-  std::condition_variable credit_threads_cv_;
-  int credit_threads_ = 0;
+  marcel::Executor* executor_ = nullptr;  // set by start()
 
   std::atomic<std::uint64_t> eager_sent_{0};
   std::atomic<std::uint64_t> rendezvous_sent_{0};

@@ -40,12 +40,7 @@ class ChSelfDevice final : public mpi::Device {
                         std::shared_ptr<mpi::RequestState> state) override {
     (void)owned;  // payload already delivered below; staging dies here
     Status result = send(src, dst, env, packed, mpi::TransferMode::kEager);
-    mpi::MpiStatus status;
-    status.source = env.dst;
-    status.tag = env.tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
+    state->complete(mpi::MpiStatus::of_send(env, result.code()));
     return true;
   }
 

@@ -65,7 +65,7 @@ Session::Session(Options options) {
   }
 
   ch_self_ = std::make_unique<ChSelfDevice>(directory_);
-  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_);
+  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_, executor_);
 
   forwarding_enabled_ = options.enable_forwarding;
   if (options.internode_factory) {
@@ -97,7 +97,7 @@ Session::Session(Options options) {
     internode_ = std::make_unique<ChMadDevice>(
         directory_, madeleine_->open_default_channels(), config);
   }
-  if (internode_) internode_->start();
+  if (internode_) internode_->start(executor_);
 
   const std::size_t budget =
       env_bytes("MADMPI_UNEXPECTED_BUDGET", options.unexpected_budget_bytes);
@@ -220,6 +220,9 @@ Session::~Session() { finalize(); }
 void Session::finalize() {
   if (finalized_) return;
   finalized_ = true;
+  // Helper tasks first, while the watchdog still runs: it cancels a helper
+  // parked on a dead route (a rendezvous awaiting an ack that never comes).
+  executor_.drain();
   // Stop the watchdog before the device: its sweeps walk device state.
   if (watchdog_) {
     watchdog_->stop();
@@ -227,6 +230,7 @@ void Session::finalize() {
   }
   if (internode_) internode_->shutdown();
   madeleine_->close_all();
+  executor_.join();
 }
 
 Session::RouteState Session::direct_route_state(node_id_t from, node_id_t to) {

@@ -93,6 +93,8 @@ class Session final : public mpi::Runtime {
     return directory_.context_of(global);
   }
   mpi::Device& device_for(rank_t src, rank_t dst) override;
+  /// The one helper-task executor every device and communicator shares.
+  marcel::Executor& executor() override { return executor_; }
   int derive_context_id(int parent_context, std::int64_t key) override;
   /// Failure detector for the FT collectives: directional route health
   /// between the hosting nodes (same-node peers share memory and never
@@ -114,7 +116,8 @@ class Session final : public mpi::Runtime {
     return mpi::Comm::world(this, rank, /*world_context=*/0);
   }
 
-  /// Stop polling threads and close channels. Implicit in the destructor.
+  /// Drain the helper tasks, stop the watchdog and polling threads, close
+  /// channels, then join the helper workers. Implicit in the destructor.
   void finalize();
 
   // --- introspection --------------------------------------------------------
@@ -202,6 +205,10 @@ class Session final : public mpi::Runtime {
   bool coll_tuned_ = false;
 
   bool finalized_ = false;
+
+  // Declared last: constructed first (its worker is the session's first
+  // thread) and destroyed first (its tasks use the devices).
+  marcel::Executor executor_;
 };
 
 }  // namespace madmpi::core

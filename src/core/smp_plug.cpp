@@ -1,15 +1,50 @@
 #include "core/smp_plug.hpp"
 
 #include <cstring>
-#include <thread>
 
-#include "marcel/thread.hpp"
+#include "marcel/semaphore.hpp"
 #include "sim/cost_model.hpp"
 
 namespace madmpi::core {
 
-SmpPlugDevice::SmpPlugDevice(RankDirectory& directory)
-    : directory_(directory) {}
+namespace {
+
+/// The single-copy handoff into the posted buffer, completing the receive.
+/// Truncation delivers the prefix that fits and reports MPI_ERR_TRUNCATE
+/// on the receive status (same policy as finish_recv).
+void hand_off(sim::Node& node, const mpi::Envelope& env, byte_span packed,
+              const mpi::PostedRecv& target) {
+  const bool truncated = env.bytes > target.capacity_bytes;
+  const std::size_t delivered =
+      truncated ? target.capacity_bytes : packed.size();
+  node.clock().advance(static_cast<double>(delivered) *
+                       sim::kHostCopyUsPerByte);
+  const std::size_t elem_size = target.type.size();
+  const int elements =
+      elem_size == 0 ? 0 : static_cast<int>(delivered / elem_size);
+  target.type.unpack(packed.data(), elements, target.buffer);
+  if (target.type.is_contiguous()) {
+    // Ragged tail of a truncated contiguous receive: deliver raw prefix.
+    const std::size_t tail = elem_size == 0 ? 0 : delivered % elem_size;
+    if (tail != 0) {
+      auto* base = static_cast<std::byte*>(target.buffer);
+      std::memcpy(base + static_cast<std::size_t>(elements) * elem_size,
+                  packed.data() + delivered - tail, tail);
+    }
+  }
+  mpi::MpiStatus status;
+  status.source = env.src;
+  status.tag = env.tag;
+  status.bytes = delivered;
+  if (truncated) status.error = ErrorCode::kTruncated;
+  target.request->complete(status);
+}
+
+}  // namespace
+
+SmpPlugDevice::SmpPlugDevice(RankDirectory& directory,
+                             marcel::Executor& executor)
+    : directory_(directory), executor_(executor) {}
 
 bool SmpPlugDevice::reaches(rank_t src, rank_t dst) const {
   return src != dst && directory_.same_node(src, dst);
@@ -40,35 +75,7 @@ Status SmpPlugDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
         matched.signal();
       });
   matched.wait();
-
-  // Truncation delivers the prefix that fits and reports MPI_ERR_TRUNCATE
-  // on the receive status (same policy as finish_recv).
-  const bool truncated = env.bytes > target.capacity_bytes;
-  const std::size_t delivered =
-      truncated ? target.capacity_bytes : packed.size();
-  node.clock().advance(static_cast<double>(delivered) *
-                       sim::kHostCopyUsPerByte);
-  const std::size_t elem_size = target.type.size();
-  const int elements =
-      elem_size == 0 ? 0 : static_cast<int>(delivered / elem_size);
-  target.type.unpack(packed.data(), elements, target.buffer);
-  if (target.type.is_contiguous()) {
-    // Ragged tail of a truncated contiguous receive: deliver raw prefix.
-    const std::size_t tail =
-        elem_size == 0 ? 0 : delivered % elem_size;
-    if (tail != 0) {
-      auto* base = static_cast<std::byte*>(target.buffer);
-      std::memcpy(base + static_cast<std::size_t>(elements) * elem_size,
-                  packed.data() + delivered - tail, tail);
-    }
-  }
-
-  mpi::MpiStatus status;
-  status.source = env.src;
-  status.tag = env.tag;
-  status.bytes = delivered;
-  if (truncated) status.error = ErrorCode::kTruncated;
-  target.request->complete(status);
+  hand_off(node, env, packed, target);
   return Status::ok();
 }
 
@@ -84,53 +91,20 @@ bool SmpPlugDevice::isend_rendezvous(
   auto keepalive =
       std::make_shared<std::vector<std::byte>>(std::move(owned));
   directory_.context_of(dst).deliver_rendezvous(
-      env, [&node, env, packed, keepalive = std::move(keepalive),
+      env, [this, &node, env, packed, keepalive = std::move(keepalive),
             state = std::move(state)](const mpi::Envelope&,
                                       mpi::PostedRecv target) {
-        // The copy runs on a temporary thread (the paper's one-Marcel-
-        // thread-per-isend), NOT inline: the match often fires on the
-        // sender's own lane (receive already posted when the
-        // announcement lands), and a tree node fanning 64 KiB to four
-        // children must not serialize four copies there.
-        const usec_t birth =
-            node.clock().advance(marcel::ThreadCosts::kCreate);
-        std::thread([&node, birth, env, packed, keepalive,
-                     state, target = std::move(target)]() mutable {
-          node.clock().bind_lane(birth);
-          // Same single-copy handoff as the blocking path.
-          const bool truncated = env.bytes > target.capacity_bytes;
-          const std::size_t delivered =
-              truncated ? target.capacity_bytes : packed.size();
-          node.clock().advance(static_cast<double>(delivered) *
-                               sim::kHostCopyUsPerByte);
-          const std::size_t elem_size = target.type.size();
-          const int elements =
-              elem_size == 0 ? 0 : static_cast<int>(delivered / elem_size);
-          target.type.unpack(packed.data(), elements, target.buffer);
-          if (target.type.is_contiguous()) {
-            const std::size_t tail =
-                elem_size == 0 ? 0 : delivered % elem_size;
-            if (tail != 0) {
-              auto* base = static_cast<std::byte*>(target.buffer);
-              std::memcpy(base +
-                              static_cast<std::size_t>(elements) * elem_size,
-                          packed.data() + delivered - tail, tail);
-            }
-          }
-
-          mpi::MpiStatus recv_status;
-          recv_status.source = env.src;
-          recv_status.tag = env.tag;
-          recv_status.bytes = delivered;
-          if (truncated) recv_status.error = ErrorCode::kTruncated;
-          target.request->complete(recv_status);
-
-          mpi::MpiStatus send_status;  // send-side: peer and tag, never
-          send_status.source = env.dst;  // truncation (receiver-local)
-          send_status.tag = env.tag;
-          send_status.bytes = env.bytes;
-          state->complete(send_status);
-        }).detach();
+        // The copy runs as a helper task (the paper's one-Marcel-thread-
+        // per-isend), NOT inline: the match often fires on the sender's
+        // own lane (receive already posted when the announcement lands),
+        // and a tree node fanning 64 KiB to four children must not
+        // serialize four copies there.
+        executor_.post(node, marcel::ThreadCosts::kCreate,
+                       [&node, env, packed, keepalive, state,
+                        target = std::move(target)] {
+          hand_off(node, env, packed, target);
+          state->complete(mpi::MpiStatus::of_send(env, ErrorCode::kOk));
+        });
       });
   return true;
 }

@@ -2,12 +2,8 @@
 // memory (paper §4.1; originating in the SMP implementation of MPI-BIP).
 #pragma once
 
-#include <atomic>
-#include <map>
-#include <mutex>
-
 #include "core/directory.hpp"
-#include "marcel/semaphore.hpp"
+#include "marcel/executor.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -20,7 +16,7 @@ namespace madmpi::core {
 /// needed because both parties share the node.
 class SmpPlugDevice final : public mpi::Device {
  public:
-  explicit SmpPlugDevice(RankDirectory& directory);
+  SmpPlugDevice(RankDirectory& directory, marcel::Executor& executor);
 
   const char* name() const override { return "smp_plug"; }
 
@@ -32,9 +28,8 @@ class SmpPlugDevice final : public mpi::Device {
               byte_span packed, mpi::TransferMode mode) override;
 
   /// Nonblocking rendezvous: the announcement lands on the calling
-  /// thread (keeping per-source delivery order), and the single-copy
-  /// handoff runs from the match callback — charged to whichever side
-  /// performs the match — completing both requests there.
+  /// thread (keeping per-source delivery order); the match posts the
+  /// single-copy handoff as a helper task, which completes both requests.
   bool isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                         byte_span packed, std::vector<std::byte> owned,
                         std::shared_ptr<mpi::RequestState> state) override;
@@ -46,6 +41,7 @@ class SmpPlugDevice final : public mpi::Device {
 
  private:
   RankDirectory& directory_;
+  marcel::Executor& executor_;
 };
 
 }  // namespace madmpi::core

@@ -42,8 +42,7 @@ class PollServer {
     }
     node_.register_poller(channel, poll_cost_us);
     threads_.push_back(std::make_unique<Thread>(
-        node_, "poll-" + std::to_string(channel),
-        [this, channel, iterate = std::move(iterate)] {
+        node_, [this, channel, iterate = std::move(iterate)] {
           while (iterate()) {
           }
           node_.unregister_poller(channel);

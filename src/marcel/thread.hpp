@@ -3,13 +3,13 @@
 // The paper relies on the Marcel user-level thread library for cheap thread
 // creation (one temporary thread per MPI_Isend, per rendezvous reply), for
 // blocking synchronization between polling threads and the MPI control
-// thread, and for factorized network polling. Here threads are real
-// std::threads; Marcel's *cost profile* (fast create/wake/yield) is charged
-// to the hosting node's virtual clock.
+// thread, and for factorized network polling. Here Marcel's *cost profile*
+// (fast create/wake/yield) is charged to the hosting node's virtual clock.
+// Persistent threads (the pollers) are joinable Threads below; the
+// temporary ones are helper tasks on the session's marcel::Executor
+// (executor.hpp), which charges kCreate per task but reuses its workers.
 #pragma once
 
-#include <functional>
-#include <string>
 #include <thread>
 #include <utility>
 
@@ -23,7 +23,6 @@ namespace madmpi::marcel {
 struct ThreadCosts {
   static constexpr usec_t kCreate = 2.0;     // spawn a temporary thread
   static constexpr usec_t kWake = 2.5;       // unblock + schedule a thread
-  static constexpr usec_t kYield = 0.5;
   static constexpr usec_t kSemSignal = 0.5;  // semaphore V operation
 };
 
@@ -31,10 +30,8 @@ struct ThreadCosts {
 /// Marcel thread-create cost to the node's clock.
 class Thread {
  public:
-  Thread() = default;
-
   template <typename Fn>
-  Thread(sim::Node& node, std::string name, Fn&& fn) : name_(std::move(name)) {
+  Thread(sim::Node& node, Fn&& fn) {
     // The new thread's causal birth time is the creator's lane after the
     // Marcel creation cost; bind it before running the body so the
     // thread's virtual time starts where its creator left off.
@@ -45,8 +42,6 @@ class Thread {
     });
   }
 
-  Thread(Thread&&) = default;
-  Thread& operator=(Thread&&) = default;
   Thread(const Thread&) = delete;
   Thread& operator=(const Thread&) = delete;
 
@@ -58,11 +53,7 @@ class Thread {
     if (thread_.joinable()) thread_.join();
   }
 
-  bool joinable() const { return thread_.joinable(); }
-  const std::string& name() const { return name_; }
-
  private:
-  std::string name_;
   std::thread thread_;
 };
 

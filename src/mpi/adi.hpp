@@ -67,7 +67,7 @@ class Device {
   /// completes; `owned`, when non-empty, is the staging buffer backing
   /// `packed` and transfers ownership to the device. Returns false when
   /// the device has no asynchronous rendezvous — the generic layer then
-  /// falls back to parking a blocking send on a temporary thread.
+  /// falls back to parking a blocking send on a helper task.
   virtual bool isend_rendezvous(rank_t src, rank_t dst, const Envelope& env,
                                 byte_span packed,
                                 std::vector<std::byte> owned,

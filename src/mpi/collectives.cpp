@@ -97,7 +97,7 @@ void Comm::coll_send_multi(const std::vector<rank_t>& children,
     return;
   }
   // The caller blocks right here until every hop completes, so the
-  // rendezvous threads can borrow `buf` without staging (coll_isend's
+  // rendezvous helpers can borrow `buf` without staging (coll_isend's
   // lifetime contract).
   std::vector<Request> requests;
   requests.reserve(children.size());

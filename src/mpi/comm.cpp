@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include "common/log.hpp"
 #include "marcel/engine.hpp"
@@ -193,8 +192,7 @@ struct BsendPool {
   std::size_t capacity = 0;
   std::mutex mutex;
   std::condition_variable drained;
-  std::size_t in_flight = 0;  // bytes currently parked in the buffer
-  int pending = 0;            // buffered sends not yet delivered
+  std::size_t in_flight = 0;  // parked bytes (> 0 per undelivered send)
 };
 
 thread_local std::shared_ptr<BsendPool> t_bsend_pool;
@@ -233,7 +231,7 @@ void Comm::buffer_detach() {
                    "no bsend buffer attached");
   std::unique_lock<std::mutex> lock(attached->mutex);
   marcel::engine_wait(lock, attached->drained,
-                      [&] { return attached->pending == 0; });
+                      [&] { return attached->in_flight == 0; });
   lock.unlock();
   attached.reset();
 }
@@ -253,18 +251,12 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
     MADMPI_CHECK_MSG(pool->in_flight + needed <= pool->capacity,
                      "attached bsend buffer too small (MPI_ERR_BUFFER)");
     pool->in_flight += needed;
-    ++pool->pending;
   }
 
-  // Park a copy in the "attached buffer" and deliver from a detached
-  // thread; the caller returns immediately.
+  // Park a copy in the "attached buffer" and deliver from a helper task;
+  // the caller returns immediately.
   auto parked =
       std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-  sim::Node& node = my_node();
-  const usec_t birth =
-      node.clock().advance(marcel::ThreadCosts::kCreate +
-                           static_cast<double>(view.size()) *
-                               sim::kHostCopyUsPerByte);
   const Envelope env = make_envelope(dest, tag, view.size(), false);
   Device& device = device_to(dest);
   const rank_t src_global = global_rank_of(rank_);
@@ -274,9 +266,12 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   const TransferMode mode =
       admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
   Comm self = *this;
-  std::thread([&node, birth, &device, src_global, dst_global, env, parked,
-               pool, needed, mode, self]() mutable {
-    node.clock().bind_lane(birth);
+  shared_->runtime->executor().post(
+      my_node(),
+      marcel::ThreadCosts::kCreate +
+          static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
+      [&device, src_global, dst_global, env, parked, pool, needed, mode,
+       self]() mutable {
     // A buffered send has no request to carry the error; log and drop, as
     // real implementations do for undeliverable bsends.
     const Status status =
@@ -290,11 +285,10 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
     {
       std::lock_guard<std::mutex> lock(pool->mutex);
       pool->in_flight -= needed;
-      --pool->pending;
       pool->drained.notify_all();
     }
     marcel::engine_notify();
-  }).detach();
+  });
 }
 
 Request Comm::irecv(void* buf, int count, const Datatype& type,
@@ -349,20 +343,19 @@ MpiStatus Comm::recv(void* buf, int count, const Datatype& type,
 
 namespace {
 
-/// Temporary-thread send used by the non-blocking rendezvous path: the
-/// paper dedicates one Marcel thread per MPI_Isend (§4.2.3). For user-facing
-/// sends the payload is staged so the caller's buffer is free immediately
-/// (matching how the ADI keeps a reference otherwise), charged as a host
-/// copy. Callers that guarantee the buffer outlives the request — the
-/// nonblocking-collective schedules pin theirs until every tracked
-/// sub-operation completes — pass stage=false and lend the buffer to the
-/// rendezvous thread directly, skipping the copy and its charge (a tree
-/// node forwarding 64 KiB to four children would otherwise serialize four
-/// staging copies on its lane before the last child's data departs).
-void spawn_rendezvous_send(sim::Node& node, Device& device, rank_t src,
-                           rank_t dst, Envelope env, byte_span packed,
-                           std::shared_ptr<RequestState> state,
-                           bool stage = true) {
+/// The rendezvous fallback for devices without an asynchronous path: one
+/// helper task per send, like the paper's Marcel thread (§4.2.3). User
+/// payloads are staged so the caller's buffer is free immediately,
+/// charged as a host copy. Callers that pin the buffer until the request
+/// completes (nonblocking-collective schedules) pass stage=false and lend
+/// it to the task, skipping the copy and its charge: a tree node
+/// forwarding 64 KiB to four children would otherwise serialize four
+/// staging copies on its lane before the last child's data departs.
+void post_rendezvous_send(marcel::Executor& executor, sim::Node& node,
+                          Device& device, rank_t src, rank_t dst,
+                          Envelope env, byte_span packed,
+                          std::shared_ptr<RequestState> state,
+                          bool stage = true) {
   std::shared_ptr<std::vector<std::byte>> payload;
   byte_span wire = packed;
   usec_t spawn_cost = marcel::ThreadCosts::kCreate;
@@ -373,19 +366,13 @@ void spawn_rendezvous_send(sim::Node& node, Device& device, rank_t src,
     spawn_cost +=
         static_cast<double>(packed.size()) * sim::kHostCopyUsPerByte;
   }
-  const usec_t birth = node.clock().advance(spawn_cost);
-  std::thread([&node, birth, &device, src, dst, env, wire,
-               payload = std::move(payload), state = std::move(state)] {
-    node.clock().bind_lane(birth);
+  executor.post(node, spawn_cost,
+                [&device, src, dst, env, wire, payload = std::move(payload),
+                 state = std::move(state)] {
     const Status result =
         device.send(src, dst, env, wire, TransferMode::kRendezvous);
-    MpiStatus status;
-    status.source = env.dst;  // send-side status: peer and tag
-    status.tag = env.tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
-  }).detach();
+    state->complete(MpiStatus::of_send(env, result.code()));
+  });
 }
 
 }  // namespace
@@ -398,8 +385,8 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
   const Envelope env = make_envelope(dest, tag, packed.size(), false);
   Device& device = device_to(dest);
   const rank_t dst_global = global_rank_of(dest);
-  // Nonblocking: a dry credit window or full remote store demotes to the
-  // rendezvous thread instead of stalling the caller (may_block false).
+  // Nonblocking: a dry credit window or full remote store demotes to
+  // rendezvous instead of stalling the caller (may_block false).
   const TransferMode mode =
       admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
 
@@ -409,46 +396,44 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
     const Status result =
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
-    MpiStatus status;
-    status.source = dest;
-    status.tag = tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
+    state->complete(MpiStatus::of_send(env, result.code()));
   } else {
-    // MPI_Cancel hook: ask the device to detach the rendezvous while it
-    // still waits for the receiver's ack. The detached path then
-    // completes the request with kCancelled.
-    state->set_cancel(
-        [&device, src = global_rank_of(rank_), dst_global, env] {
-          return device.try_cancel_send(src, dst_global, env);
-        });
-    // Stage the payload so the caller's buffer is free on return (charged
-    // as a host copy), then hand the rendezvous to the device's
-    // asynchronous path: the REQUEST is injected on this thread, keeping
-    // it ordered behind any eager frames this rank already sent (MPI
-    // non-overtaking). A detached sender thread is the fallback only.
-    std::vector<std::byte> owned(packed.begin(), packed.end());
-    my_node().clock().advance(static_cast<double>(packed.size()) *
-                              sim::kHostCopyUsPerByte);
-    const byte_span wire{owned.data(), owned.size()};
-    if (!device.isend_rendezvous(global_rank_of(rank_), dst_global, env,
-                                 wire, std::move(owned), state)) {
-      spawn_rendezvous_send(my_node(), device, global_rank_of(rank_),
-                            dst_global, env, packed, state,
-                            /*stage=*/true);
-    }
+    staged_rendezvous(device, dst_global, env, packed, state);
   }
   return Request(std::move(state));
+}
+
+void Comm::staged_rendezvous(Device& device, rank_t dst_global,
+                             const Envelope& env, byte_span packed,
+                             const std::shared_ptr<RequestState>& state) {
+  // MPI_Cancel hook: the device detaches a rendezvous still awaiting the
+  // receiver's ack and completes the request with kCancelled.
+  state->set_cancel([&device, src = global_rank_of(rank_), dst_global, env] {
+    return device.try_cancel_send(src, dst_global, env);
+  });
+  // Stage the payload so the caller's buffer is free on return (charged as
+  // a host copy); the device's asynchronous path injects the REQUEST on
+  // this thread, behind any eager frames this rank already sent (MPI
+  // non-overtaking). A helper-task send is the fallback only.
+  std::vector<std::byte> owned(packed.begin(), packed.end());
+  my_node().clock().advance(static_cast<double>(packed.size()) *
+                            sim::kHostCopyUsPerByte);
+  const byte_span wire{owned.data(), owned.size()};
+  if (!device.isend_rendezvous(global_rank_of(rank_), dst_global, env, wire,
+                               std::move(owned), state)) {
+    post_rendezvous_send(shared_->runtime->executor(), my_node(), device,
+                         global_rank_of(rank_), dst_global, env, packed,
+                         state, /*stage=*/true);
+  }
 }
 
 Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
                          int tag) {
   // Schedule hop on the collective context. Must never block the caller
   // (it can run from a completion hook): eager completes inline, anything
-  // else detaches to the rendezvous thread (may_block false everywhere).
-  // The schedule keeps its payload buffer alive until every tracked
-  // sub-operation completes, so the rendezvous thread borrows it
+  // else goes asynchronous (may_block false everywhere). The schedule
+  // keeps its payload buffer alive until every tracked sub-operation
+  // completes, so the rendezvous borrows it
   // (stage=false) instead of paying a staging copy per tree hop.
   Envelope env = make_envelope(dest, tag, bytes, false);
   env.context = shared_->context + 1;
@@ -462,19 +447,15 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
     const Status result =
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
-    MpiStatus status;
-    status.source = dest;
-    status.tag = tag;
-    status.bytes = env.bytes;
-    status.error = result.code();
-    state->complete(status);
+    state->complete(MpiStatus::of_send(env, result.code()));
   } else if (!device.isend_rendezvous(global_rank_of(rank_), dst_global,
                                       env, packed, {}, state)) {
     // No staging either way: the schedule pins the buffer until every
     // tracked sub-operation completes, so the device (or the fallback
-    // thread) borrows it directly.
-    spawn_rendezvous_send(my_node(), device, global_rank_of(rank_),
-                          dst_global, env, packed, state, /*stage=*/false);
+    // task) borrows it directly.
+    post_rendezvous_send(shared_->runtime->executor(), my_node(), device,
+                         global_rank_of(rank_), dst_global, env, packed,
+                         state, /*stage=*/false);
   }
   return Request(std::move(state));
 }
@@ -507,23 +488,9 @@ Request Comm::issend(const void* buf, int count, const Datatype& type,
   const byte_span packed = pack_for_send(buf, count, type, staging);
   const Envelope env = make_envelope(dest, tag, packed.size(), true);
   auto state = std::make_shared<RequestState>(my_node());
-  Device& device = device_to(dest);
-  state->set_cancel([&device, src = global_rank_of(rank_),
-                     dst = global_rank_of(dest), env] {
-    return device.try_cancel_send(src, dst, env);
-  });
-  // Same staged asynchronous rendezvous as isend: the handshake request
-  // leaves on this thread, in program order with the rank's eager frames.
-  std::vector<std::byte> owned(packed.begin(), packed.end());
-  my_node().clock().advance(static_cast<double>(packed.size()) *
-                            sim::kHostCopyUsPerByte);
-  const byte_span wire{owned.data(), owned.size()};
-  if (!device.isend_rendezvous(global_rank_of(rank_), global_rank_of(dest),
-                               env, wire, std::move(owned), state)) {
-    spawn_rendezvous_send(my_node(), device, global_rank_of(rank_),
-                          global_rank_of(dest), env, packed, state,
-                          /*stage=*/true);
-  }
+  // Same staged asynchronous rendezvous as isend.
+  staged_rendezvous(device_to(dest), global_rank_of(dest), env, packed,
+                    state);
   return Request(std::move(state));
 }
 

@@ -102,8 +102,8 @@ class Comm {
   MpiStatus recv(void* buf, int count, const Datatype& type, rank_t source,
                  int tag);
 
-  /// MPI_Isend: eager sizes complete inline; rendezvous sizes are handed
-  /// to a temporary thread, exactly the paper's §4.2.3 scheme.
+  /// MPI_Isend: eager sizes complete inline; rendezvous sizes go
+  /// asynchronous, their data pushed by a helper task (paper §4.2.3).
   Request isend(const void* buf, int count, const Datatype& type, rank_t dest,
                 int tag);
 
@@ -397,6 +397,11 @@ class Comm {
   /// refunds its own credits; this returns the store reservation).
   void release_admission(rank_t dst_global, const Envelope& env,
                          TransferMode mode);
+
+  /// isend/issend's rendezvous: staged, cancellable, never blocking.
+  void staged_rendezvous(Device& device, rank_t dst_global,
+                         const Envelope& env, byte_span packed,
+                         const std::shared_ptr<RequestState>& state);
 
   Device& device_to(rank_t dest) const;
   sim::Node& my_node() const;

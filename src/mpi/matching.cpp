@@ -324,9 +324,8 @@ void RankContext::consume_unexpected(UnexpectedMessage message,
   node_.clock().advance(static_cast<double>(message.payload.size()) *
                         sim::kHostCopyUsPerByte);
   // Credits first, completion second: once finish_recv() completes the
-  // request the application may reach finalize(), and a credit-return
-  // thread spawned after that loses the shutdown-drain race (its
-  // packet lands behind the termination marker and is never read).
+  // request the application may reach finalize(), whose executor drain
+  // covers only credit-return helpers posted before it starts.
   if (message.on_consumed) message.on_consumed();
   finish_recv(posted, message.env, message.payload.span());
 }

@@ -8,8 +8,7 @@
 namespace madmpi::mpi {
 
 // The multi-request waits poll with test(): completion is signalled
-// through per-request semaphores, so a combined blocking wait would need a
-// shared condition; polling with a cooperative yield keeps the
+// per request, so a combined blocking wait would need a shared condition; polling with a cooperative yield keeps the
 // implementation simple and, with virtual time, costs nothing in measured
 // results. Under the sharded engine the yield reschedules the fiber so
 // shard siblings (including the peer that will complete the request) keep

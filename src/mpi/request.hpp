@@ -1,10 +1,10 @@
 // MPI request objects. A request is completed exactly once — by a polling
-// thread (ch_mad), by the sender thread (smp_plug/ch_self), or by a
-// temporary rendezvous thread — and waited on by the rank's control thread.
-// Completion carries virtual time through the marcel::Semaphore, so a
-// waiter's clock never runs behind its completer's.
+// thread, a sender thread or a helper task — and waited on by the rank's
+// control thread. Completion records a release stamp with the status, so
+// a waiter's clock never runs behind its completer's.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -13,27 +13,34 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "marcel/semaphore.hpp"
+#include "marcel/engine.hpp"
+#include "marcel/thread.hpp"
 #include "mpi/types.hpp"
+#include "sim/node.hpp"
 
 namespace madmpi::mpi {
 
 class RequestState {
  public:
-  explicit RequestState(sim::Node& node) : done_(node, 0) {}
+  explicit RequestState(sim::Node& node) : node_(node) {}
 
-  /// Called by the completing thread.
+  /// Called by the completing thread, which pays the Marcel signal cost;
+  /// the waiter wakes no earlier than the completer's lane after it.
   void complete(const MpiStatus& status) {
     std::function<void(const MpiStatus&)> hook;
+    const usec_t released_at =
+        node_.clock().advance(marcel::ThreadCosts::kSemSignal);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       MADMPI_CHECK_MSG(!completed_, "request completed twice");
       status_ = status;
+      released_at_ = released_at;
       completed_ = true;
       hook = std::move(on_complete_);
       on_complete_ = nullptr;
+      done_.notify_all();
     }
-    done_.signal();
+    marcel::engine_notify();
     // The hook runs on the completing context (a poller, a device thread,
     // a fiber resume) with the completer's virtual-time lane installed —
     // this is how nonblocking-collective schedules advance from the
@@ -41,15 +48,16 @@ class RequestState {
     if (hook) hook(status);
   }
 
-  /// Blocking wait (MPI_Wait).
+  /// Blocking wait (MPI_Wait): wakes at the release stamp plus the Marcel
+  /// wake cost. On a fiber this parks instead of blocking the worker.
   MpiStatus wait() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (consumed_) return status_;  // already waited/tested successfully
-    }
-    done_.wait();
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (consumed_) return status_;  // already waited/tested successfully
+    marcel::engine_wait(lock, done_, [this] { return completed_; });
     consumed_ = true;
+    lock.unlock();  // status_ and released_at_ never change once completed
+    node_.clock().sync_to(released_at_);
+    node_.clock().advance(marcel::ThreadCosts::kWake);
     return status_;
   }
 
@@ -57,13 +65,8 @@ class RequestState {
   bool test(MpiStatus* status_out) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (consumed_) {
-        if (status_out != nullptr) *status_out = status_;
-        return true;
-      }
       if (completed_) {
-        // Consume the semaphore permit so a later wait() does not block.
-        MADMPI_CHECK(done_.try_wait());
+        if (!consumed_) node_.clock().sync_to(released_at_);
         consumed_ = true;
         if (status_out != nullptr) *status_out = status_;
         return true;
@@ -124,9 +127,11 @@ class RequestState {
   }
 
  private:
+  sim::Node& node_;
   mutable std::mutex mutex_;
-  marcel::Semaphore done_;
+  std::condition_variable done_;
   MpiStatus status_;
+  usec_t released_at_ = 0.0;
   bool completed_ = false;
   bool consumed_ = false;
   std::function<bool()> cancel_fn_;

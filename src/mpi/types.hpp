@@ -58,6 +58,12 @@ struct MpiStatus {
   std::int64_t count(std::size_t type_size) const {
     return element_count(bytes, type_size);
   }
+
+  /// A send's completion status: peer and tag from its envelope, never
+  /// truncation (that is receiver-local).
+  static MpiStatus of_send(const Envelope& env, ErrorCode error) {
+    return {env.dst, env.tag, env.bytes, error};
+  }
 };
 
 /// Transfer protocol selected by the ADI for one message (paper §2.2.1:

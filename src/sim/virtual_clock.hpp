@@ -10,7 +10,8 @@
 // So each (thread, clock) pair owns a *lane*: the thread's causal time on
 // that node. advance() and sync_to() act on the caller's lane; causal
 // edges between threads are expressed explicitly — message arrival
-// timestamps, semaphore release stamps, and bind_lane() at thread spawn.
+// timestamps, semaphore release stamps, and bind_lane() at thread or
+// helper-task birth.
 // The clock itself keeps a monotone high-water mark over all lanes, which
 // is what external observers (tests, stats) read.
 //
@@ -77,7 +78,8 @@ class VirtualClock {
  public:
   /// One execution context's lanes across every clock it has touched. OS
   /// threads get an implicit one; the fiber engine owns one per fiber and
-  /// installs it around each run slice.
+  /// installs it around each run slice; the executor installs a fresh one
+  /// per helper task.
   class LaneMap {
    public:
     LaneMap() = default;
@@ -95,7 +97,8 @@ class VirtualClock {
 
   /// Install `next` as the calling thread's active lane map (nullptr
   /// restores the thread's implicit map). Returns the previous override so
-  /// callers can nest. Used only by the fiber engine around run slices.
+  /// callers can nest. Used by the fiber engine around run slices and by
+  /// the helper-task executor around each task.
   static LaneMap* exchange_lane_map(LaneMap* next) {
     LaneMap*& slot = active_override();
     LaneMap* prev = slot;

@@ -1,8 +1,13 @@
-// Tests for the Marcel-like thread layer: semaphores, threads, poll server.
+// Tests for the Marcel-like thread layer: semaphores, threads, poll server,
+// helper-task executor.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
 
+#include "marcel/executor.hpp"
 #include "marcel/poll_server.hpp"
 #include "marcel/semaphore.hpp"
 #include "marcel/thread.hpp"
@@ -57,7 +62,7 @@ TEST(Thread, CreationChargesMarcelCost) {
   sim::Node node(0, "n", 2);
   const usec_t before = node.clock().now();
   {
-    Thread thread(node, "worker", [] {});
+    Thread thread(node, [] {});
     thread.join();
   }
   EXPECT_DOUBLE_EQ(node.clock().now(), before + ThreadCosts::kCreate);
@@ -66,7 +71,7 @@ TEST(Thread, CreationChargesMarcelCost) {
 TEST(Thread, JoinsOnDestruction) {
   sim::Node node(0, "n", 2);
   std::atomic<bool> ran{false};
-  { Thread thread(node, "t", [&] { ran = true; }); }
+  { Thread thread(node, [&] { ran = true; }); }
   EXPECT_TRUE(ran.load());
 }
 
@@ -114,6 +119,102 @@ TEST(PollServer, MultiplePollersRunConcurrently) {
   release = true;
   server.join();
   EXPECT_EQ(peak.load(), 3);
+}
+
+// Spin until `done()` holds, giving up after a generous wall-clock bound so
+// a broken executor fails the test instead of hanging it.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(MarcelExecutor, TaskLaneStartsAtCreatorLanePlusCost) {
+  sim::Node node(0, "n", 2);
+  Executor executor;
+  node.clock().advance(40.0);
+  const usec_t creator = node.clock().now();
+  // Another lane far ahead: a task must start from its creator's lane, not
+  // adopt the clock's high-water mark.
+  std::thread([&node] { node.clock().advance(1000.0); }).join();
+  ASSERT_GT(node.clock().high_water(), creator + 100.0);
+  usec_t born = -1.0;
+  usec_t parent_at_post = -1.0;
+  usec_t child_born = -1.0;
+  executor.post(node, 3.0, [&] {
+    born = node.clock().now();
+    parent_at_post = node.clock().advance(10.0);
+    executor.post(node, 2.0, [&] { child_born = node.clock().now(); });
+  });
+  executor.drain();
+  EXPECT_DOUBLE_EQ(node.clock().now(), creator + 3.0);  // creator paid
+  EXPECT_DOUBLE_EQ(born, creator + 3.0);
+  EXPECT_DOUBLE_EQ(child_born, parent_at_post + 2.0);
+}
+
+TEST(MarcelExecutor, TaskLaneExpiresWhenTaskEnds) {
+  sim::Node node(0, "n", 2);
+  Executor executor;
+  node.clock().advance(1.0);
+  const std::size_t before = node.clock().lanes().size();
+  std::atomic<std::size_t> during{0};
+  executor.post(node, 0.0, [&] { during = node.clock().lanes().size(); });
+  executor.drain();
+  EXPECT_EQ(during.load(), before + 1);
+  // The worker lives on, but the finished task's lane is gone, as an
+  // exited thread's would be.
+  EXPECT_EQ(node.clock().lanes().size(), before);
+}
+
+TEST(MarcelExecutor, SequentialTasksReuseOneWorker) {
+  sim::Node node(0, "n", 2);
+  Executor executor;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 16; ++i) {
+    executor.post(node, ThreadCosts::kCreate, [&] { ++ran; });
+    executor.drain();
+  }
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(executor.workers_started(), 1u);  // the one it starts with
+}
+
+TEST(MarcelExecutor, BlockedTaskDoesNotDelayTheNext) {
+  sim::Node node(0, "n", 2);
+  std::atomic<bool> release{false};
+  std::atomic<bool> second_ran{false};
+  Executor executor;  // joined first: its tasks use the flags above
+  executor.post(node, 0.0, [&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  executor.post(node, 0.0, [&] { second_ran = true; });
+  EXPECT_TRUE(eventually([&] { return second_ran.load(); }));
+  EXPECT_EQ(executor.workers_started(), 2u);
+  release = true;
+}
+
+TEST(MarcelExecutor, DrainWaitsForTasksPostedByTasks) {
+  sim::Node node(0, "n", 2);
+  Executor executor;
+  std::atomic<int> finished{0};
+  // A chain of three tasks, each posting the next; only the last one is
+  // slow, so a drain that waited just for the tasks present at its entry
+  // would return before it.
+  std::function<void(int)> link = [&](int depth) {
+    if (depth > 0) {
+      executor.post(node, 1.0, [&link, depth] { link(depth - 1); });
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ++finished;
+  };
+  executor.post(node, 1.0, [&link] { link(2); });
+  executor.drain();
+  EXPECT_EQ(finished.load(), 3);
 }
 
 }  // namespace

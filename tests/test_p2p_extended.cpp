@@ -2,11 +2,16 @@
 // multi-request waits, explicit pack buffers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <numeric>
+#include <thread>
 
 #include "core/session.hpp"
 #include "mpi/packbuf.hpp"
 #include "mpi/persistent.hpp"
+#include "mpi/win.hpp"
 
 namespace madmpi {
 namespace {
@@ -202,6 +207,143 @@ TEST(MultiWait, WaitSomeCollectsBatch) {
       }
     }
   });
+}
+
+TEST(MultiWait, TestSpinSeesHelperCompletion) {
+  // Regression: a test() landing between complete()'s status store and its
+  // release used to abort the process. A helper task completes each
+  // request while its owner spins test().
+  auto session = two_nodes(sim::Protocol::kSisci);
+  Session* host = session.get();
+  session->run([host](Comm comm) {
+    if (comm.rank() != 0) return;
+    sim::Node& node = host->node_of(0);
+    for (int i = 0; i < 10000; ++i) {
+      auto state = std::make_shared<mpi::RequestState>(node);
+      mpi::MpiStatus done;
+      done.tag = i;
+      host->executor().post(node, 0.0,
+                            [state, done] { state->complete(done); });
+      Request request(state);
+      mpi::MpiStatus status;
+      while (!request.test(&status)) {
+      }
+      ASSERT_EQ(status.tag, i);
+    }
+  });
+}
+
+std::size_t live_threads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(MarcelExecutorSession, FinalizeLeavesNoHelperThreadBehind) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  const std::size_t before = live_threads();
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
+  // A small window so the eager stream below triggers credit returns.
+  options.credit_window_bytes = 16 * 1024;
+  Session session(std::move(options));
+  session.run([](Comm comm) {
+    const int peer = 1 - comm.rank();
+    // Rendezvous both ways: reply and data helpers on each node.
+    std::vector<int> out(64 * 1024, comm.rank());
+    std::vector<int> in(64 * 1024, -1);
+    Request recv = comm.irecv(in.data(), static_cast<int>(in.size()),
+                              Datatype::int32(), peer, 1);
+    comm.isend(out.data(), static_cast<int>(out.size()), Datatype::int32(),
+               peer, 1)
+        .wait();
+    recv.wait();
+    EXPECT_EQ(in.back(), peer);
+    // Buffered send: a drain helper.
+    if (comm.rank() == 0) {
+      Comm::buffer_attach(out.size() * sizeof(int) + Comm::bsend_overhead());
+      comm.bsend(out.data(), static_cast<int>(out.size()), Datatype::int32(),
+                 1, 2);
+      Comm::buffer_detach();
+    } else {
+      comm.recv(in.data(), static_cast<int>(in.size()), Datatype::int32(), 0,
+                2);
+    }
+    // Eager stream: consumed credits flow back on credit-return helpers.
+    std::vector<int> small(256, comm.rank());
+    for (int i = 0; i < 64; ++i) {
+      if (comm.rank() == 0) {
+        comm.send(small.data(), 256, Datatype::int32(), 1, 3);
+      } else {
+        comm.recv(small.data(), 256, Datatype::int32(), 0, 3);
+      }
+    }
+    // One-sided get: a reply helper on the target.
+    mpi::Win win = mpi::Win::allocate(comm, 64);
+    ASSERT_TRUE(win.fence().is_ok());
+    std::int32_t fetched[4] = {};
+    if (comm.rank() == 0) {
+      ASSERT_TRUE(win.get(fetched, 4, mpi::RmaType::kInt32, 1, 0).is_ok());
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    EXPECT_TRUE(win.free().is_ok());
+  });
+  session.finalize();
+  EXPECT_GT(session.ch_mad()->credit_packets(), 0u);
+  // finalize() has joined every thread, but the kernel may list a joined
+  // thread for a moment longer (`before` may count one of an earlier
+  // test's); a leaked one stays listed for good.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live_threads() > before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(live_threads(), before);
+}
+
+TEST(MarcelExecutorSession, SteadyRendezvousStartsNoWorker) {
+  auto session = two_nodes(sim::Protocol::kSisci);
+  constexpr int kCount = 64 * 1024;  // 256 KiB: rendezvous
+  auto round_trips = [&session](int reps) {
+    session->run([reps](Comm comm) {
+      std::vector<int> buffer(kCount, comm.rank());
+      for (int i = 0; i < reps; ++i) {
+        if (comm.rank() == 0) {
+          comm.send(buffer.data(), kCount, Datatype::int32(), 1, 0);
+          comm.recv(buffer.data(), kCount, Datatype::int32(), 1, 0);
+        } else {
+          comm.recv(buffer.data(), kCount, Datatype::int32(), 0, 0);
+          comm.send(buffer.data(), kCount, Datatype::int32(), 0, 0);
+        }
+      }
+    });
+  };
+  // Warm-up. A round trip runs four helpers (a reply and a data push per
+  // message) one after another, but a finished helper descheduled before
+  // it rejoins the pool can overlap the next one; pre-start a pool wider
+  // than any such overlap so the count below measures reuse, not luck.
+  constexpr int kPool = 8;
+  std::atomic<int> started{0};
+  sim::Node& node = session->node_of(0);
+  for (int i = 0; i < kPool; ++i) {
+    session->executor().post(node, 0.0, [&started] {
+      ++started;
+      while (started.load() < kPool) std::this_thread::yield();
+    });
+  }
+  session->executor().drain();
+  round_trips(10);
+  const std::size_t warm = session->executor().workers_started();
+  EXPECT_GE(warm, static_cast<std::size_t>(kPool));
+  round_trips(100);
+  EXPECT_EQ(session->executor().workers_started(), warm);
 }
 
 TEST(PackBuf, PackUnpackRoundTrip) {
