@@ -1,18 +1,15 @@
-// The hierarchical collective engine (tentpole of the collectives PR).
+// Collective algorithm selection: names, environment defaults, the tuner
+// table's text form, the topology digest cache and kAuto resolution. The
+// algorithms themselves are schedules (coll_schedule.cpp).
 //
 // The flat MPICH algorithms treat every rank pair as equal; on a
 // Madeleine-style multi-protocol cluster that sends the same byte across
-// TCP many times. The hierarchy walks the topology digest instead:
+// TCP many times, so across islands kAuto picks the hierarchy, which walks
+// the topology digest instead:
 //
 //   level 1: one representative per cluster crosses the interconnect once
 //   level 2: island leaders fan out/in within each cluster (SCI/BIP)
 //   level 3: ranks fan out/in within each island (shared memory)
-//
-// Every level is the same binomial tree over an explicit member list, so
-// the whole engine reduces to tree_bcast_members/tree_reduce_members plus
-// the list construction (with the user's root swapped to the front of its
-// island, cluster and rep lists, so data originates at the root without an
-// extra hop).
 //
 // kAuto resolution order: explicit config < tuner decision table < static
 // heuristic. On a single-island topology the heuristic resolves to the
@@ -20,36 +17,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "common/status.hpp"
-#include "mpi/coll_offload.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
-#include "sim/cost_model.hpp"
 
 namespace madmpi::mpi {
 
 namespace {
-
-// Tags mirror collectives.cpp's blocking-collective tag space (1..8);
-// blocking collectives on one communicator are serialized, so sharing
-// values with the flat algorithms is safe.
-constexpr int kHierBarrierTag = 1;
-constexpr int kHierBcastTag = 2;
-constexpr int kHierReduceTag = 3;
-
-bool contains(const std::vector<rank_t>& members, rank_t rank) {
-  return std::find(members.begin(), members.end(), rank) != members.end();
-}
-
-int tree_depth(int n) {
-  int depth = 0;
-  while ((1 << depth) < n) ++depth;
-  return depth;
-}
 
 std::string env_lower(const char* name) {
   const char* value = std::getenv(name);
@@ -233,253 +208,6 @@ BarrierAlgorithm Comm::resolve_barrier() const {
     algorithm = BarrierAlgorithm::kDissemination;
   }
   return algorithm;
-}
-
-bool Comm::use_hier_reduce(std::size_t bytes) const {
-  return resolve_allreduce(bytes) == AllreduceAlgorithm::kHierarchical;
-}
-
-// --- Tree primitives over explicit member lists -------------------------
-
-void Comm::tree_bcast_members(const std::vector<rank_t>& members,
-                              std::byte* wire, std::size_t bytes, int tag) {
-  const int n = static_cast<int>(members.size());
-  if (n <= 1) return;
-  const int me = static_cast<int>(
-      std::find(members.begin(), members.end(), rank_) - members.begin());
-  MADMPI_CHECK_MSG(me < n, "rank not in its tree member list");
-  int mask = 1;
-  while (mask < n) {
-    if (me & mask) {
-      coll_recv(wire, bytes, members[static_cast<std::size_t>(me & ~mask)],
-                tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  std::vector<rank_t> children;
-  while (mask > 0) {
-    if (me + mask < n) {
-      children.push_back(members[static_cast<std::size_t>(me + mask)]);
-    }
-    mask >>= 1;
-  }
-  coll_send_multi(children, wire, bytes, tag);
-}
-
-void Comm::linear_bcast_members(const std::vector<rank_t>& members,
-                                std::byte* wire, std::size_t bytes,
-                                int tag) {
-  // Flat fan-out from members[0]: used across the interconnect level,
-  // where the member count is the cluster count (single digits) and every
-  // hop pays a full payload serialization on the slowest wire — a
-  // depth-log tree charges depth × wire time on its longest path, the
-  // concurrent flat fan-out charges one.
-  if (members.size() <= 1) return;
-  if (rank_ == members.front()) {
-    const std::vector<rank_t> children(members.begin() + 1, members.end());
-    coll_send_multi(children, wire, bytes, tag);
-  } else {
-    coll_recv(wire, bytes, members.front(), tag);
-  }
-}
-
-void Comm::tree_reduce_members(const std::vector<rank_t>& members,
-                               std::byte* accum, std::size_t bytes, int count,
-                               const Datatype& type, const Op* op, int tag) {
-  const int n = static_cast<int>(members.size());
-  if (n <= 1) return;
-  const int me = static_cast<int>(
-      std::find(members.begin(), members.end(), rank_) - members.begin());
-  MADMPI_CHECK_MSG(me < n, "rank not in its tree member list");
-  std::vector<std::byte> incoming(bytes);
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if (me & mask) {
-      coll_send(accum, bytes, members[static_cast<std::size_t>(me & ~mask)],
-                tag);
-      return;
-    }
-    const int src = me | mask;
-    if (src < n) {
-      coll_recv(incoming.data(), bytes,
-                members[static_cast<std::size_t>(src)], tag);
-      if (op != nullptr && bytes > 0) {
-        op->apply(incoming.data(), accum, count, type);
-        my_node().clock().advance(static_cast<double>(bytes) *
-                                  sim::kHostCopyUsPerByte);
-      }
-    }
-  }
-}
-
-// --- Hierarchical algorithms --------------------------------------------
-//
-// Member lists come from coll_topo.cpp's re-rooted constructors
-// (rep_list / cluster_leader_list / island_member_list).
-
-void Comm::hier_bcast(std::byte* wire, std::size_t bytes, rank_t root) {
-  const CollTopo& topo = coll_topo();
-  const int root_island = topo.island_of[static_cast<std::size_t>(root)];
-  const int root_cluster =
-      topo.islands[static_cast<std::size_t>(root_island)].cluster;
-  const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
-  const int my_cluster =
-      topo.islands[static_cast<std::size_t>(my_island)].cluster;
-
-  // Level 1: effective reps cross the interconnect, flat fan-out (the
-  // deepest path pays one interconnect serialization, not log2(reps)).
-  if (!topo.single_cluster()) {
-    const std::vector<rank_t> reps = rep_list(topo, root_cluster, root);
-    if (contains(reps, rank_)) {
-      linear_bcast_members(reps, wire, bytes, kHierBcastTag);
-    }
-  }
-  // Level 2: island leaders fan out within each cluster.
-  {
-    const std::vector<rank_t> leaders =
-        cluster_leader_list(topo, my_cluster, root_island, root);
-    if (contains(leaders, rank_)) {
-      tree_bcast_members(leaders, wire, bytes, kHierBcastTag);
-    }
-  }
-  // Level 3: release within the island (everyone participates).
-  tree_bcast_members(island_member_list(topo, my_island, root_island, root),
-                     wire, bytes, kHierBcastTag);
-}
-
-void Comm::hier_reduce(std::byte* accum, std::size_t bytes, int count,
-                       const Datatype& type, const Op& op, rank_t root) {
-  const CollTopo& topo = coll_topo();
-  const int root_island = topo.island_of[static_cast<std::size_t>(root)];
-  const int root_cluster =
-      topo.islands[static_cast<std::size_t>(root_island)].cluster;
-  const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
-  const int my_cluster =
-      topo.islands[static_cast<std::size_t>(my_island)].cluster;
-
-  // The exact mirror of hier_bcast, levels reversed: island fan-in, then
-  // cluster fan-in to the effective rep, then reps fan in to the root.
-  tree_reduce_members(island_member_list(topo, my_island, root_island, root),
-                      accum, bytes, count, type, &op, kHierReduceTag);
-  {
-    const std::vector<rank_t> leaders =
-        cluster_leader_list(topo, my_cluster, root_island, root);
-    if (contains(leaders, rank_)) {
-      tree_reduce_members(leaders, accum, bytes, count, type, &op,
-                          kHierReduceTag);
-    }
-  }
-  if (!topo.single_cluster()) {
-    const std::vector<rank_t> reps = rep_list(topo, root_cluster, root);
-    if (contains(reps, rank_)) {
-      tree_reduce_members(reps, accum, bytes, count, type, &op,
-                          kHierReduceTag);
-    }
-  }
-}
-
-void Comm::hier_allreduce(void* recv_buf, int count, const Datatype& type,
-                          const Op& op) {
-  // Reduce to the natural root (cluster 0's rep), then release along the
-  // same trees. The caller already seeded recv_buf with this rank's
-  // contribution.
-  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  auto* accum = static_cast<std::byte*>(recv_buf);
-  const rank_t root = coll_topo().rep_of_cluster(0);
-  hier_reduce(accum, bytes, count, type, op, root);
-  hier_bcast(accum, bytes, root);
-}
-
-void Comm::hier_barrier() {
-  // Zero-byte fan-in to cluster 0's rep, zero-byte release back out: the
-  // reduce/bcast trees with no payload and no operator.
-  const CollTopo& topo = coll_topo();
-  const rank_t root = topo.rep_of_cluster(0);
-  hier_reduce(nullptr, 0, 0, Datatype::byte(), Op::max(), root);
-  hier_bcast(nullptr, 0, root);
-}
-
-// --- Modeled NIC offload ------------------------------------------------
-
-void Comm::offload_barrier() {
-  const CollTopo& topo = coll_topo();
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(
-           static_cast<std::uint32_t>(shared_->context))
-       << 32) |
-      (shared_->next_offload_seq(rank_) & 0xffffffffu);
-  const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
-  const int leaders = static_cast<int>(topo.islands.size());
-
-  // Host side: island fan-in to the leader, exactly like hier_barrier's
-  // innermost level.
-  const auto& members =
-      topo.islands[static_cast<std::size_t>(my_island)].members;
-  tree_reduce_members(members, nullptr, 0, 0, Datatype::byte(), nullptr,
-                      kHierBarrierTag);
-
-  if (rank_ == topo.leader_of_island(my_island)) {
-    // NIC side: post the combine descriptor, let the modeled firmware
-    // tree run (up and down: 2 * depth hops), land the notification.
-    sim::VirtualClock& clock = my_node().clock();
-    clock.advance(topo.offload_post_us);
-    const usec_t tree_us =
-        2.0 * tree_depth(leaders) * topo.offload_hop_us +
-        topo.offload_notify_us;
-    const usec_t done = shared_->runtime->coll_offload_board().barrier(
-        key, leaders, clock.now(), tree_us);
-    clock.sync_to(done);
-  }
-
-  // Release within the island.
-  tree_bcast_members(members, nullptr, 0, kHierBarrierTag);
-}
-
-void Comm::offload_bcast(std::byte* wire, std::size_t bytes, rank_t root) {
-  const CollTopo& topo = coll_topo();
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(
-           static_cast<std::uint32_t>(shared_->context))
-       << 32) |
-      (shared_->next_offload_seq(rank_) & 0xffffffffu);
-  const int root_island = topo.island_of[static_cast<std::size_t>(root)];
-  const int my_island = topo.island_of[static_cast<std::size_t>(rank_)];
-  const int leaders = static_cast<int>(topo.islands.size());
-
-  // The root stands in for its island's leader (no staging hop), so the
-  // NIC tree spans {root} ∪ {other islands' leaders}.
-  const rank_t my_leader = my_island == root_island
-                               ? root
-                               : topo.leader_of_island(my_island);
-  sim::VirtualClock& clock = my_node().clock();
-  if (rank_ == my_leader) {
-    if (rank_ == root) {
-      // DMA the payload into the NIC and fire the forward tree. The root
-      // returns immediately — a bcast is not a barrier.
-      clock.advance(topo.offload_post_us +
-                    static_cast<double>(bytes) / topo.offload_bytes_per_us);
-      shared_->runtime->coll_offload_board().bcast_put(key, leaders,
-                                                       clock.now(), wire,
-                                                       bytes);
-    } else {
-      // Leaves complete at max(own post, root post + pipeline latency):
-      // they never wait on sibling leaves.
-      clock.advance(topo.offload_post_us);
-      const usec_t tree_us =
-          tree_depth(leaders) * topo.offload_hop_us +
-          static_cast<double>(bytes) / topo.offload_bytes_per_us +
-          topo.offload_notify_us;
-      const usec_t done = shared_->runtime->coll_offload_board().bcast_get(
-          key, leaders, clock.now(), tree_us, wire, bytes);
-      clock.sync_to(done);
-      clock.advance(static_cast<double>(bytes) * sim::kHostCopyUsPerByte);
-    }
-  }
-
-  // Host side: release within the island (root's island re-rooted at it).
-  tree_bcast_members(island_member_list(topo, my_island, root_island, root),
-                     wire, bytes, kHierBcastTag);
 }
 
 }  // namespace madmpi::mpi

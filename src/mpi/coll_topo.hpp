@@ -69,8 +69,8 @@ std::shared_ptr<const CollTopo> build_coll_topo(
 // Member-list construction for the hierarchical trees, re-rooted at the
 // user's root: the root stands in for its island's leader and its
 // cluster's rep, so data originates/terminates at the root without an
-// extra hop. Shared by the blocking engine (coll_hier.cpp) and the
-// nonblocking schedules (coll_sched.cpp).
+// extra hop. The hierarchical schedule generators (coll_schedule.cpp)
+// compose their levels over these lists.
 
 /// Leaders of one cluster's islands, effective rep first.
 std::vector<rank_t> cluster_leader_list(const CollTopo& topo, int cluster,

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "mpi/coll_schedule.hpp"
 #include "mpi/comm_shared.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/op.hpp"
@@ -65,24 +66,27 @@ void tune_collectives(Comm world) {
 
   const CollectiveConfig saved = world.collective_config();
   const CollTopo& topo = world.coll_topo();
-  const int n = world.size();
   const int me = world.rank();
 
-  // Dissemination barrier on the user context: independent of the
-  // collective config being probed.
+  // The dissemination barrier's schedule, walked on the user context:
+  // independent of the collective config being probed. Each round is one
+  // zero-byte receive, then one send.
+  const Schedule sync_rounds =
+      barrier_schedule(BarrierAlgorithm::kDissemination, topo, me);
   auto sync = [&] {
-    for (int mask = 1; mask < n; mask <<= 1) {
-      const rank_t to = static_cast<rank_t>((me + mask) % n);
-      const rank_t from = static_cast<rank_t>((me - mask + n) % n);
-      world.sendrecv(nullptr, 0, Datatype::byte(), to, kTunerSyncTag,
-                     nullptr, 0, Datatype::byte(), from, kTunerSyncTag);
+    for (std::size_t i = 0; i < sync_rounds.rounds(); ++i) {
+      const Round round = sync_rounds.round(i);
+      world.sendrecv(nullptr, 0, Datatype::byte(), round[1].peer,
+                     kTunerSyncTag, nullptr, 0, Datatype::byte(),
+                     round[0].peer, kTunerSyncTag);
     }
   };
 
-  // Score one candidate: quiesce, switch every rank to the explicit
-  // algorithm (identical writes, so late readers still see the candidate),
-  // time the operation and take the slowest rank; best of kProbeReps
-  // filters host-scheduling drain-order noise (see kDecisiveMargin).
+  // Score one candidate: quiesce, switch this rank to the explicit
+  // algorithm (the config is rank-local; the sync below orders every
+  // rank's switch before anyone's probe), time the operation and take the
+  // slowest rank; best of kProbeReps filters host-scheduling drain-order
+  // noise (see kDecisiveMargin).
   auto probe = [&](const CollectiveConfig& candidate,
                    const std::function<void()>& op) -> double {
     sync();
@@ -209,9 +213,9 @@ void tune_collectives(Comm world) {
     table.barrier = best;
   }
 
-  // Restore the pre-tuner config before installing the table, then push
-  // rank 0's verdict over the wire (every rank computed the same table,
-  // but rank 0 is authoritative by construction).
+  // Restore this rank's pre-tuner config before installing the table, then
+  // push rank 0's verdict over the wire (every rank computed the same
+  // table, but rank 0 is authoritative by construction).
   sync();
   world.set_collective_config(saved);
   static_assert(std::is_trivially_copyable_v<CollDecisionTable>,

@@ -1,62 +1,20 @@
 // Collective operations over point-to-point (the "generic part: collective
-// ops" box of the MPICH structure, paper Figure 1). Algorithms are the
-// classic MPICH ones: binomial trees for bcast/reduce, dissemination
-// barrier, ring allgather, pairwise alltoall, linear scan.
+// ops" box of the MPICH structure, paper Figure 1). barrier, bcast, reduce
+// and allreduce run generated schedules (coll_schedule.cpp); the rest are
+// the classic MPICH algorithms: ring allgather, pairwise alltoall, linear
+// gather/scatter/scan.
 //
 // Collectives run on `context + 1` — the private collective context of the
 // communicator — so their traffic can never match user receives.
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "mpi/coll_schedule.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
 #include "mpi/ft_internal.hpp"
-#include "sim/cost_model.hpp"
 
 namespace madmpi::mpi {
-
-namespace {
-
-// Per-algorithm tags (unique within the collective context; collectives on
-// one communicator are serialized by MPI semantics).
-constexpr int kBarrierTag = 1;
-constexpr int kBcastTag = 2;
-constexpr int kReduceTag = 3;
-constexpr int kGatherTag = 4;
-constexpr int kScatterTag = 5;
-constexpr int kAllgatherTag = 6;
-constexpr int kAlltoallTag = 7;
-constexpr int kScanTag = 8;
-
-/// Thrown by the collective p2p helpers when a hop fails, unwinding the
-/// algorithm to the public entry point, which routes the status through
-/// the communicator's error handler (exactly once per user-visible
-/// operation) and returns it. Collectives define no recovery protocol —
-/// peers of the failed rank may be left mid-algorithm and rely on the
-/// progress watchdog to cancel their now-unmatchable operations.
-struct CollAbort {
-  Status status;
-};
-
-/// Wait for an algorithm-internal receive, aborting the collective when it
-/// completed with an error (watchdog cancellation of a dead hop). In FT
-/// capture mode the failure is recorded and the algorithm continues —
-/// every rank runs the full schedule so no peer is left waiting on a hop
-/// that will never be posted; the verdict feeds the uniform agreement.
-void coll_wait(RequestState& state) {
-  const MpiStatus status = state.wait();
-  if (status.error != ErrorCode::kOk) {
-    if (ft::capture_active()) {
-      ft::record(status.error);
-      return;
-    }
-    throw CollAbort{Status(status.error,
-                           "collective receive failed mid-algorithm")};
-  }
-}
-
-}  // namespace
 
 void Comm::coll_send(const void* buf, std::size_t bytes, rank_t dest,
                      int tag) {
@@ -107,60 +65,36 @@ void Comm::coll_send_multi(const std::vector<rank_t>& children,
   for (Request& request : requests) coll_wait(*request.state());
 }
 
-void Comm::coll_recv(void* buf, std::size_t bytes, rank_t source, int tag) {
-  if (ft::capture_active() && rank_unreachable(source, rank_)) {
+std::shared_ptr<RequestState> Comm::coll_post_recv(void* buf,
+                                                   std::size_t bytes,
+                                                   rank_t source, int tag,
+                                                   bool hooked) {
+  const bool capture = !hooked && ft::capture_active();
+  if (capture && rank_unreachable(source, rank_)) {
     ft::record(ErrorCode::kProcFailed);
-    return;
+    return nullptr;
   }
   auto state = std::make_shared<RequestState>(my_node());
   PostedRecv posted;
   posted.context = shared_->context + 1;
   posted.source = source;
-  posted.tag = ft::remap_tag(tag);
+  posted.tag = capture ? ft::remap_tag(tag) : tag;
   posted.buffer = buf;
-  posted.type = Datatype::byte();
   posted.count = static_cast<int>(bytes);
   posted.capacity_bytes = bytes;
   posted.request = state;
   posted.source_global = global_rank_of(source);
   posted.posted_at = my_node().clock().now();
-  if (ft::capture_active()) {
+  if (capture) {
     posted.ft_deadline_us =
         posted.posted_at + collective_config().agree_timeout_us;
   }
   my_context().post_recv(std::move(posted));
-  coll_wait(*state);
+  return state;
 }
 
-void Comm::coll_sendrecv(const void* send, std::size_t send_bytes,
-                         rank_t dest, void* recv, std::size_t recv_bytes,
-                         rank_t source, int tag) {
-  if (ft::capture_active() && rank_unreachable(source, rank_)) {
-    // Still attempt the send half — the destination may be live and
-    // waiting on it; only the receive half is provably dead.
-    ft::record(ErrorCode::kProcFailed);
-    coll_send(send, send_bytes, dest, tag);
-    return;
-  }
-  auto state = std::make_shared<RequestState>(my_node());
-  PostedRecv posted;
-  posted.context = shared_->context + 1;
-  posted.source = source;
-  posted.tag = ft::remap_tag(tag);
-  posted.buffer = recv;
-  posted.type = Datatype::byte();
-  posted.count = static_cast<int>(recv_bytes);
-  posted.capacity_bytes = recv_bytes;
-  posted.request = state;
-  posted.source_global = global_rank_of(source);
-  posted.posted_at = my_node().clock().now();
-  if (ft::capture_active()) {
-    posted.ft_deadline_us =
-        posted.posted_at + collective_config().agree_timeout_us;
-  }
-  my_context().post_recv(std::move(posted));
-  coll_send(send, send_bytes, dest, tag);
-  coll_wait(*state);
+void Comm::coll_recv(void* buf, std::size_t bytes, rank_t source, int tag) {
+  if (auto state = coll_post_recv(buf, bytes, source, tag)) coll_wait(*state);
 }
 
 void Comm::gather_packed_to_root(const void* send_buf, int send_count,
@@ -193,12 +127,12 @@ void Comm::gather_packed_to_root(const void* send_buf, int send_count,
 
 void Comm::set_collective_config(const CollectiveConfig& config) {
   std::lock_guard<std::mutex> lock(shared_->seq_mutex);
-  shared_->collectives = config;
+  shared_->collectives_of(rank_) = config;
 }
 
 CollectiveConfig Comm::collective_config() const {
   std::lock_guard<std::mutex> lock(shared_->seq_mutex);
-  return shared_->collectives;
+  return shared_->collectives_of(rank_);
 }
 
 Status Comm::barrier() {
@@ -208,92 +142,9 @@ Status Comm::barrier() {
   if (ft_should_wrap()) {
     return ft_collective([&] { return barrier(); });
   }
-  if (size() > 1) {
-    switch (resolve_barrier()) {
-      case BarrierAlgorithm::kHierarchical:
-        try {
-          hier_barrier();
-        } catch (const CollAbort& abort) {
-          return raise_error(abort.status);
-        }
-        return Status::ok();
-      case BarrierAlgorithm::kOffload:
-        try {
-          offload_barrier();
-        } catch (const CollAbort& abort) {
-          return raise_error(abort.status);
-        }
-        return Status::ok();
-      default:
-        break;  // dissemination below
-    }
-  }
-  try {
-    // Dissemination barrier: log2(size) rounds of zero-byte exchanges.
-    const int n = size();
-    for (int mask = 1; mask < n; mask <<= 1) {
-      const rank_t to = (rank_ + mask) % n;
-      const rank_t from = (rank_ - mask + n) % n;
-
-      if (ft::capture_active() && rank_unreachable(from, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        coll_send(nullptr, 0, to, kBarrierTag);
-        continue;
-      }
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = from;
-      posted.tag = ft::remap_tag(kBarrierTag);
-      posted.request = state;
-      posted.source_global = global_rank_of(from);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
-      coll_send(nullptr, 0, to, kBarrierTag);
-      coll_wait(*state);
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  return Status::ok();
-}
-
-void Comm::bcast_binomial(std::byte* wire, std::size_t bytes, rank_t root) {
-  const int n = size();
-  const int vrank = (rank_ - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (vrank & mask) {
-      const rank_t src = ((vrank & ~mask) + root) % n;
-      coll_recv(wire, bytes, src, kBcastTag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  std::vector<rank_t> children;
-  while (mask > 0) {
-    if (vrank + mask < n) {
-      children.push_back((vrank + mask + root) % n);
-    }
-    mask >>= 1;
-  }
-  coll_send_multi(children, wire, bytes, kBcastTag);
-}
-
-void Comm::bcast_linear(std::byte* wire, std::size_t bytes, rank_t root) {
-  if (rank_ == root) {
-    for (rank_t dst = 0; dst < size(); ++dst) {
-      if (dst != root) coll_send(wire, bytes, dst, kBcastTag);
-    }
-  } else {
-    coll_recv(wire, bytes, root, kBcastTag);
-  }
+  if (size() == 1) return Status::ok();
+  return run_schedule(barrier_schedule(resolve_barrier(), coll_topo(), rank_),
+                      nullptr);
 }
 
 Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
@@ -304,8 +155,7 @@ Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
   if (ft_should_wrap()) {
     return ft_bcast(buf, count, type, root);
   }
-  const int n = size();
-  if (n == 1) return Status::ok();
+  if (size() == 1) return Status::ok();
   const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
 
   // The payload travels packed; non-contiguous types are staged.
@@ -319,25 +169,10 @@ Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
     if (rank_ == root) type.pack(buf, count, wire);
   }
 
-  try {
-    switch (resolve_bcast(bytes)) {
-      case BcastAlgorithm::kLinear:
-        bcast_linear(wire, bytes, root);
-        break;
-      case BcastAlgorithm::kHierarchical:
-        hier_bcast(wire, bytes, root);
-        break;
-      case BcastAlgorithm::kOffload:
-        offload_bcast(wire, bytes, root);
-        break;
-      default:
-        bcast_binomial(wire, bytes, root);
-        break;
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-
+  const Status status = run_schedule(
+      bcast_schedule(resolve_bcast(bytes), coll_topo(), rank_, root, bytes),
+      wire);
+  if (!status.is_ok()) return status;
   if (!type.is_contiguous() && rank_ != root) {
     type.unpack(wire, count, buf);
   }
@@ -356,156 +191,24 @@ Status Comm::reduce(const void* send_buf, void* recv_buf, int count,
     return ft_collective(
         [&] { return reduce(send_buf, recv_buf, count, type, op, root); });
   }
-  const int n = size();
   const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
 
-  // Local accumulator starts as this rank's contribution.
+  // Local accumulator starts as this rank's contribution. Reduce has no
+  // algorithm knob of its own: it rides the allreduce resolution, whose
+  // hierarchical variant shares its fan-in.
   std::vector<std::byte> accum(bytes);
   std::memcpy(accum.data(), send_buf, bytes);
-  std::vector<std::byte> incoming(bytes);
-
-  const int vrank = (rank_ - root + n) % n;
-  try {
-    if (n > 1 && use_hier_reduce(bytes)) {
-      // Reduce rides the allreduce resolution (same communication shape).
-      hier_reduce(accum.data(), bytes, count, type, op, root);
-    } else {
-      for (int mask = 1; mask < n; mask <<= 1) {
-        if (vrank & mask) {
-          const rank_t dst = ((vrank & ~mask) + root) % n;
-          coll_send(accum.data(), bytes, dst, kReduceTag);
-          break;
-        }
-        const int src_v = vrank | mask;
-        if (src_v < n) {
-          const rank_t src = (src_v + root) % n;
-          coll_recv(incoming.data(), bytes, src, kReduceTag);
-          op.apply(incoming.data(), accum.data(), count, type);
-          my_node().clock().advance(static_cast<double>(bytes) *
-                                    sim::kHostCopyUsPerByte);
-        }
-      }
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
+  const bool hierarchical =
+      size() > 1 &&
+      resolve_allreduce(bytes) == AllreduceAlgorithm::kHierarchical;
+  const Status status = run_schedule(
+      reduce_schedule(hierarchical, coll_topo(), rank_, root, bytes),
+      accum.data(), type, &op);
+  if (!status.is_ok()) return status;
   if (rank_ == root) {
     std::memcpy(recv_buf, accum.data(), bytes);
   }
   return Status::ok();
-}
-
-void Comm::allreduce_recursive_doubling(void* recv_buf, int count,
-                                        const Datatype& type, const Op& op) {
-  // Classic recursive doubling, with the standard pre/post folding step
-  // for non-power-of-two sizes: the `rem` highest "extra" ranks fold their
-  // contribution into a partner, sit out the log2 rounds, and get the
-  // result back at the end.
-  const int n = size();
-  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  std::vector<std::byte> incoming(bytes);
-  auto* accum = static_cast<std::byte*>(recv_buf);
-
-  int pof2 = 1;
-  while (pof2 * 2 <= n) pof2 *= 2;
-  const int rem = n - pof2;
-
-  int my_core_rank;  // rank within the power-of-two core, -1 if folded out
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 1) {
-      // Odd ranks in the folded region send their data and wait.
-      coll_send(accum, bytes, rank_ - 1, kReduceTag);
-      my_core_rank = -1;
-    } else {
-      coll_recv(incoming.data(), bytes, rank_ + 1, kReduceTag);
-      op.apply(incoming.data(), accum, count, type);
-      my_core_rank = rank_ / 2;
-    }
-  } else {
-    my_core_rank = rank_ - rem;
-  }
-
-  if (my_core_rank >= 0) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner_core = my_core_rank ^ mask;
-      const rank_t partner = partner_core < rem ? partner_core * 2
-                                                : partner_core + rem;
-      coll_sendrecv(accum, bytes, partner, incoming.data(), bytes, partner,
-                    kReduceTag);
-      op.apply(incoming.data(), accum, count, type);
-      my_node().clock().advance(static_cast<double>(bytes) *
-                                sim::kHostCopyUsPerByte);
-    }
-  }
-
-  // Post step: return the result to the folded-out odd ranks.
-  if (rank_ < 2 * rem) {
-    if (rank_ % 2 == 0) {
-      coll_send(accum, bytes, rank_ + 1, kReduceTag);
-    } else {
-      coll_recv(accum, bytes, rank_ - 1, kReduceTag);
-    }
-  }
-}
-
-void Comm::allreduce_ring(void* recv_buf, int count, const Datatype& type,
-                          const Op& op) {
-  // Bandwidth-optimal ring: a reduce-scatter pass (n-1 steps over count/n
-  // chunks) followed by an allgather pass (n-1 steps). Each rank sends
-  // 2*(n-1)/n of the data total, independent of n.
-  const int n = size();
-  const std::size_t elem = type.size();
-  auto* accum = static_cast<std::byte*>(recv_buf);
-
-  // Chunk c covers elements [offsets[c], offsets[c+1]).
-  std::vector<int> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (int c = 0; c < n; ++c) {
-    offsets[static_cast<std::size_t>(c) + 1] =
-        offsets[static_cast<std::size_t>(c)] + count / n +
-        (c < count % n ? 1 : 0);
-  }
-  auto chunk_ptr = [&](int c) {
-    return accum + elem * static_cast<std::size_t>(
-                              offsets[static_cast<std::size_t>(c)]);
-  };
-  auto chunk_elems = [&](int c) {
-    return offsets[static_cast<std::size_t>(c) + 1] -
-           offsets[static_cast<std::size_t>(c)];
-  };
-
-  const rank_t right = (rank_ + 1) % n;
-  const rank_t left = (rank_ - 1 + n) % n;
-  std::vector<std::byte> incoming(
-      elem * static_cast<std::size_t>(count / n + 1));
-
-  // Reduce-scatter: after step s, rank r holds the partial reduction of
-  // chunk (r - s) from ranks r-s..r.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = (rank_ - step + n) % n;
-    const int recv_chunk = (rank_ - step - 1 + n) % n;
-    const std::size_t send_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(send_chunk));
-    const std::size_t recv_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(recv_chunk));
-    coll_sendrecv(chunk_ptr(send_chunk), send_bytes, right, incoming.data(),
-                  recv_bytes, left, kReduceTag);
-    if (chunk_elems(recv_chunk) > 0) {
-      op.apply(incoming.data(), chunk_ptr(recv_chunk),
-               chunk_elems(recv_chunk), type);
-    }
-  }
-
-  // Allgather: circulate the fully-reduced chunks.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_chunk = (rank_ + 1 - step + n) % n;
-    const int recv_chunk = (rank_ - step + n) % n;
-    const std::size_t send_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(send_chunk));
-    const std::size_t recv_bytes =
-        elem * static_cast<std::size_t>(chunk_elems(recv_chunk));
-    coll_sendrecv(chunk_ptr(send_chunk), send_bytes, right,
-                  chunk_ptr(recv_chunk), recv_bytes, left, kReduceTag);
-  }
 }
 
 Status Comm::allreduce(const void* send_buf, void* recv_buf, int count,
@@ -534,18 +237,9 @@ Status Comm::allreduce(const void* send_buf, void* recv_buf, int count,
   MADMPI_CHECK_MSG(type.is_contiguous(),
                    "allreduce requires a contiguous datatype");
   std::memcpy(recv_buf, send_buf, bytes);
-  try {
-    if (algorithm == AllreduceAlgorithm::kHierarchical) {
-      hier_allreduce(recv_buf, count, type, op);
-    } else if (algorithm == AllreduceAlgorithm::kRecursiveDoubling) {
-      allreduce_recursive_doubling(recv_buf, count, type, op);
-    } else {
-      allreduce_ring(recv_buf, count, type, op);
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  return Status::ok();
+  return run_schedule(
+      allreduce_schedule(algorithm, coll_topo(), rank_, count, type.size()),
+      static_cast<std::byte*>(recv_buf), type, &op);
 }
 
 Status Comm::gather(const void* send_buf, int send_count,
@@ -763,36 +457,13 @@ Status Comm::allgather(const void* send_buf, int send_count,
   try {
     for (int step = 0; step < n - 1; ++step) {
       const int incoming = (cur - 1 + n) % n;
-      if (ft::capture_active() && rank_unreachable(left, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        coll_send(wire.data() + block * static_cast<std::size_t>(cur), block,
-                  right, kAllgatherTag);
-        cur = incoming;
-        continue;
-      }
       // Post the receive before sending to avoid rendezvous cross-blocking.
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = left;
-      posted.tag = ft::remap_tag(kAllgatherTag);
-      posted.buffer =
-          wire.data() + block * static_cast<std::size_t>(incoming);
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(block);
-      posted.capacity_bytes = block;
-      posted.request = state;
-      posted.source_global = global_rank_of(left);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
+      const auto state = coll_post_recv(
+          wire.data() + block * static_cast<std::size_t>(incoming), block,
+          left, kAllgatherTag);
       coll_send(wire.data() + block * static_cast<std::size_t>(cur), block,
                 right, kAllgatherTag);
-      coll_wait(*state);
+      if (state) coll_wait(*state);
       cur = incoming;
     }
   } catch (const CollAbort& abort) {
@@ -898,34 +569,12 @@ Status Comm::alltoall(const void* send_buf, int send_count,
       const rank_t dst = (rank_ + i) % n;
       const rank_t src = (rank_ - i + n) % n;
 
-      if (ft::capture_active() && rank_unreachable(src, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        send_type.pack(in + in_slot * static_cast<std::size_t>(dst),
-                       send_count, send_wire.data());
-        coll_send(send_wire.data(), block, dst, kAlltoallTag);
-        continue;
-      }
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = src;
-      posted.tag = ft::remap_tag(kAlltoallTag);
-      posted.buffer = recv_wire.data();
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(block);
-      posted.capacity_bytes = block;
-      posted.request = state;
-      posted.source_global = global_rank_of(src);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
+      const auto state =
+          coll_post_recv(recv_wire.data(), block, src, kAlltoallTag);
       send_type.pack(in + in_slot * static_cast<std::size_t>(dst), send_count,
                      send_wire.data());
       coll_send(send_wire.data(), block, dst, kAlltoallTag);
+      if (!state) continue;  // FT capture skipped a provably dead source
       coll_wait(*state);
       recv_type.unpack(recv_wire.data(), recv_count,
                        out + out_slot * static_cast<std::size_t>(src));
@@ -988,38 +637,14 @@ Status Comm::alltoallv(const void* send_buf, std::span<const int> send_counts,
           recv_type.size() * static_cast<std::size_t>(recv_counts[src]);
 
       std::vector<std::byte> recv_wire(recv_bytes);
-      if (ft::capture_active() && rank_unreachable(src, rank_)) {
-        ft::record(ErrorCode::kProcFailed);
-        std::vector<std::byte> skip_wire(send_bytes);
-        send_type.pack(in + send_type.extent() *
-                                static_cast<std::size_t>(send_displs[dst]),
-                       send_counts[dst], skip_wire.data());
-        coll_send(skip_wire.data(), send_bytes, dst, kAlltoallTag);
-        continue;
-      }
-      auto state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = src;
-      posted.tag = ft::remap_tag(kAlltoallTag);
-      posted.buffer = recv_wire.data();
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(recv_bytes);
-      posted.capacity_bytes = recv_bytes;
-      posted.request = state;
-      posted.source_global = global_rank_of(src);
-      posted.posted_at = my_node().clock().now();
-      if (ft::capture_active()) {
-        posted.ft_deadline_us =
-            posted.posted_at + collective_config().agree_timeout_us;
-      }
-      my_context().post_recv(std::move(posted));
-
+      const auto state =
+          coll_post_recv(recv_wire.data(), recv_bytes, src, kAlltoallTag);
       std::vector<std::byte> send_wire(send_bytes);
       send_type.pack(in + send_type.extent() *
                               static_cast<std::size_t>(send_displs[dst]),
                      send_counts[dst], send_wire.data());
       coll_send(send_wire.data(), send_bytes, dst, kAlltoallTag);
+      if (!state) continue;  // FT capture skipped a provably dead source
       coll_wait(*state);
       recv_type.unpack(recv_wire.data(), recv_counts[src],
                        out + recv_type.extent() *

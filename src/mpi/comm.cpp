@@ -460,27 +460,6 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
   return Request(std::move(state));
 }
 
-Request Comm::coll_irecv(void* buf, std::size_t bytes, rank_t source,
-                         int tag) {
-  auto state = std::make_shared<RequestState>(my_node());
-  PostedRecv posted;
-  posted.context = shared_->context + 1;
-  posted.source = source;
-  posted.tag = tag;
-  posted.buffer = buf;
-  posted.type = Datatype::byte();
-  posted.count = static_cast<int>(bytes);
-  posted.capacity_bytes = bytes;
-  posted.request = state;
-  posted.source_global = global_rank_of(source);
-  posted.posted_at = my_node().clock().now();
-  state->set_cancel([context = &my_context(), raw = state.get()] {
-    return context->cancel_posted(raw);
-  });
-  my_context().post_recv(std::move(posted));
-  return Request(std::move(state));
-}
-
 Request Comm::issend(const void* buf, int count, const Datatype& type,
                      rank_t dest, int tag) {
   MADMPI_CHECK(dest >= 0 && dest < size());

@@ -23,6 +23,8 @@
 
 namespace madmpi::mpi {
 
+struct Schedule;
+
 /// Default for CollectiveConfig::fault_tolerant — the MADMPI_FT_COLLECTIVES
 /// environment knob (off unless set to a truthy value, keeping the
 /// fault-free fast path byte-identical to the pre-FT stack by default).
@@ -229,15 +231,15 @@ class Comm {
 
   // --- Nonblocking collectives ----------------------------------------
   //
-  // Each operation is a progress-engine-driven schedule (coll_sched.cpp):
-  // the returned request completes when the per-rank state machine has
-  // run all its rounds, advanced from whatever context completes the
-  // underlying transfers (a ch_mad poller, an smp sender, a fiber resume)
-  // — never from a hidden blocking call. MPI_Test on the request yields
-  // the shard, so spin-loops make progress on the sharded engine. In FT
-  // mode the operation degrades to the blocking survivable algorithm at
-  // initiation time (completing the request inline), mirroring the
-  // blocking collectives' explicit FT fallback.
+  // Each operation runs the blocking collective's schedule generator
+  // (coll_schedule.cpp) in the runner's hooked drive: the returned request
+  // completes when every round has run, advanced from whatever context
+  // completes the underlying transfers (a ch_mad poller, an smp sender, a
+  // fiber resume) — never from a hidden blocking call. MPI_Test on the
+  // request yields the shard, so spin-loops make progress on the sharded
+  // engine. In FT mode the operation degrades to the blocking survivable
+  // algorithm at initiation time (completing the request inline),
+  // mirroring the blocking collectives' explicit FT fallback.
   Request ibcast(void* buf, int count, const Datatype& type, rank_t root);
   Request iallreduce(const void* send_buf, void* recv_buf, int count,
                      const Datatype& type, const Op& op);
@@ -305,8 +307,9 @@ class Comm {
   // One-sided windows live beside the communicator and need its runtime
   // plumbing (device dispatch, context registry, id derivation).
   friend class Win;
-  // The nonblocking-collective schedules (coll_sched.cpp) drive the
-  // private coll_isend/coll_irecv primitives from completion hooks.
+  // The hooked drive of the collective schedule runner (coll_schedule.cpp)
+  // issues the private coll_isend/coll_post_recv primitives from completion
+  // hooks.
   friend class IcollSchedule;
   // The session-setup auto-tuner (coll_tuner.cpp) installs its decision
   // table on the communicator's runtime.
@@ -323,53 +326,31 @@ class Comm {
   void coll_send_multi(const std::vector<rank_t>& children, const void* buf,
                        std::size_t bytes, int tag);
   void coll_recv(void* buf, std::size_t bytes, rank_t source, int tag);
-  void coll_sendrecv(const void* send, std::size_t send_bytes, rank_t dest,
-                     void* recv, std::size_t recv_bytes, rank_t source,
-                     int tag);
+  /// Post a receive on the collective context. Under FT capture the tag is
+  /// remapped to the epoch, the receive carries the agreement deadline,
+  /// and a hop the detector already proves dead is skipped and recorded —
+  /// the result is then null. `hooked` posts from a completion hook, whose
+  /// thread's capture state belongs to whoever completed the previous
+  /// round: none of the FT handling applies.
+  std::shared_ptr<RequestState> coll_post_recv(void* buf, std::size_t bytes,
+                                               rank_t source, int tag,
+                                               bool hooked = false);
 
-  /// Nonblocking internal p2p on the collective context: the building
-  /// blocks of the schedules (comm.cpp, beside the isend machinery they
-  /// share). Never block the caller — eager completes inline, rendezvous
-  /// detaches — so they are safe to issue from completion hooks.
+  /// Nonblocking send on the collective context (comm.cpp, beside the
+  /// isend machinery it shares). Never blocks the caller — eager completes
+  /// inline, rendezvous detaches — so it is safe to issue from completion
+  /// hooks.
   Request coll_isend(const void* buf, std::size_t bytes, rank_t dest,
                      int tag);
-  Request coll_irecv(void* buf, std::size_t bytes, rank_t source, int tag);
 
-  void allreduce_recursive_doubling(void* recv_buf, int count,
-                                    const Datatype& type, const Op& op);
-  void allreduce_ring(void* recv_buf, int count, const Datatype& type,
-                      const Op& op);
-  void bcast_binomial(std::byte* wire, std::size_t bytes, rank_t root);
-  void bcast_linear(std::byte* wire, std::size_t bytes, rank_t root);
-
-  // --- Hierarchical collective engine (coll_hier.cpp) ------------------
-
-  /// Binomial tree ops over an explicit member list (members[0] is the
-  /// source/sink); the three hierarchy levels all reduce to these. Only
-  /// ranks present in `members` may call; everyone else skips the stage.
-  void tree_bcast_members(const std::vector<rank_t>& members,
-                          std::byte* wire, std::size_t bytes, int tag);
-  /// Flat concurrent fan-out from members[0]; the interconnect level of
-  /// hier_bcast (rep count = cluster count, wire serialization dominates).
-  void linear_bcast_members(const std::vector<rank_t>& members,
-                            std::byte* wire, std::size_t bytes, int tag);
-  void tree_reduce_members(const std::vector<rank_t>& members,
-                           std::byte* accum, std::size_t bytes, int count,
-                           const Datatype& type, const Op* op, int tag);
-
-  void hier_bcast(std::byte* wire, std::size_t bytes, rank_t root);
-  void hier_reduce(std::byte* accum, std::size_t bytes, int count,
-                   const Datatype& type, const Op& op, rank_t root);
-  void hier_allreduce(void* recv_buf, int count, const Datatype& type,
-                      const Op& op);
-  void hier_barrier();
-  void offload_barrier();
-  void offload_bcast(std::byte* wire, std::size_t bytes, rank_t root);
-
-  /// Whether reduce() should take the hierarchical path for `bytes`
-  /// (reduce has no config enum of its own; it follows allreduce's
-  /// resolution, which shares its communication shape).
-  bool use_hier_reduce(std::size_t bytes) const;
+  /// The inline drive of the collective schedule runner
+  /// (coll_schedule.cpp): run `schedule` on this rank over `data` (and a
+  /// scratch buffer it owns), folding Reduce steps with `op` over `type`
+  /// elements. A failed hop unwinds to here and is raised through the
+  /// error handler.
+  Status run_schedule(const Schedule& schedule, std::byte* data,
+                      const Datatype& type = Datatype::byte(),
+                      const Op* op = nullptr);
 
   /// Shared gather body: root collects each rank's packed block into
   /// wire + offsets[src] (offsets has size()+1 entries, self block packed

@@ -1,5 +1,5 @@
 // Internal: the state shared by every rank's handle of one communicator.
-// Included by comm.cpp and collectives.cpp only.
+// Included by the mpi/ sources that implement Comm.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +20,6 @@ struct Comm::Shared {
   Runtime* runtime = nullptr;
   int context = 0;
   std::vector<rank_t> group;
-
-  /// Collective tuning; every rank must configure identically.
-  CollectiveConfig collectives;
 
   /// Per-comm-rank error handlers (MPI_Comm_set_errhandler is local, so
   /// each rank owns its slot; the mutex covers world comms where every
@@ -57,7 +54,17 @@ struct Comm::Shared {
   // Deterministic per (runtime, group), so every rank's lazy build agrees.
   std::shared_ptr<const CollTopo> topo;
 
+  // Per-comm-rank collective tuning. set_collective_config is local, like
+  // the errhandlers: one rank's change must not reach a peer that is still
+  // resolving the current collective. Lazily sized, like the counters.
+  std::vector<CollectiveConfig> collectives;
+
   std::mutex seq_mutex;
+  CollectiveConfig& collectives_of(rank_t comm_rank) {
+    // Callers hold seq_mutex.
+    if (collectives.size() < group.size()) collectives.resize(group.size());
+    return collectives[static_cast<std::size_t>(comm_rank)];
+  }
   int next_seq(rank_t comm_rank) {
     std::lock_guard<std::mutex> lock(seq_mutex);
     return creation_seq[static_cast<std::size_t>(comm_rank)]++;

@@ -586,7 +586,7 @@ Comm Comm::shrink() {
   shared->context = shared_->runtime->derive_context_id(shared_->context,
                                                         key);
   shared->group = std::move(survivors);
-  shared->collectives = collective_config();
+  shared->collectives.assign(shared->group.size(), collective_config());
   shared->creation_seq.assign(shared->group.size(), 0);
   shared->errhandlers.assign(shared->group.size(), errhandler());
   return Comm(std::move(shared), my_new_rank);

@@ -181,6 +181,32 @@ TEST(CollEngine, AutoElectsOffloadBarrierOnCapableFabric) {
   });
 }
 
+TEST(CollEngine, CollectiveConfigIsRankLocal) {
+  // Regression: the config used to live in the communicator-shared state,
+  // so rank 0's write reached rank 1 mid-resolution. Point-to-point
+  // messages order the steps — deliberately not a barrier, whose algorithm
+  // the two ranks no longer agree on. Rank 1 says it is up first, so both
+  // ranks hold the world communicator while rank 0 writes.
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(4, sim::Protocol::kSisci, 2);
+  Session session(std::move(options));
+  session.run([](Comm comm) {
+    int token = 1;
+    if (comm.rank() == 0) {
+      comm.recv(&token, 1, Datatype::int32(), 1, 7);
+      CollectiveConfig config = comm.collective_config();
+      config.offload = false;
+      comm.set_collective_config(config);
+      EXPECT_EQ(comm.resolve_barrier(), BarrierAlgorithm::kHierarchical);
+      comm.send(&token, 1, Datatype::int32(), 1, 7);
+    } else if (comm.rank() == 1) {
+      comm.send(&token, 1, Datatype::int32(), 0, 7);
+      comm.recv(&token, 1, Datatype::int32(), 0, 7);
+      EXPECT_EQ(comm.resolve_barrier(), BarrierAlgorithm::kOffload);
+    }
+  });
+}
+
 TEST(CollEngine, EnvOverrideBeatsAuto) {
   ScopedEnv bcast_env("MADMPI_COLL_BCAST", "linear");
   ScopedEnv barrier_env("MADMPI_COLL_BARRIER", "dissemination");
