@@ -50,7 +50,7 @@ struct SlabPoolCore {
         std::lock_guard<std::mutex> lock(mutex);
         ++stats.fallbacks;
       }
-      return new Slab(min_bytes == 0 ? 1 : min_bytes, -1);
+      return new Slab(min_bytes == 0 ? 1 : min_bytes, Slab::kFallbackClass);
     }
     const std::size_t capacity = class_capacity(cls);
     Slab* slab = nullptr;
@@ -122,12 +122,27 @@ struct SlabPoolCore {
 
 Slab::Slab(std::size_t capacity, int size_class)
     : mem_(new std::byte[capacity]),
+      data_(mem_.get()),
       capacity_(capacity),
       size_class_(size_class),
       refs_(1) {}
 
+Slab::Slab(byte_span lent, std::function<void()> on_release)
+    : data_(const_cast<std::byte*>(lent.data())),
+      capacity_(lent.size()),
+      size_class_(kLentClass),
+      refs_(1),
+      on_release_(std::move(on_release)) {}
+
 void Slab::release() {
   if (refs_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (lent()) {
+    // The memory is the lender's: drop the view, then hand the memory back.
+    std::function<void()> on_release = std::move(on_release_);
+    delete this;
+    on_release();
+    return;
+  }
   // Move the core reference to a local first: recycle() must not run under
   // a core the slab itself is keeping alive (destroying the last reference
   // while its mutex is held would be use-after-free).
@@ -207,6 +222,11 @@ void SlabPool::trim() {
 SlabPool& SlabPool::global() {
   static SlabPool* pool = new SlabPool();  // leaked: outlives all users
   return *pool;
+}
+
+ChunkRef ChunkRef::lend(byte_span bytes, std::function<void()> on_release) {
+  MADMPI_CHECK_MSG(on_release != nullptr, "lent memory needs a release hook");
+  return adopt(new Slab(bytes, std::move(on_release)), 0, bytes.size());
 }
 
 // ------------------------------------------------------------- ChunkList

@@ -10,6 +10,11 @@
 // fault/retransmit path safe: a frame may be re-sent after its sender has
 // moved on, and every copy of the frame just bumps the slab refcount.
 //
+// A *lent* chunk (ChunkRef::lend) views caller memory instead of a pooled
+// slab: the pool never frees it, and a release hook tells the lender when
+// the last reference dropped. The rendezvous data push lends the sender's
+// buffer to the wire this way and completes the send from that hook.
+//
 // Env knobs (read once, at pool construction):
 //   MADMPI_SLAB_DISABLE=1      every acquire is a one-off heap allocation
 //                              (fallback path; pooling off, for debugging)
@@ -24,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -39,14 +45,15 @@ namespace detail {
 struct SlabPoolCore;
 }
 
-/// One pooled (or one-off fallback) buffer. Refcounted; reaching zero
-/// returns the slab to its pool's free list (or frees it, for fallback
-/// slabs and full caches). Slabs outlive their SlabPool object: each live
-/// slab keeps the pool core alive via a shared_ptr.
+/// One pooled (or one-off fallback, or lent) buffer. Refcounted; reaching
+/// zero returns the slab to its pool's free list (or frees it, for fallback
+/// slabs and full caches, or runs the lender's hook, for lent memory).
+/// Slabs outlive their SlabPool object: each live pooled slab keeps the
+/// pool core alive via a shared_ptr.
 class Slab {
  public:
-  std::byte* data() { return mem_.get(); }
-  const std::byte* data() const { return mem_.get(); }
+  std::byte* data() { return data_; }
+  const std::byte* data() const { return data_; }
   std::size_t capacity() const { return capacity_; }
 
   void add_ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
@@ -56,17 +63,26 @@ class Slab {
 
   std::uint32_t refs() const { return refs_.load(std::memory_order_relaxed); }
   /// True for one-off heap slabs (pool disabled or oversize request).
-  bool fallback() const { return size_class_ < 0; }
+  bool fallback() const { return size_class_ == kFallbackClass; }
+  /// True for caller memory lent through ChunkRef::lend.
+  bool lent() const { return size_class_ == kLentClass; }
 
  private:
   friend struct detail::SlabPoolCore;
-  Slab(std::size_t capacity, int size_class);
+  friend class ChunkRef;
+  static constexpr int kFallbackClass = -1;
+  static constexpr int kLentClass = -2;
 
-  std::unique_ptr<std::byte[]> mem_;
+  Slab(std::size_t capacity, int size_class);
+  Slab(byte_span lent, std::function<void()> on_release);
+
+  std::unique_ptr<std::byte[]> mem_;  // null for lent memory
+  std::byte* data_;
   std::size_t capacity_;
-  int size_class_;  // -1 = untracked fallback, never cached
+  int size_class_;  // negative = never cached (fallback or lent)
   std::atomic<std::uint32_t> refs_;
   std::shared_ptr<detail::SlabPoolCore> core_;  // null while cached/fallback
+  std::function<void()> on_release_;            // lent memory only
 };
 
 /// A refcounted view of `length` bytes at `offset` inside a slab. Copying a
@@ -88,6 +104,12 @@ class ChunkRef {
     ref.length_ = length;
     return ref;
   }
+  /// Lend caller memory to the datapath without copying it. Copies and
+  /// subchunks share it like any slab; nothing ever frees or writes it.
+  /// `on_release` runs exactly once, on whichever thread drops the last
+  /// reference; the memory must stay valid and unchanged until then. The
+  /// ref is non-null even for zero bytes, so the hook always runs.
+  static ChunkRef lend(byte_span bytes, std::function<void()> on_release);
 
   ChunkRef(const ChunkRef& other)
       : slab_(other.slab_), offset_(other.offset_), length_(other.length_) {
@@ -136,8 +158,11 @@ class ChunkRef {
   }
   /// Mutable access: only sound while the caller knows no other reference
   /// reads these bytes concurrently (e.g. the delivered copy of a frame).
+  /// Never for lent memory, which belongs to the lender.
   std::byte* mutable_data() {
-    return slab_ == nullptr ? nullptr : slab_->data() + offset_;
+    if (slab_ == nullptr) return nullptr;
+    MADMPI_CHECK_MSG(!slab_->lent(), "write into lent memory");
+    return slab_->data() + offset_;
   }
   byte_span span() const { return {data(), length_}; }
 

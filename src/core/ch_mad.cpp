@@ -183,9 +183,21 @@ void ChMadDevice::shutdown() {
   started_ = false;
 }
 
-Status ChMadDevice::send_packet(node_id_t src_node, node_id_t dst_node,
-                                const PacketHeader& header, byte_span body,
-                                bool rma_data) {
+Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
+                                    const PacketHeader& header, byte_span body,
+                                    const ChunkRef* chunk, bool rma_data) {
+  // A data-bearing packet's CHEAPER body: a lent chunk travels by
+  // reference, borrowed bytes stage into a pooled slab.
+  auto pack_body = [&](mad::Packing& packing) {
+    if (body.empty()) return;
+    if (chunk != nullptr) {
+      packing.pack_chunk(*chunk, mad::SendMode::kLater,
+                         mad::RecvMode::kCheaper);
+    } else {
+      packing.pack(body.data(), body.size(), mad::SendMode::kLater,
+                   mad::RecvMode::kCheaper);
+    }
+  };
   // Failover loop: elect the best *live* direct channel and try it. A
   // failed delivery marks the link dead inside the transport, so the next
   // route() election yields the next-best protocol (e.g. SCI down -> TCP).
@@ -210,10 +222,7 @@ Status ChMadDevice::send_packet(node_id_t src_node, node_id_t dst_node,
       packing.pack(&header.rma, sizeof header.rma, mad::SendMode::kSafer,
                    mad::RecvMode::kExpress);
     }
-    if (!body.empty()) {
-      packing.pack(body.data(), body.size(), mad::SendMode::kLater,
-                   mad::RecvMode::kCheaper);
-    }
+    pack_body(packing);
     Status status = packing.end_packing();
     if (status.is_ok()) return status;
 
@@ -256,10 +265,7 @@ Status ChMadDevice::send_packet(node_id_t src_node, node_id_t dst_node,
     packing.pack(&header.rma, sizeof header.rma, mad::SendMode::kSafer,
                  mad::RecvMode::kExpress);
   }
-  if (!body.empty()) {
-    packing.pack(body.data(), body.size(), mad::SendMode::kLater,
-                 mad::RecvMode::kCheaper);
-  }
+  pack_body(packing);
   return packing.end_packing();
 }
 
@@ -327,7 +333,8 @@ Status ChMadDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
 
   // Rendezvous (paper §4.2.2): 1) request; 2) peer acknowledges with its
   // sync_address once a receive is posted; 3) data goes out zero-copy. The
-  // sender parks on the request the data push (or the watchdog) completes.
+  // sender parks on the request the data push (or the watchdog) completes:
+  // `packed` stays lent to the wire until the receiver placed the bytes.
   auto done = std::make_shared<mpi::RequestState>(src_node);
   Status status = start_rendezvous(src, dst, env, packed, {}, done);
   if (!status.is_ok()) return status;  // the request never left
@@ -374,7 +381,7 @@ Status ChMadDevice::start_rendezvous(
   PacketHeader header = pending->header;
   header.type = PacketType::kRndvRequest;
   header.sender_handle = pending->handle;
-  Status status = send_packet(src_node.id(), dst_node.id(), header, {});
+  Status status = send_packet(src_node.id(), dst_node.id(), header);
   if (!status.is_ok()) {
     // (A request that arrived over a since-severed reply path leaves the
     // sender waiting until the watchdog cancels it; see DESIGN.md.)
@@ -387,15 +394,24 @@ Status ChMadDevice::start_rendezvous(
   return status;
 }
 
-void ChMadDevice::finish_pending_send(NodeState& state,
-                                      PendingSend* pending) {
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.pending_sends.erase(pending->handle);
-  }
+void ChMadDevice::finish_pending_send(PendingSend* pending) {
   pending->completion->complete(mpi::MpiStatus::of_send(
       pending->header.envelope, pending->result.code()));
   delete pending;
+}
+
+void ChMadDevice::finish_pushed_send(sim::Node& node, PendingSend* pending) {
+  // The last reference may drop on the receiver's poller, a gateway or the
+  // data task itself. Either way the send completes on a fresh lane born at
+  // the data task's post-push stamp, as marcel::Executor births a task: the
+  // release stamp, and the lane completion hooks run on, are the ones the
+  // data task would have used completing the send itself.
+  sim::VirtualClock::LaneMap lanes;
+  sim::VirtualClock::LaneMap* previous =
+      sim::VirtualClock::exchange_lane_map(&lanes);
+  node.clock().bind_lane(pending->pushed_at);
+  finish_pending_send(pending);
+  sim::VirtualClock::exchange_lane_map(previous);
 }
 
 Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
@@ -564,7 +580,7 @@ void ChMadDevice::credit_consumed(node_id_t me, node_id_t origin,
     header.credit_bytes = batch;
     header.credit_origin = me;
     credit_packets_.fetch_add(1, std::memory_order_relaxed);
-    if (!send_packet(me, origin, header, {}).is_ok()) {
+    if (!send_packet(me, origin, header).is_ok()) {
       // The peer is gone; put the debt back so credit conservation holds
       // for observers even though nobody will collect it.
       std::lock_guard<std::mutex> lock(state.mutex);
@@ -645,7 +661,6 @@ bool ChMadDevice::try_cancel_send(rank_t src, rank_t dst,
     for (auto it = state.pending_sends.begin();
          it != state.pending_sends.end(); ++it) {
       PendingSend* pending = it->second;
-      if (pending->phase != PendingSend::Phase::kAwaitAck) continue;
       const mpi::Envelope& have = pending->header.envelope;
       if (pending->header.src_global != src ||
           pending->header.dst_global != dst || have.context != env.context ||
@@ -662,7 +677,7 @@ bool ChMadDevice::try_cancel_send(rank_t src, rank_t dst,
                           "send cancelled before the receiver matched it");
   sim::trace(state.node->clock().now(), state.node->id(),
              sim::TraceCategory::kComplete, env.bytes, "cancel-send");
-  finish_pending_send(state, victim);
+  finish_pending_send(victim);
   return true;
 }
 
@@ -681,7 +696,6 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
     {
       std::lock_guard<std::mutex> lock(state.mutex);
       for (const auto& [handle, pending] : state.pending_sends) {
-        if (pending->phase != PendingSend::Phase::kAwaitAck) continue;
         if (pending->peer_node == kInvalidNode) continue;
         if (std::find(peers.begin(), peers.end(), pending->peer_node) ==
             peers.end()) {
@@ -713,9 +727,8 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
       for (auto it = state.pending_sends.begin();
            it != state.pending_sends.end();) {
         PendingSend* pending = it->second;
-        if (pending->phase == PendingSend::Phase::kAwaitAck &&
-            std::find(dead.begin(), dead.end(), pending->peer_node) !=
-                dead.end()) {
+        if (std::find(dead.begin(), dead.end(), pending->peer_node) !=
+            dead.end()) {
           dead_sends.push_back(pending);
           it = state.pending_sends.erase(it);
         } else {
@@ -742,7 +755,7 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
                  "rendezvous abandoned: no route between node " +
                      std::to_string(me) + " and node " +
                      std::to_string(pending->peer_node));
-      finish_pending_send(state, pending);
+      finish_pending_send(pending);
       ++canceled;
     }
     for (Rhandle& rhandle : dead_rhandles) {
@@ -892,7 +905,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                         ack.credit_origin = me;
                       }
                       // On failure the watchdog cancels the parked sender.
-                      if (!send_packet(me, origin_node, ack, {}).is_ok() &&
+                      if (!send_packet(me, origin_node, ack).is_ok() &&
                           credits != 0) {
                         std::lock_guard<std::mutex> lock(state_ptr->mutex);
                         state_ptr->pending_returns[origin_node] += credits;
@@ -917,20 +930,29 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                               header.sender_handle));
           return;
         }
+        // Past the point of no return: a pushing send is not cancellable,
+        // and from here on the data task and its release hook own it.
         pending = it->second;
-        pending->phase = PendingSend::Phase::kPushing;
+        state.pending_sends.erase(it);
       }
       const node_id_t receiver_node =
           directory_.node_of(header.dst_global).id();
       executor_->post(*state.node, marcel::ThreadCosts::kCreate,
-                      [this, &state, receiver_node, pending,
+                      [this, node = state.node, receiver_node, pending,
                        sync_address = header.sync_address] {
         PacketHeader data = pending->header;
         data.type = PacketType::kRndvData;
         data.sync_address = sync_address;
-        pending->result = send_packet(state.node->id(), receiver_node, data,
-                                      pending->data);
-        finish_pending_send(state, pending);
+        // Zero-copy push: the payload is lent to the wire instead of staged.
+        // The hook keeps only the entry (request, stamp, optional owned
+        // buffer) and the node — no device state, which may die first.
+        ChunkRef body = ChunkRef::lend(pending->data, [node, pending] {
+          finish_pushed_send(*node, pending);
+        });
+        pending->result = send_packet(node->id(), receiver_node, data, body);
+        pending->pushed_at = node->clock().now();
+        // `body` drops here: the send completes now if the receiver already
+        // placed the bytes, else when its last wire reference drops.
       });
       return;
     }

@@ -11,7 +11,9 @@
 //   rendezvous  MAD_REQUEST_PKT -> MAD_SENDOK_PKT (carrying the receiver's
 //               sync_address) -> MAD_RNDV_PKT delivered zero-copy into the
 //               posted buffer; the receiver's control thread waits on the
-//               rhandle semaphore (here: the request's completion).
+//               rhandle semaphore (here: the request's completion). The
+//               sender's buffer is lent to the wire, not copied; the send
+//               completes when the last wire reference to it drops.
 //
 // Polling threads never send (deadlock avoidance, §4.2.3): rendezvous
 // replies, data pushes and credit returns run as helper tasks on the
@@ -93,10 +95,10 @@ class ChMadDevice final : public ManagedDevice {
                    bool may_block) override;
 
   /// MPI_Cancel on a send: detach a rendezvous send still waiting for its
-  /// OK_TO_SEND (phase kAwaitAck) and complete it with kCancelled. A send
-  /// whose data push already started (kPushing) is past the point of no
-  /// return and completes normally. A late OK_TO_SEND for the cancelled
-  /// handle is dropped by the existing stale-handle path.
+  /// OK_TO_SEND and complete it with kCancelled. A send whose data push
+  /// already started has left the table: it is past the point of no return
+  /// and completes normally. A late OK_TO_SEND for the cancelled handle is
+  /// dropped by the existing stale-handle path.
   bool try_cancel_send(rank_t src, rank_t dst,
                        const mpi::Envelope& env) override;
 
@@ -172,18 +174,20 @@ class ChMadDevice final : public ManagedDevice {
   std::size_t watchdog_sweep(const RouteDead& route_dead, usec_t horizon);
 
  private:
+  /// A rendezvous send awaiting its OK_TO_SEND in `pending_sends`. The
+  /// entry leaves the table when a cancel, the watchdog or the ack claims
+  /// it; the ack hands it to a data task, which lends `data` to the wire
+  /// and leaves the entry to the lent chunk's release hook.
   struct PendingSend {
     byte_span data;
     PacketHeader header;
     Status result;  // outcome of the data push, set by the data task
-    /// kAwaitAck until OK_TO_SEND arrives; kPushing once a data task
-    /// owns the entry. The watchdog only cancels kAwaitAck entries — a
-    /// kPushing one is referenced by a live data task.
-    enum class Phase { kAwaitAck, kPushing } phase = Phase::kAwaitAck;
     node_id_t peer_node = kInvalidNode;
     usec_t started_at = 0.0;
-    /// Heap-allocated and owned by whichever finishing path runs (data
-    /// push, cancel or watchdog): it completes `completion` — a blocking
+    /// The data task's lane after the push: the send's completion stamp.
+    usec_t pushed_at = 0.0;
+    /// Heap-allocated and owned by whichever finishing path runs (release
+    /// hook, cancel or watchdog): it completes `completion` — a blocking
     /// sender waits on that request — and frees the entry. `owned`, when
     /// non-empty, is the staging buffer backing `data`.
     std::shared_ptr<mpi::RequestState> completion;
@@ -255,8 +259,22 @@ class ChMadDevice final : public ManagedDevice {
   /// rma_put_us initiation cost and, when the driver supports it (and the
   /// rma_direct knob is on), the packet travels DeliveryMode::kRmaDirect.
   Status send_packet(node_id_t src_node, node_id_t dst_node,
-                     const PacketHeader& header, byte_span body,
-                     bool rma_data = false);
+                     const PacketHeader& header, byte_span body = {},
+                     bool rma_data = false) {
+    return transmit_packet(src_node, dst_node, header, body, nullptr,
+                           rma_data);
+  }
+  /// Chunk form: `body` (lent memory) travels by reference through
+  /// Packing::pack_chunk — the same wire layout and virtual charges as the
+  /// span form, whose pack() stages the body into a pooled slab.
+  Status send_packet(node_id_t src_node, node_id_t dst_node,
+                     const PacketHeader& header, const ChunkRef& body) {
+    return transmit_packet(src_node, dst_node, header, body.span(), &body,
+                           false);
+  }
+  Status transmit_packet(node_id_t src_node, node_id_t dst_node,
+                         const PacketHeader& header, byte_span body,
+                         const ChunkRef* chunk, bool rma_data);
 
   /// Relay a forwarded message one hop further (runs on a forwarding
   /// channel's polling thread on the gateway node).
@@ -274,10 +292,13 @@ class ChMadDevice final : public ManagedDevice {
   Status start_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                           byte_span packed, std::vector<std::byte> owned,
                           std::shared_ptr<mpi::RequestState> completion);
-  /// Single completion discipline for a finished rendezvous send: drop
-  /// it from pending_sends (if a cancel path has not already: handles are
-  /// never reused), complete its request and free the entry.
-  void finish_pending_send(NodeState& state, PendingSend* pending);
+  /// Single completion discipline for a rendezvous send that left
+  /// pending_sends: complete its request with `result` on the caller's
+  /// lane and free the entry.
+  static void finish_pending_send(PendingSend* pending);
+  /// The data push's release hook: completes the send on a fresh lane
+  /// born at `pushed_at`, whichever thread dropped the last reference.
+  static void finish_pushed_send(sim::Node& node, PendingSend* pending);
 
   /// Credit bookkeeping. `account_of` lazily opens an account at the full
   /// window; `credit_consumed` runs when the destination rank drains an

@@ -48,10 +48,11 @@ class Packing {
   void pack(const void* data, std::size_t size, SendMode send_mode,
             RecvMode recv_mode);
 
-  /// Append a block that already lives in a pooled chunk (the forwarding
-  /// relay's zero-copy primitive): wire layout and virtual charges match
-  /// pack() exactly, but a separate block travels by refcount bump — the
-  /// reference IS the kSafer safety copy.
+  /// Append a block that already lives in a chunk — a pooled one (the
+  /// forwarding relay) or lent caller memory (the rendezvous data push):
+  /// wire layout and virtual charges match pack() exactly, but a separate
+  /// block travels by refcount bump — the reference IS the kSafer safety
+  /// copy.
   void pack_chunk(const ChunkRef& chunk, SendMode send_mode,
                   RecvMode recv_mode);
 

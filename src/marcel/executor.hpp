@@ -11,9 +11,9 @@
 // One worker starts with the executor and allocates at once; join() ends
 // it last. glibc binds a thread to a malloc arena at its first allocation,
 // preferring the arena of the thread that exited last, so over
-// back-to-back sessions that worker, which stages the large rendezvous
-// payloads, keeps one arena instead of leaving payloads cached in the
-// arenas of earlier pollers and ranks.
+// back-to-back sessions that worker, which runs the rendezvous data
+// pushes, keeps one arena instead of leaving their allocations cached in
+// the arenas of earlier pollers and ranks.
 #pragma once
 
 #include <condition_variable>

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "common/datapath_stats.hpp"
 #include "common/log.hpp"
 #include "marcel/engine.hpp"
 #include "marcel/thread.hpp"
@@ -257,6 +258,7 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   // the caller returns immediately.
   auto parked =
       std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
+  count_real_copy(view.size());
   const Envelope env = make_envelope(dest, tag, view.size(), false);
   Device& device = device_to(dest);
   const rank_t src_global = global_rank_of(rank_);
@@ -362,6 +364,7 @@ void post_rendezvous_send(marcel::Executor& executor, sim::Node& node,
   if (stage) {
     payload = std::make_shared<std::vector<std::byte>>(packed.begin(),
                                                        packed.end());
+    count_real_copy(packed.size());
     wire = byte_span{payload->data(), payload->size()};
     spawn_cost +=
         static_cast<double>(packed.size()) * sim::kHostCopyUsPerByte;
@@ -412,10 +415,12 @@ void Comm::staged_rendezvous(Device& device, rank_t dst_global,
     return device.try_cancel_send(src, dst_global, env);
   });
   // Stage the payload so the caller's buffer is free on return (charged as
-  // a host copy); the device's asynchronous path injects the REQUEST on
-  // this thread, behind any eager frames this rank already sent (MPI
+  // a host copy; ch_mad then lends this copy to the wire, so it is the only
+  // one); the device's asynchronous path injects the REQUEST on this
+  // thread, behind any eager frames this rank already sent (MPI
   // non-overtaking). A helper-task send is the fallback only.
   std::vector<std::byte> owned(packed.begin(), packed.end());
+  count_real_copy(packed.size());
   my_node().clock().advance(static_cast<double>(packed.size()) *
                             sim::kHostCopyUsPerByte);
   const byte_span wire{owned.data(), owned.size()};

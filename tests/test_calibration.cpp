@@ -4,6 +4,9 @@
 // refactor cannot silently drift the cost models.
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <string>
+
 #include "core/pingpong.hpp"
 #include "core/session.hpp"
 
@@ -80,6 +83,48 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, CalibrationTest,
                            return std::string(
                                sim::protocol_name(info.param.protocol));
                          });
+
+// Bit-for-bit pin of the rendezvous one-way time: a fresh two-node session,
+// one timed round trip after the warm-up. The values are the exact doubles
+// behind the ch_mad bandwidth rows of bench/fig6_tcp (10.837/11.155 MB/s),
+// fig7_sci (79.824/83.237) and fig8_bip (112.167/122.407). TCP elects a
+// 64 KiB switch point and sends 64 KiB eager, so its rendezvous pin starts
+// at 128 KiB. The tolerances above would not notice a completion stamp
+// moved by one Marcel semaphore signal; these would.
+struct RendezvousPin {
+  sim::Protocol protocol;
+  std::size_t bytes;
+  double one_way_us;
+};
+
+const RendezvousPin kRendezvousPins[] = {
+    {sim::Protocol::kTcp, 128u << 10, 0x1.6872a65d6c278p+13},  // 11534.33
+    {sim::Protocol::kTcp, 1u << 20, 0x1.5e2fdb517fc9fp+16},    // 89647.86
+    {sim::Protocol::kSisci, 64u << 10, 0x1.877c97e9a87e8p+9},  // 782.97
+    {sim::Protocol::kSisci, 1u << 20, 0x1.776f0f500ee56p+13},  // 12013.88
+    {sim::Protocol::kBip, 64u << 10, 0x1.169a73a6da0d4p+9},    // 557.21
+    {sim::Protocol::kBip, 1u << 20, 0x1.fe9712389f051p+12},    // 8169.44
+};
+
+class RendezvousPinTest : public ::testing::TestWithParam<RendezvousPin> {};
+
+TEST_P(RendezvousPinTest, OneWayTimeIsBitIdentical) {
+  const RendezvousPin& pin = GetParam();
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, pin.protocol);
+  Session session(std::move(options));
+  ASSERT_GT(pin.bytes, session.ch_mad()->switch_point());  // rendezvous
+  const auto result = core::mpi_pingpong(session, pin.bytes, 1);
+  EXPECT_EQ(result.one_way_us, pin.one_way_us)
+      << std::hexfloat << result.one_way_us << " vs " << pin.one_way_us;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, RendezvousPinTest, ::testing::ValuesIn(kRendezvousPins),
+    [](const auto& info) {
+      return std::string(sim::protocol_name(info.param.protocol)) + "_" +
+             std::to_string(info.param.bytes >> 10) + "KiB";
+    });
 
 }  // namespace
 }  // namespace madmpi

@@ -232,11 +232,14 @@ TEST(Stress, StatsReportAfterTraffic) {
   options.cluster = sim::ClusterSpec::cluster_of_clusters(2, 2);
   Session session(std::move(options));
   session.run([](Comm comm) {
-    std::vector<std::byte> blob(20000);
+    // Separate buffers: MPI forbids receiving into a buffer an active send
+    // still reads (the rendezvous push lends `out` to the wire).
+    std::vector<std::byte> out(20000);
+    std::vector<std::byte> in(20000);
     const int peer = (comm.rank() + 1) % comm.size();
     const int from = (comm.rank() - 1 + comm.size()) % comm.size();
-    auto req = comm.irecv(blob.data(), 20000, Datatype::byte(), from, 0);
-    comm.send(blob.data(), 20000, Datatype::byte(), peer, 0);
+    auto req = comm.irecv(in.data(), 20000, Datatype::byte(), from, 0);
+    comm.send(out.data(), 20000, Datatype::byte(), peer, 0);
     req.wait();
   });
   // Aggregate counters must reflect the ring (4 data messages + protocol).
