@@ -301,7 +301,7 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
         status.tag = header.envelope.tag;
         status.bytes = delivered;
         if (truncated) status.error = ErrorCode::kTruncated;
-        posted.request->complete(status);
+        mpi::RequestState::complete(posted.request, status);
         break;
       }
 

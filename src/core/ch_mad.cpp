@@ -350,7 +350,8 @@ bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
   const Status status =
       start_rendezvous(src, dst, env, packed, std::move(owned), state);
   if (!status.is_ok()) {
-    state->complete(mpi::MpiStatus::of_send(env, status.code()));
+    mpi::RequestState::complete(state,
+                                mpi::MpiStatus::of_send(env, status.code()));
   }
   return true;
 }
@@ -395,8 +396,10 @@ Status ChMadDevice::start_rendezvous(
 }
 
 void ChMadDevice::finish_pending_send(PendingSend* pending) {
-  pending->completion->complete(mpi::MpiStatus::of_send(
-      pending->header.envelope, pending->result.code()));
+  mpi::RequestState::complete(
+      std::move(pending->completion),
+      mpi::MpiStatus::of_send(pending->header.envelope,
+                              pending->result.code()));
   delete pending;
 }
 
@@ -602,8 +605,10 @@ void ChMadDevice::apply_credit(NodeState& state,
         account.available + static_cast<std::size_t>(header.credit_bytes),
         credit_window_);
     account.last_refill = state.node->clock().now();
-    state.credit_cv.notify_all();
   }
+  // Woken after the unlock, so a waiter does not block on the mutex again;
+  // the NodeState lives as long as the device.
+  state.credit_cv.notify_all();
   marcel::engine_notify();
 }
 
@@ -615,8 +620,8 @@ void ChMadDevice::refund_credit(node_id_t src_node, node_id_t dst_node,
     std::lock_guard<std::mutex> lock(state.mutex);
     CreditAccount& account = account_of(state, dst_node);
     account.available = std::min(account.available + charge, credit_window_);
-    state.credit_cv.notify_all();
   }
+  state.credit_cv.notify_all();  // after the unlock, as in apply_credit
   marcel::engine_notify();
 }
 
@@ -765,7 +770,7 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
       status.tag = rhandle.posted.tag;
       status.bytes = 0;
       status.error = ErrorCode::kTimedOut;
-      rhandle.posted.request->complete(status);
+      mpi::RequestState::complete(rhandle.posted.request, status);
       ++canceled;
     }
   }
@@ -1009,7 +1014,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
             status.tag = header.envelope.tag;
             status.bytes = 0;
             status.error = ErrorCode::kTruncated;
-            posted.request->complete(status);
+            mpi::RequestState::complete(posted.request, status);
             return;
           }
           if (!incoming.aborted()) {
@@ -1066,7 +1071,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       if (truncated) status.error = ErrorCode::kTruncated;
       // Releasing the rhandle's semaphore = completing the request: the
       // blocked main thread resumes (paper §4.2.2, last step).
-      posted.request->complete(status);
+      mpi::RequestState::complete(posted.request, status);
       return;
     }
 
@@ -1255,7 +1260,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       if (view.bytes.size() != pending.bytes) {
         status.error = ErrorCode::kTruncated;
       }
-      pending.completion->complete(status);
+      mpi::RequestState::complete(pending.completion, status);
       return;
     }
 
@@ -1350,7 +1355,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         pending = std::move(it->second);
         state.rma_pending.erase(it);
       }
-      pending.completion->complete(mpi::MpiStatus{});
+      mpi::RequestState::complete(pending.completion, mpi::MpiStatus{});
       return;
     }
   }

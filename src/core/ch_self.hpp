@@ -40,7 +40,8 @@ class ChSelfDevice final : public mpi::Device {
                         std::shared_ptr<mpi::RequestState> state) override {
     (void)owned;  // payload already delivered below; staging dies here
     Status result = send(src, dst, env, packed, mpi::TransferMode::kEager);
-    state->complete(mpi::MpiStatus::of_send(env, result.code()));
+    mpi::RequestState::complete(state,
+                                mpi::MpiStatus::of_send(env, result.code()));
     return true;
   }
 

@@ -37,7 +37,7 @@ void hand_off(sim::Node& node, const mpi::Envelope& env, byte_span packed,
   status.tag = env.tag;
   status.bytes = delivered;
   if (truncated) status.error = ErrorCode::kTruncated;
-  target.request->complete(status);
+  mpi::RequestState::complete(target.request, status);
 }
 
 }  // namespace
@@ -103,7 +103,8 @@ bool SmpPlugDevice::isend_rendezvous(
                        [&node, env, packed, keepalive, state,
                         target = std::move(target)] {
           hand_off(node, env, packed, target);
-          state->complete(mpi::MpiStatus::of_send(env, ErrorCode::kOk));
+          mpi::RequestState::complete(
+              state, mpi::MpiStatus::of_send(env, ErrorCode::kOk));
         });
       });
   return true;

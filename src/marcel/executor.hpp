@@ -41,21 +41,28 @@ class Executor {
   /// fresh lane map, its lane on `node` born at the charged time.
   void post(sim::Node& node, usec_t cost, std::function<void()> fn) {
     const usec_t birth = node.clock().advance(cost);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++active_;
-    // The longest-serving idle worker, so steady traffic stays on one.
-    Worker* worker = nullptr;
-    for (auto& candidate : workers_) {
-      if (!candidate->busy) {
-        worker = candidate.get();
-        break;
+    // The hand-off is made under mutex_ and the worker woken after it is
+    // released, so it does not wake only to block on the lock. Past the
+    // unlock a spurious wake-up may run the task and let drain() and
+    // join() retire the worker, so this reference keeps it alive through
+    // the notify.
+    std::shared_ptr<Worker> worker;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++active_;
+      // The longest-serving idle worker, so steady traffic stays on one.
+      for (const auto& candidate : workers_) {
+        if (!candidate->busy) {
+          worker = candidate;
+          break;
+        }
       }
+      if (worker == nullptr) worker = start_worker();
+      worker->busy = true;
+      worker->task = std::move(fn);
+      worker->node = &node;
+      worker->birth = birth;
     }
-    if (worker == nullptr) worker = start_worker();
-    worker->busy = true;
-    worker->task = std::move(fn);
-    worker->node = &node;
-    worker->birth = birth;
     worker->wake.notify_one();
   }
 
@@ -72,7 +79,7 @@ class Executor {
     drain();
     std::unique_lock<std::mutex> lock(mutex_);
     while (!workers_.empty()) {  // newest first: the first one exits last
-      std::unique_ptr<Worker> worker = std::move(workers_.back());
+      std::shared_ptr<Worker> worker = std::move(workers_.back());
       workers_.pop_back();
       worker->retire = true;
       worker->wake.notify_one();
@@ -102,10 +109,14 @@ class Executor {
   };
 
   /// Start an idle worker; the caller holds mutex_ or is the constructor.
-  Worker* start_worker() {
-    Worker* worker = workers_.emplace_back(std::make_unique<Worker>()).get();
+  /// The thread itself holds no reference: join() holds one until the
+  /// thread has exited, and a post() may hold one a little longer.
+  std::shared_ptr<Worker> start_worker() {
+    auto worker = std::make_shared<Worker>();
+    workers_.push_back(worker);
     ++workers_started_;
-    worker->thread = std::thread([this, worker] { work(*worker); });
+    Worker* raw = worker.get();
+    worker->thread = std::thread([this, raw] { work(*raw); });
     return worker;
   }
 
@@ -134,7 +145,7 @@ class Executor {
 
   mutable std::mutex mutex_;
   std::condition_variable drained_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::shared_ptr<Worker>> workers_;
   std::size_t active_ = 0;  // tasks handed to a worker, not yet finished
   std::size_t workers_started_ = 0;
 };

@@ -30,11 +30,15 @@ class Semaphore {
   /// records its clock so the waiter cannot observe an earlier time.
   void signal() {
     const usec_t at = node_.clock().advance(ThreadCosts::kSemSignal);
-    // Notify while holding the lock: a waiter may destroy this semaphore
-    // the moment it observes the permit, so the notify must not touch the
-    // object after the state change becomes visible. A parked fiber,
-    // though, owns its own stack: it cannot observe the permit until its
-    // shard worker re-polls, so the engine nudge is safe after the lock.
+    // Notify while holding the lock: the waiter owns this semaphore (one
+    // on its stack, say) and may destroy it the moment it observes the
+    // permit, and the releaser holds no reference that could keep it
+    // alive, so the notify must not touch the object after the state
+    // change becomes visible. That costs the waiter a second wake-up on
+    // the lock; RequestState::complete and Executor::post avoid it because
+    // their callers do hold such a reference. A parked fiber, though, owns
+    // its own stack: it cannot observe the permit until its shard worker
+    // re-polls, so the engine nudge is safe after the lock.
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++count_;

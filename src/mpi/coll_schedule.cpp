@@ -613,7 +613,7 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
     if (error_ == ErrorCode::kOk && on_finish) on_finish();
     MpiStatus status;
     status.error = error_;
-    user_->complete(status);
+    RequestState::complete(user_, status);
   }
 
   Comm comm_;
@@ -637,7 +637,7 @@ Request completed_request(sim::Node& node, ErrorCode error) {
   auto state = std::make_shared<RequestState>(node);
   MpiStatus status;
   status.error = error;
-  state->complete(status);
+  RequestState::complete(state, status);
   return Request(std::move(state));
 }
 

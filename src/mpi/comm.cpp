@@ -374,7 +374,7 @@ void post_rendezvous_send(marcel::Executor& executor, sim::Node& node,
                  state = std::move(state)] {
     const Status result =
         device.send(src, dst, env, wire, TransferMode::kRendezvous);
-    state->complete(MpiStatus::of_send(env, result.code()));
+    RequestState::complete(state, MpiStatus::of_send(env, result.code()));
   });
 }
 
@@ -399,7 +399,7 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
     const Status result =
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
-    state->complete(MpiStatus::of_send(env, result.code()));
+    RequestState::complete(state, MpiStatus::of_send(env, result.code()));
   } else {
     staged_rendezvous(device, dst_global, env, packed, state);
   }
@@ -452,7 +452,7 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
     const Status result =
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
-    state->complete(MpiStatus::of_send(env, result.code()));
+    RequestState::complete(state, MpiStatus::of_send(env, result.code()));
   } else if (!device.isend_rendezvous(global_rank_of(rank_), dst_global,
                                       env, packed, {}, state)) {
     // No staging either way: the schedule pins the buffer until every

@@ -131,7 +131,7 @@ void RankContext::finish_recv(const PostedRecv& posted, const Envelope& env,
   if (truncated) status.error = ErrorCode::kTruncated;
   sim::trace(node_.clock().now(), node_.id(), sim::TraceCategory::kComplete,
              status.bytes, "recv");
-  posted.request->complete(status);
+  RequestState::complete(posted.request, status);
 }
 
 // ---------------------------------------------------------------- lookups
@@ -799,7 +799,7 @@ std::size_t RankContext::cancel_unreachable(ErrorCode code) {
     status.error = code;
     sim::trace(node_.clock().now(), node_.id(),
                sim::TraceCategory::kComplete, 0, "watchdog-cancel");
-    posted.request->complete(status);
+    RequestState::complete(posted.request, status);
   }
   return victims.size();
 }
@@ -879,7 +879,7 @@ std::size_t RankContext::cancel_expired(ErrorCode code,
     status.error = code;
     sim::trace(node_.clock().now(), node_.id(),
                sim::TraceCategory::kComplete, 0, "ft-deadline-cancel");
-    posted.request->complete(status);
+    RequestState::complete(posted.request, status);
   }
   return victims.size();
 }
@@ -925,7 +925,7 @@ std::size_t RankContext::cancel_context(int context, ErrorCode code) {
     status.error = code;
     sim::trace(node_.clock().now(), node_.id(),
                sim::TraceCategory::kComplete, 0, "revoke-cancel");
-    posted.request->complete(status);
+    RequestState::complete(posted.request, status);
   }
   return victims.size();
 }
@@ -980,7 +980,7 @@ bool RankContext::cancel_posted(const RequestState* request) {
   status.error = ErrorCode::kCancelled;
   sim::trace(node_.clock().now(), node_.id(), sim::TraceCategory::kComplete,
              0, "cancel-recv");
-  victim.request->complete(status);
+  RequestState::complete(victim.request, status);
   return true;
 }
 

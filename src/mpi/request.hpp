@@ -26,20 +26,31 @@ class RequestState {
 
   /// Called by the completing thread, which pays the Marcel signal cost;
   /// the waiter wakes no earlier than the completer's lane after it.
-  void complete(const MpiStatus& status) {
+  ///
+  /// The state change is made under the mutex and the waiter is woken
+  /// after it is released: a waiter woken under the lock would only block
+  /// on it again and need a second wake-up (on one CPU, two context
+  /// switches per hand-off). Past the unlock the waiter may return from
+  /// wait() and drop its handle, so the notify is safe only while the
+  /// completer still holds a reference. The completer therefore hands its
+  /// reference in by value: `request` keeps the state alive until this
+  /// call returns, whoever else lets go.
+  static void complete(std::shared_ptr<RequestState> request,
+                       const MpiStatus& status) {
+    RequestState& self = *request;
     std::function<void(const MpiStatus&)> hook;
     const usec_t released_at =
-        node_.clock().advance(marcel::ThreadCosts::kSemSignal);
+        self.node_.clock().advance(marcel::ThreadCosts::kSemSignal);
     {
-      std::lock_guard<std::mutex> lock(mutex_);
-      MADMPI_CHECK_MSG(!completed_, "request completed twice");
-      status_ = status;
-      released_at_ = released_at;
-      completed_ = true;
-      hook = std::move(on_complete_);
-      on_complete_ = nullptr;
-      done_.notify_all();
+      std::lock_guard<std::mutex> lock(self.mutex_);
+      MADMPI_CHECK_MSG(!self.completed_, "request completed twice");
+      self.status_ = status;
+      self.released_at_ = released_at;
+      self.completed_ = true;
+      hook = std::move(self.on_complete_);
+      self.on_complete_ = nullptr;
     }
+    self.done_.notify_all();
     marcel::engine_notify();
     // The hook runs on the completing context (a poller, a device thread,
     // a fiber resume) with the completer's virtual-time lane installed —

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/session.hpp"
@@ -204,6 +205,49 @@ TEST(FlowControl, TinyWindowForcesDemotionOrBlocking) {
   });
   EXPECT_EQ(session->ch_mad()->credit_window(), 400u);
   EXPECT_GT(session->ch_mad()->eager_demoted(), 0u);
+}
+
+TEST(FlowControl, BlockedSenderWakesOnRefund) {
+  // A sender blocked on an empty window (policy kBlock) is woken when a
+  // failed eager send hands its admission back: refund_credit updates the
+  // account under the node lock and notifies the waiter after releasing
+  // it. The waiter also re-checks every 2 ms, and one whose re-check sees
+  // the dead route before the refund lands demotes instead; either way no
+  // credit is lost or counted twice.
+  constexpr std::uint64_t kBytes = 64;
+  const std::size_t charge =
+      kBytes + mpi::RankContext::kUnexpectedEntryOverhead;
+  int admitted = 0;
+  for (int i = 0; i < 50; ++i) {
+    auto session = tcp_pair([charge](Session::Options& o) {
+      o.credit_window_bytes = charge;
+      o.credit_policy = ChMadDevice::CreditPolicy::kBlock;
+    });
+    ChMadDevice* device = session->ch_mad();
+    ASSERT_TRUE(device->admit_eager(0, 1, kBytes, true));  // window empty
+    std::atomic<int> outcome{-1};
+    std::thread waiter([device, &outcome] {
+      outcome = device->admit_eager(0, 1, kBytes, true) ? 1 : 0;
+    });
+    while (device->credit_stalls() == 0) std::this_thread::yield();
+    // The admitted message never leaves: node 0's NIC is dead.
+    install_plan(*session, 0, sim::Protocol::kTcp, 0)->kill_at(0.0);
+    std::vector<std::byte> payload(kBytes);
+    mpi::Envelope env;
+    env.src = 0;
+    env.dst = 1;
+    env.bytes = kBytes;
+    EXPECT_FALSE(
+        device->send(0, 1, env, payload, mpi::TransferMode::kEager).is_ok());
+    waiter.join();
+    if (outcome == 1) {
+      ++admitted;
+      EXPECT_EQ(device->credits_available(0, 1), 0u);
+    } else {
+      EXPECT_EQ(device->credits_available(0, 1), charge);
+    }
+  }
+  EXPECT_GT(admitted, 0);
 }
 
 // ------------------------------------------------------------- watchdog

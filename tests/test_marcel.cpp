@@ -217,5 +217,28 @@ TEST(MarcelExecutor, DrainWaitsForTasksPostedByTasks) {
   EXPECT_EQ(finished.load(), 3);
 }
 
+TEST(MarcelExecutor, OutsidePostRacesDrainAndJoin) {
+  // post() wakes its worker after releasing the executor mutex. A worker
+  // that finishes one task and re-checks for work before sleeping can take
+  // the next task without that wake-up, finish it, and let drain() and
+  // join() on another thread retire it while post() is still to notify.
+  // The worker must outlive that notify.
+  sim::Node node(0, "n", 2);
+  for (int i = 0; i < 2000; ++i) {
+    std::atomic<int> ran{0};
+    Executor executor;  // joined before `ran` dies
+    std::thread poster([&] {
+      executor.post(node, 0.0, [&] { ++ran; });
+      while (ran.load() == 0) std::this_thread::yield();
+      executor.post(node, 0.0, [&] { ++ran; });
+    });
+    while (ran.load() == 0) std::this_thread::yield();
+    executor.join();  // drain(), then retire the workers
+    poster.join();
+    executor.drain();
+    ASSERT_EQ(ran.load(), 2);
+  }
+}
+
 }  // namespace
 }  // namespace madmpi::marcel

@@ -2,6 +2,7 @@
 // multi-request waits, explicit pack buffers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -222,12 +223,37 @@ TEST(MultiWait, TestSpinSeesHelperCompletion) {
       auto state = std::make_shared<mpi::RequestState>(node);
       mpi::MpiStatus done;
       done.tag = i;
-      host->executor().post(node, 0.0,
-                            [state, done] { state->complete(done); });
+      host->executor().post(node, 0.0, [state, done] {
+        mpi::RequestState::complete(state, done);
+      });
       Request request(state);
       mpi::MpiStatus status;
       while (!request.test(&status)) {
       }
+      ASSERT_EQ(status.tag, i);
+    }
+  });
+}
+
+TEST(MultiWait, WaiterDropsItsHandleAsSoonAsWaitReturns) {
+  // complete() wakes the waiter after releasing the request mutex, so the
+  // waiter can return from wait() and drop its handle while the completer
+  // is still inside complete(). The completer's by-value reference must
+  // keep the state alive through that notify: each helper hands its only
+  // reference over, and the waiter's is gone the moment wait() returns.
+  auto session = two_nodes(sim::Protocol::kSisci);
+  Session* host = session.get();
+  session->run([host](Comm comm) {
+    if (comm.rank() != 0) return;
+    sim::Node& node = host->node_of(0);
+    for (int i = 0; i < 10000; ++i) {
+      auto state = std::make_shared<mpi::RequestState>(node);
+      mpi::MpiStatus done;
+      done.tag = i;
+      host->executor().post(node, 0.0, [state, done]() mutable {
+        mpi::RequestState::complete(std::move(state), done);
+      });
+      const mpi::MpiStatus status = Request(std::move(state)).wait();
       ASSERT_EQ(status.tag, i);
     }
   });
@@ -247,7 +273,19 @@ TEST(MarcelExecutorSession, FinalizeLeavesNoHelperThreadBehind) {
   if (!std::filesystem::exists("/proc/self/task")) {
     GTEST_SKIP() << "needs /proc/self/task";
   }
-  const std::size_t before = live_threads();
+  // A sanitizer runtime may start a thread of its own the first time the
+  // process creates one (TSan's background thread) and keep it for good.
+  // Create and join one plain thread first, so `before` counts that one
+  // but still none the library starts. The joined thread itself may stay
+  // listed for a moment: take the lowest count over a short settle.
+  std::thread([] {}).join();
+  std::size_t before = live_threads();
+  const auto settled =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (std::chrono::steady_clock::now() < settled) {
+    before = std::min(before, live_threads());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   Session::Options options;
   options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
   // A small window so the eager stream below triggers credit returns.
