@@ -102,7 +102,7 @@ void ChMadDevice::start(marcel::Executor& executor) {
             if (!incoming) return false;  // channel closed
             state->poll_server->charge_wakeup(channel->id());
             if (forwarding) {
-              mad::ForwardHeader fwd;
+              ForwardHeader fwd;
               incoming->unpack(&fwd, sizeof fwd, mad::SendMode::kSafer,
                                mad::RecvMode::kExpress);
               if (fwd.final_dst != member) {
@@ -159,7 +159,7 @@ void ChMadDevice::shutdown() {
       mad::ChannelEndpoint* endpoint = channel->at(member);
       for (node_id_t peer : channel->members()) {
         if (peer == member) continue;
-        mad::ForwardHeader header;
+        ForwardHeader header;
         header.origin = member;
         header.final_dst = peer;
         mad::Packing packing =
@@ -253,7 +253,7 @@ Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
                       std::to_string(next));
   }
 
-  mad::ForwardHeader fwd;
+  ForwardHeader fwd;
   fwd.origin = src_node;
   fwd.final_dst = dst_node;
   mad::Packing packing = egress->at(src_node)->begin_packing(next);
@@ -269,7 +269,7 @@ Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
   return packing.end_packing();
 }
 
-void ChMadDevice::relay(node_id_t me, mad::ForwardHeader fwd,
+void ChMadDevice::relay(node_id_t me, ForwardHeader fwd,
                         mad::Unpacking& incoming) {
   // Drain everything before touching the egress channel: a message whose
   // sender aborted mid-flight must be discarded here, not half-relayed.

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,7 +34,6 @@
 #include "core/managed_device.hpp"
 #include "core/packet.hpp"
 #include "core/routing.hpp"
-#include "mad/forwarder.hpp"
 #include "mad/madeleine.hpp"
 #include "marcel/executor.hpp"
 #include "marcel/poll_server.hpp"
@@ -276,10 +276,17 @@ class ChMadDevice final : public ManagedDevice {
                          const PacketHeader& header, byte_span body,
                          const ChunkRef* chunk, bool rma_data);
 
+  /// Routing header prepended (EXPRESS) to every message on a forwarding
+  /// channel.
+  struct ForwardHeader {
+    node_id_t origin = kInvalidNode;     // first sender
+    node_id_t final_dst = kInvalidNode;  // ultimate receiver
+    std::uint16_t hops = 0;              // incremented per gateway
+  };
+
   /// Relay a forwarded message one hop further (runs on a forwarding
   /// channel's polling thread on the gateway node).
-  void relay(node_id_t me, mad::ForwardHeader fwd,
-             mad::Unpacking& incoming);
+  void relay(node_id_t me, ForwardHeader fwd, mad::Unpacking& incoming);
 
   /// One-sided replies (lock grants, fence acks, get replies) go out as
   /// helper tasks too; `body` (a get reply's bytes) rides by refcount.

@@ -116,15 +116,15 @@ class Unpacking {
   View unpack_view(std::size_t size, SendMode send_mode, RecvMode recv_mode);
 
   /// Size of the next block without consuming it (convenience beyond the
-  /// strict paper API; used by tests and by the forwarder).
+  /// strict paper API; used by tests).
   std::optional<std::size_t> peek_size();
 
   /// Consume the next block without knowing its size or modes in advance:
   /// returns a chunk reference to its bytes and whether it was packed for
-  /// receive_EXPRESS. This is the relay primitive of the gateway forwarder
-  /// (the paper's Section 6 future-work mechanism); together with
-  /// Packing::pack_chunk a gateway relays blocks without touching their
-  /// bytes. Empty at end of message.
+  /// receive_EXPRESS. This is the relay primitive of ch_mad's gateway
+  /// forwarding (the paper's Section 6 future-work mechanism); together
+  /// with Packing::pack_chunk a gateway relays blocks without touching
+  /// their bytes. Empty at end of message.
   struct DrainedBlock {
     ChunkRef chunk;
     byte_span bytes;  // == chunk.span() (zeroed pool chunk after an abort)

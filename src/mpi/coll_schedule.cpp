@@ -1,4 +1,4 @@
-// Collective schedules: the five shape generators, their hierarchical and
+// Collective schedules: the shape generators, their hierarchical and
 // offload compositions, and the runner's two drives (see coll_schedule.hpp).
 #include "mpi/coll_schedule.hpp"
 
@@ -66,12 +66,13 @@ void fold(Schedule& s, std::size_t offset, std::size_t bytes) {
   }
 }
 
-/// Generators reserve for the common case (a few rounds of a few steps),
-/// so building a schedule costs two allocations.
-Schedule reserved() {
+/// Generators reserve for the common case (a few rounds of a few steps;
+/// the block shapes know their size), so building a schedule costs two
+/// allocations.
+Schedule reserved(std::size_t steps = 16, std::size_t rounds = 8) {
   Schedule s;
-  s.steps.reserve(16);
-  s.ends.reserve(8);
+  s.steps.reserve(steps);
+  s.ends.reserve(rounds);
   return s;
 }
 
@@ -108,7 +109,7 @@ void binomial_bcast(Schedule& s, const std::vector<rank_t>& members,
   int mask = 1;
   while (mask < n) {
     if (me & mask) {
-      recv(s, member(me & ~mask), Region::kData, 0, bytes, tag);
+      recv(s, member(me & ~mask), Region::kOut, 0, bytes, tag);
       s.end_round();
       break;
     }
@@ -150,7 +151,7 @@ void flat_bcast(Schedule& s, const std::vector<rank_t>& members, rank_t rank,
       send(s, members[i], 0, bytes, tag);
     }
   } else if (index_of(members, rank) >= 0) {
-    recv(s, members.front(), Region::kData, 0, bytes, tag);
+    recv(s, members.front(), Region::kOut, 0, bytes, tag);
   }
   s.end_round();
 }
@@ -187,7 +188,7 @@ void recursive_doubling(Schedule& s, int n, rank_t rank, std::size_t bytes,
   }
   if (folded) {
     if (odd) {
-      recv(s, rank - 1, Region::kData, 0, bytes, tag);
+      recv(s, rank - 1, Region::kOut, 0, bytes, tag);
     } else {
       send(s, rank + 1, 0, bytes, tag);
     }
@@ -195,8 +196,25 @@ void recursive_doubling(Schedule& s, int n, rank_t rank, std::size_t bytes,
   }
 }
 
-// Shape 4: bandwidth-optimal ring — a reduce-scatter pass (n-1 steps over
-// n chunks), then an allgather pass circulating the reduced chunks. Each
+// Shape 4a: the allgather pass. Each rank starts holding blocks[start];
+// step k forwards blocks[start-k] to the right and lands blocks[start-k-1]
+// from the left, so after n-1 steps every rank holds every block.
+void allgather_pass(Schedule& s, int n, rank_t rank, int start,
+                    std::span<const Block> blocks, int tag) {
+  const rank_t right = (rank + 1) % n;
+  const rank_t left = (rank - 1 + n) % n;
+  for (int k = 0; k < n - 1; ++k) {
+    const Block& out = blocks[static_cast<std::size_t>((start - k + n) % n)];
+    const Block& in =
+        blocks[static_cast<std::size_t>((start - k - 1 + n) % n)];
+    recv(s, left, Region::kOut, in.offset, in.bytes, tag);
+    send(s, right, out.offset, out.bytes, tag);
+    s.end_round();
+  }
+}
+
+// Shape 4b: bandwidth-optimal ring — a reduce-scatter pass (n-1 steps over
+// n chunks), then the allgather pass circulating the reduced chunks. Each
 // rank sends 2*(n-1)/n of the data, independent of n.
 void ring(Schedule& s, int n, rank_t rank, int count, std::size_t elem,
           int tag) {
@@ -204,33 +222,31 @@ void ring(Schedule& s, int n, rank_t rank, int count, std::size_t elem,
   auto first = [&](int c) {
     return static_cast<std::size_t>(c * (count / n) + std::min(c, count % n));
   };
-  auto offset = [&](int c) { return elem * first(c); };
-  auto length = [&](int c) { return elem * (first(c + 1) - first(c)); };
+  std::vector<Block> chunks;
+  for (int c = 0; c < n; ++c) {
+    chunks.push_back({elem * first(c), elem * (first(c + 1) - first(c))});
+  }
   const rank_t right = (rank + 1) % n;
   const rank_t left = (rank - 1 + n) % n;
   // After step k of the first pass, rank r holds the partial reduction of
-  // chunk r-k-1 over ranks r-k-1..r.
+  // chunk r-k-1 over ranks r-k-1..r; the pass ends with rank r holding
+  // chunk r+1 fully reduced.
   for (int k = 0; k < n - 1; ++k) {
-    const int out = (rank - k + n) % n;
-    const int in = (rank - k - 1 + n) % n;
-    recv(s, left, Region::kScratch, 0, length(in), tag);
-    send(s, right, offset(out), length(out), tag);
-    fold(s, offset(in), length(in));
+    const Block& out = chunks[static_cast<std::size_t>((rank - k + n) % n)];
+    const Block& in =
+        chunks[static_cast<std::size_t>((rank - k - 1 + n) % n)];
+    recv(s, left, Region::kScratch, 0, in.bytes, tag);
+    send(s, right, out.offset, out.bytes, tag);
+    fold(s, in.offset, in.bytes);
     s.end_round();
   }
-  for (int k = 0; k < n - 1; ++k) {
-    const int out = (rank + 1 - k + n) % n;
-    const int in = (rank - k + n) % n;
-    recv(s, left, Region::kData, offset(in), length(in), tag);
-    send(s, right, offset(out), length(out), tag);
-    s.end_round();
-  }
+  allgather_pass(s, n, rank, rank + 1, chunks, tag);
 }
 
 // Shape 5: dissemination — log2(n) rounds of zero-byte exchanges.
 void dissemination(Schedule& s, int n, rank_t rank, int tag) {
   for (int mask = 1; mask < n; mask <<= 1) {
-    recv(s, (rank - mask + n) % n, Region::kData, 0, 0, tag);
+    recv(s, (rank - mask + n) % n, Region::kOut, 0, 0, tag);
     send(s, (rank + mask) % n, 0, 0, tag);
     s.end_round();
   }
@@ -344,16 +360,16 @@ Schedule bcast_schedule(BcastAlgorithm algorithm, const CollTopo& topo,
       if (rank == root) {
         s.steps.push_back(Step{.kind = StepKind::kOffload,
                                .offload = OffloadOp::kBcastPut,
-                               .bytes = bytes,
                                .leaders = leaders,
+                               .bytes = bytes,
                                .post_us = topo.offload_post_us + wire_us});
       } else if (my_island != root_island &&
                  rank == topo.leader_of_island(my_island)) {
         s.steps.push_back(Step{
             .kind = StepKind::kOffload,
             .offload = OffloadOp::kBcastGet,
-            .bytes = bytes,
             .leaders = leaders,
+            .bytes = bytes,
             .post_us = topo.offload_post_us,
             .tree_us = tree_depth(leaders) * topo.offload_hop_us + wire_us +
                        topo.offload_notify_us});
@@ -402,10 +418,91 @@ Schedule allreduce_schedule(AllreduceAlgorithm algorithm,
   return s;
 }
 
+// The block shapes (coll_schedule.hpp). A rank's own block is the
+// caller's local copy, never a step.
+
+Schedule gather_schedule(int n, rank_t rank, rank_t root,
+                         std::size_t send_bytes,
+                         std::span<const Block> recv_blocks) {
+  const std::size_t rounds = rank == root ? static_cast<std::size_t>(n) : 1;
+  Schedule s = reserved(rounds, rounds);
+  if (rank != root) {
+    send(s, root, 0, send_bytes, kGatherTag);
+    s.end_round();
+    return s;
+  }
+  for (rank_t src = 0; src < n; ++src) {
+    if (src == root) continue;
+    const Block& block = recv_blocks[static_cast<std::size_t>(src)];
+    recv(s, src, Region::kOut, block.offset, block.bytes, kGatherTag);
+    s.end_round();
+  }
+  return s;
+}
+
+Schedule scatter_schedule(int n, rank_t rank, rank_t root,
+                          std::span<const Block> send_blocks,
+                          std::size_t recv_bytes) {
+  const std::size_t rounds = rank == root ? static_cast<std::size_t>(n) : 1;
+  Schedule s = reserved(rounds, rounds);
+  if (rank != root) {
+    recv(s, root, Region::kOut, 0, recv_bytes, kScatterTag);
+    s.end_round();
+    return s;
+  }
+  for (rank_t dst = 0; dst < n; ++dst) {
+    if (dst == root) continue;
+    const Block& block = send_blocks[static_cast<std::size_t>(dst)];
+    send(s, dst, block.offset, block.bytes, kScatterTag);
+    s.end_round();
+  }
+  return s;
+}
+
+Schedule allgather_schedule(int n, rank_t rank,
+                            std::span<const Block> blocks) {
+  Schedule s = reserved(2 * static_cast<std::size_t>(n),
+                        static_cast<std::size_t>(n));
+  allgather_pass(s, n, rank, rank, blocks, kAllgatherTag);
+  return s;
+}
+
+Schedule alltoall_schedule(int n, rank_t rank,
+                           std::span<const Block> send_blocks,
+                           std::span<const Block> recv_blocks) {
+  Schedule s = reserved(2 * static_cast<std::size_t>(n),
+                        static_cast<std::size_t>(n));
+  for (int k = 1; k < n; ++k) {
+    const rank_t dst = (rank + k) % n;
+    const rank_t src = (rank - k + n) % n;
+    const Block& in = recv_blocks[static_cast<std::size_t>(src)];
+    const Block& out = send_blocks[static_cast<std::size_t>(dst)];
+    recv(s, src, Region::kOut, in.offset, in.bytes, kAlltoallTag);
+    send(s, dst, out.offset, out.bytes, kAlltoallTag);
+    s.end_round();
+  }
+  return s;
+}
+
+Schedule scan_schedule(int n, rank_t rank, std::size_t bytes) {
+  Schedule s = reserved();
+  if (rank > 0) {
+    recv(s, rank - 1, Region::kScratch, 0, bytes, kScanTag);
+    fold(s, 0, bytes);
+    s.end_round();
+  }
+  if (rank + 1 < n) {
+    send(s, rank + 1, 0, bytes, kScanTag);
+    s.end_round();
+  }
+  return s;
+}
+
 // --- Inline drive ----------------------------------------------------------
 
-Status Comm::run_schedule(const Schedule& schedule, std::byte* data,
-                          const Datatype& type, const Op* op) {
+Status Comm::run_schedule(const Schedule& schedule, const std::byte* in,
+                          std::byte* out, const Datatype& type,
+                          const Op* op) {
   std::vector<std::byte> scratch(schedule.scratch_bytes);
   const std::uint64_t offload_key =
       schedule.offload
@@ -423,10 +520,10 @@ Status Comm::run_schedule(const Schedule& schedule, std::byte* data,
       dests.clear();
       const Step* fanout = nullptr;  // the round's sends share one payload
       for (const Step& step : round) {
-        std::byte* at =
-            (step.region == Region::kData ? data : scratch.data()) +
-            step.offset;
         if (step.kind == StepKind::kRecv) {
+          std::byte* at =
+              (step.region == Region::kOut ? out : scratch.data()) +
+              step.offset;
           auto state = coll_post_recv(at, step.bytes, step.peer, step.tag);
           if (state) posted.push_back(std::move(state));
         } else if (step.kind == StepKind::kSend) {
@@ -438,13 +535,13 @@ Status Comm::run_schedule(const Schedule& schedule, std::byte* data,
         }
       }
       if (fanout != nullptr) {
-        coll_send_multi(dests, data + fanout->offset, fanout->bytes,
+        coll_send_multi(dests, in + fanout->offset, fanout->bytes,
                         fanout->tag);
       }
       for (const auto& state : posted) coll_wait(*state);
       for (const Step& step : round) {
         if (step.kind == StepKind::kReduce) {
-          op->apply(scratch.data(), data + step.offset,
+          op->apply(scratch.data(), out + step.offset,
                     static_cast<int>(step.bytes / type.size()), type);
           clock.advance(static_cast<double>(step.bytes) *
                         sim::kHostCopyUsPerByte);
@@ -455,11 +552,11 @@ Status Comm::run_schedule(const Schedule& schedule, std::byte* data,
             clock.sync_to(board.barrier(offload_key, step.leaders,
                                         clock.now(), step.tree_us));
           } else if (step.offload == OffloadOp::kBcastPut) {
-            board.bcast_put(offload_key, step.leaders, clock.now(), data,
+            board.bcast_put(offload_key, step.leaders, clock.now(), in,
                             step.bytes);
           } else {
             clock.sync_to(board.bcast_get(offload_key, step.leaders,
-                                          clock.now(), step.tree_us, data,
+                                          clock.now(), step.tree_us, out,
                                           step.bytes));
             clock.advance(static_cast<double>(step.bytes) *
                           sim::kHostCopyUsPerByte);
@@ -520,10 +617,13 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
                      "the NIC offload has no nonblocking drive");
   }
 
-  std::byte* data = nullptr;
+  /// The run's buffers, as in the inline drive (equal for every shape with
+  /// a nonblocking form).
+  const std::byte* in = nullptr;
+  std::byte* out = nullptr;
   Datatype type = Datatype::byte();
   Op op = Op::sum();
-  /// Packed copy of a non-contiguous ibcast payload (`data` points here).
+  /// Packed copy of a non-contiguous ibcast payload (in/out point here).
   std::vector<std::byte> staging;
   /// Runs on the completing context after a clean last round; the buffer
   /// hand-off to the user happens at wait/test, which orders after it.
@@ -561,14 +661,15 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
     do {
       round = schedule_.round(next_++);
       for (const Step& step : round) {
-        std::byte* at =
-            (step.region == Region::kData ? data : scratch_.data()) +
-            step.offset;
         if (step.kind == StepKind::kRecv) {
+          std::byte* at =
+              (step.region == Region::kOut ? out : scratch_.data()) +
+              step.offset;
           track(Request(comm_.coll_post_recv(at, step.bytes, step.peer, tag_,
                                              /*hooked=*/true)));
         } else if (step.kind == StepKind::kSend) {
-          track(comm_.coll_isend(at, step.bytes, step.peer, tag_));
+          track(comm_.coll_isend(in + step.offset, step.bytes, step.peer,
+                                 tag_));
         }
       }
     } while (sends_only(round) && next_ < schedule_.rounds() &&
@@ -592,12 +693,12 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
   /// race-free. A recorded error short-circuits the remaining rounds.
   void advance() {
     if (error_ == ErrorCode::kOk) {
-      // The sends lend `data` to the wire without staging, but report
+      // The sends lend `in` to the wire without staging, but report
       // completion only after injection (eager) or transfer (rendezvous),
-      // so folding into it here is safe.
+      // so folding into `out` (the same buffer) here is safe.
       for (const Step& step : schedule_.round(next_ - 1)) {
         if (step.kind == StepKind::kReduce) {
-          op.apply(scratch_.data(), data + step.offset,
+          op.apply(scratch_.data(), out + step.offset,
                    static_cast<int>(step.bytes / type.size()), type);
         }
       }
@@ -666,18 +767,19 @@ Request Comm::ibcast(void* buf, int count, const Datatype& type,
   auto sched = std::make_shared<IcollSchedule>(
       *this, bcast_schedule(algorithm, coll_topo(), rank_, root, bytes));
   if (type.is_contiguous()) {
-    sched->data = static_cast<std::byte*>(buf);
+    sched->out = static_cast<std::byte*>(buf);
   } else {
     sched->staging.resize(bytes);
-    sched->data = sched->staging.data();
+    sched->out = sched->staging.data();
     if (rank_ == root) {
-      type.pack(buf, count, sched->data);
+      type.pack(buf, count, sched->out);
     } else {
-      sched->on_finish = [wire = sched->data, buf, count, type] {
+      sched->on_finish = [wire = sched->out, buf, count, type] {
         type.unpack(wire, count, buf);
       };
     }
   }
+  sched->in = sched->out;
   return sched->start();
 }
 
@@ -701,7 +803,8 @@ Request Comm::iallreduce(const void* send_buf, void* recv_buf, int count,
   auto sched = std::make_shared<IcollSchedule>(
       *this, allreduce_schedule(AllreduceAlgorithm::kRecursiveDoubling,
                                 coll_topo(), rank_, count, type.size()));
-  sched->data = static_cast<std::byte*>(recv_buf);
+  sched->out = static_cast<std::byte*>(recv_buf);
+  sched->in = sched->out;
   sched->type = type;
   sched->op = op;
   std::memcpy(recv_buf, send_buf,

@@ -1,26 +1,32 @@
 // One schedule per collective shape.
 //
-// Every barrier/bcast/reduce/allreduce algorithm — flat, hierarchical or
-// NIC-offloaded, blocking or nonblocking — is a per-rank Schedule built by
-// a pure generator from (topology digest, rank, root, bytes), then run by
-// one runner (coll_schedule.cpp) in one of two drives:
+// Every collective except the two compositions (allgatherv,
+// reduce_scatter_block) is a per-rank Schedule built by a pure generator
+// from (topology digest or size, rank, root, bytes or per-rank blocks),
+// then run by one runner (coll_schedule.cpp) over an (in, out) buffer
+// pair: Send steps read `in`, Recv steps land in `out` or the run's
+// scratch, Reduce steps fold scratch into `out`. The in-place shapes
+// (barrier, bcast, reduce, allreduce, allgather, scan) pass the same
+// buffer twice. The runner has two drives:
 //
-//   inline  (barrier/bcast/reduce/allreduce): the calling rank posts a
-//           round's receives, sends (one coll_send, or coll_send_multi
-//           for a fan-out, so credit back-pressure still blocks), waits,
-//           then folds. Under FT capture a hop the detector proves dead
-//           is skipped and recorded (coll_post_recv, coll_send).
+//   inline  (every blocking collective): the calling rank posts a round's
+//           receives, sends (one coll_send, or coll_send_multi for a
+//           fan-out, so credit back-pressure still blocks), waits, then
+//           folds. Under FT capture a hop the detector proves dead is
+//           skipped and recorded (coll_post_recv, coll_send).
 //   hooked  (ibarrier/ibcast/iallreduce): a pending-count pump advanced
 //           from RequestState completion hooks under a per-instance tag;
 //           it never blocks.
 //
-// Five shapes exist, each generated in exactly one place: the binomial
-// tree over an explicit member list (bcast down, reduce up), the flat
-// fan-out, recursive doubling with the non-power-of-two fold, the ring
-// (reduce-scatter + allgather) and dissemination. The hierarchical and
-// offload algorithms are compositions of these over the coll_topo.hpp
-// member lists; the offload adds one blocking Offload step backed by the
-// runtime's CollOffloadBoard.
+// Each shape is generated in exactly one place: the binomial tree over an
+// explicit member list (bcast down, reduce up), the flat fan-out,
+// recursive doubling with the non-power-of-two fold, the ring
+// (reduce-scatter, then the allgather pass that allgather runs alone),
+// dissemination, the linear fan-in (gather), the linear fan-out
+// (scatter), the pairwise exchange (alltoall) and the prefix chain
+// (scan). The hierarchical and offload algorithms are compositions of
+// these over the coll_topo.hpp member lists; the offload adds one
+// blocking Offload step backed by the runtime's CollOffloadBoard.
 #pragma once
 
 #include <cstddef>
@@ -69,27 +75,31 @@ void coll_wait(RequestState& state);
 
 enum class StepKind : std::uint8_t { kRecv, kSend, kReduce, kOffload };
 
-/// The buffer a Recv/Send step addresses: the collective's data (the user
-/// buffer or its packed staging) or the per-run scratch that lands a
-/// partner's contribution before a Reduce folds it.
-enum class Region : std::uint8_t { kData, kScratch };
+/// Where a Recv step lands: the run's `out` buffer (the user buffer or its
+/// packed staging) or the per-run scratch that holds a partner's
+/// contribution until a Reduce folds it.
+enum class Region : std::uint8_t { kOut, kScratch };
 
 enum class OffloadOp : std::uint8_t { kBarrier, kBcastPut, kBcastGet };
 
+/// The fields are ordered to pack into 48 bytes: a rank of an alltoall
+/// holds 2(n-1) steps while it waits.
 struct Step {
   StepKind kind = StepKind::kSend;
-  Region region = Region::kData;
+  Region region = Region::kOut;
   OffloadOp offload = OffloadOp::kBarrier;
   int tag = 0;
   /// Recv/Send: the partner (comm rank).
   rank_t peer = kInvalidRank;
-  /// Recv/Send: byte range in `region`. Reduce: fold scratch[0, bytes)
-  /// into data[offset, offset + bytes). Offload: payload size.
+  /// Offload: participating leaders.
+  int leaders = 0;
+  /// Recv: byte range in `region`. Send: byte range in `in`. Reduce: fold
+  /// scratch[0, bytes) into out[offset, offset + bytes). Offload: payload
+  /// size.
   std::size_t offset = 0;
   std::size_t bytes = 0;
-  /// Offload: participating leaders, the host's descriptor-post charge and
-  /// the modeled NIC tree cost.
-  int leaders = 0;
+  /// Offload: the host's descriptor-post charge and the modeled NIC tree
+  /// cost.
   usec_t post_us = 0.0;
   usec_t tree_us = 0.0;
 };
@@ -121,8 +131,18 @@ struct Schedule {
   }
 };
 
+/// One rank's slice of a gather/scatter/allgather/alltoall buffer: the
+/// generators address rank r's data at blocks[r] and leave a rank's own
+/// block to the caller's local copy. The v-variants give ragged (and
+/// zero-byte) blocks; the plain ones equal, adjacent blocks.
+struct Block {
+  std::size_t offset = 0;
+  std::size_t bytes = 0;
+};
+
 // Generators. Pure functions of their arguments; the communicator size is
 // topo.island_of.size(), and the flat shapes read nothing else from it.
+// The block shapes take the size `n` directly.
 
 Schedule barrier_schedule(BarrierAlgorithm algorithm, const CollTopo& topo,
                           rank_t rank);
@@ -138,5 +158,28 @@ Schedule reduce_schedule(bool hierarchical, const CollTopo& topo,
 Schedule allreduce_schedule(AllreduceAlgorithm algorithm,
                             const CollTopo& topo, rank_t rank, int count,
                             std::size_t elem);
+/// Linear fan-in to `root`: every other rank sends its `send_bytes` from
+/// `in`; the root lands rank r's in out at recv[r], one receive per round
+/// in ascending source order. `recv` is read at the root only.
+Schedule gather_schedule(int n, rank_t rank, rank_t root,
+                         std::size_t send_bytes, std::span<const Block> recv);
+/// Linear fan-out from `root`: the root sends send[r] to each other rank,
+/// one send per round in ascending order (unlike the flat bcast, each rank
+/// gets its own block); the others land `recv_bytes` at the start of out.
+/// `send` is read at the root only.
+Schedule scatter_schedule(int n, rank_t rank, rank_t root,
+                          std::span<const Block> send,
+                          std::size_t recv_bytes);
+/// In-place ring allgather: each rank starts holding blocks[rank]; round k
+/// (0 <= k < n-1) forwards blocks[rank-k] to rank+1 and lands
+/// blocks[rank-k-1] from rank-1.
+Schedule allgather_schedule(int n, rank_t rank, std::span<const Block> blocks);
+/// Pairwise exchange: round k (1 <= k < n) lands recv[rank-k] from rank-k
+/// and sends send[rank+k] to rank+k.
+Schedule alltoall_schedule(int n, rank_t rank, std::span<const Block> send,
+                           std::span<const Block> recv);
+/// In-place inclusive prefix chain over `bytes`: land rank-1's prefix in
+/// scratch and fold it, then send the result to rank+1.
+Schedule scan_schedule(int n, rank_t rank, std::size_t bytes);
 
 }  // namespace madmpi::mpi

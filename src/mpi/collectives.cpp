@@ -1,12 +1,20 @@
 // Collective operations over point-to-point (the "generic part: collective
-// ops" box of the MPICH structure, paper Figure 1). barrier, bcast, reduce
-// and allreduce run generated schedules (coll_schedule.cpp); the rest are
-// the classic MPICH algorithms: ring allgather, pairwise alltoall, linear
-// gather/scatter/scan.
+// ops" box of the MPICH structure, paper Figure 1). Every collective runs a
+// generated schedule (coll_schedule.cpp) through one runner, except two
+// compositions of the public calls: allgatherv (gatherv to rank 0, then
+// bcast) and reduce_scatter_block (reduce, then scatter). The plain
+// gather/scatter/alltoall delegate to their v-variants with equal blocks.
 //
-// Collectives run on `context + 1` — the private collective context of the
-// communicator — so their traffic can never match user receives.
+// Contiguous datatypes are sent from and received into the user buffers
+// directly; any other type is packed once before the run and unpacked once
+// after it (Blocks below). Collectives run on `context + 1` — the private
+// collective context of the communicator — so their traffic can never
+// match user receives.
+#include <climits>
+#include <cstdint>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "mpi/coll_schedule.hpp"
@@ -15,6 +23,105 @@
 #include "mpi/ft_internal.hpp"
 
 namespace madmpi::mpi {
+
+namespace {
+
+/// Where each rank's block of a gather/scatter/allgather/alltoall buffer
+/// sits in the buffer the schedule addresses. A contiguous type is
+/// addressed in the user buffer itself; any other type through one packed
+/// staging copy, packed before the run (send side) or unpacked after it
+/// (receive side).
+class Blocks {
+ public:
+  Blocks() = default;
+  /// Block r: counts[r] elements at element displacement displs[r].
+  Blocks(const Datatype& type, std::span<const int> counts,
+         std::span<const int> displs)
+      : type_(type) {
+    std::size_t packed = 0;
+    for (std::size_t r = 0; r < counts.size(); ++r) {
+      const std::size_t bytes =
+          type.size() * static_cast<std::size_t>(counts[r]);
+      const std::size_t at =
+          type.extent() * static_cast<std::size_t>(displs[r]);
+      if (type.is_contiguous()) {
+        blocks_.push_back({at, bytes});
+      } else {
+        user_.push_back({at, counts[r]});
+        blocks_.push_back({packed, bytes});
+        packed += bytes;
+      }
+    }
+    staging_.resize(packed);
+  }
+  /// One block of `count` elements.
+  Blocks(const Datatype& type, int count)
+      : Blocks(type, std::span<const int>(&count, 1), kZero) {}
+
+  std::span<const Block> blocks() const { return blocks_; }
+  const Block& at(rank_t r) const {
+    return blocks_[static_cast<std::size_t>(r)];
+  }
+
+  /// The send side: the user buffer, or the staging packed from it.
+  const std::byte* in(const void* user) {
+    if (type_.is_contiguous()) return static_cast<const std::byte*>(user);
+    for (std::size_t r = 0; r < blocks_.size(); ++r) {
+      type_.pack(static_cast<const std::byte*>(user) + user_[r].at,
+                 user_[r].count, staging_.data() + blocks_[r].offset);
+    }
+    return staging_.data();
+  }
+
+  /// The receive side: the user buffer, or the staging unpack() drains.
+  std::byte* out(void* user) {
+    return type_.is_contiguous() ? static_cast<std::byte*>(user)
+                                 : staging_.data();
+  }
+  void unpack(void* user) const {
+    if (type_.is_contiguous()) return;
+    for (std::size_t r = 0; r < blocks_.size(); ++r) {
+      type_.unpack(staging_.data() + blocks_[r].offset, user_[r].count,
+                   static_cast<std::byte*>(user) + user_[r].at);
+    }
+  }
+
+ private:
+  static constexpr int kZero[1] = {0};
+  struct Placed {
+    std::size_t at;  // byte offset in the user buffer
+    int count;
+  };
+  Datatype type_ = Datatype::byte();
+  std::vector<Placed> user_;  // staged types only
+  std::vector<Block> blocks_;
+  std::vector<std::byte> staging_;
+};
+
+/// `n` blocks of `count` elements, rank r's at element r * count: the plain
+/// calls' layout, in the v-variants' int displacements.
+std::pair<std::vector<int>, std::vector<int>> equal_blocks(int count, int n) {
+  MADMPI_CHECK_MSG(
+      count >= 0 && static_cast<std::int64_t>(count) * n <= INT_MAX,
+      "collective buffer exceeds the int displacement range");
+  std::vector<int> displs;
+  for (int r = 0; r < n; ++r) displs.push_back(r * count);
+  return {std::vector<int>(static_cast<std::size_t>(n), count),
+          std::move(displs)};
+}
+
+/// A rank's own block never touches the wire: one copy between the two
+/// addressed buffers.
+void copy_own(const std::byte* in, const Block& from, std::byte* out,
+              const Block& to) {
+  MADMPI_CHECK_MSG(from.bytes == to.bytes,
+                   "own block: send/recv type signatures disagree");
+  if (from.bytes > 0) {
+    std::memcpy(out + to.offset, in + from.offset, from.bytes);
+  }
+}
+
+}  // namespace
 
 void Comm::coll_send(const void* buf, std::size_t bytes, rank_t dest,
                      int tag) {
@@ -93,38 +200,6 @@ std::shared_ptr<RequestState> Comm::coll_post_recv(void* buf,
   return state;
 }
 
-void Comm::coll_recv(void* buf, std::size_t bytes, rank_t source, int tag) {
-  if (auto state = coll_post_recv(buf, bytes, source, tag)) coll_wait(*state);
-}
-
-void Comm::gather_packed_to_root(const void* send_buf, int send_count,
-                                 const Datatype& send_type, std::byte* wire,
-                                 const std::vector<std::size_t>& offsets,
-                                 rank_t root) {
-  const int n = size();
-  if (rank_ != root) {
-    std::vector<std::byte> staging;
-    const byte_span packed =
-        pack_for_send(send_buf, send_count, send_type, staging);
-    coll_send(packed.data(), packed.size(), root, kGatherTag);
-    return;
-  }
-  MADMPI_CHECK(offsets.size() == static_cast<std::size_t>(n) + 1);
-  for (rank_t src = 0; src < n; ++src) {
-    std::byte* dst = wire + offsets[static_cast<std::size_t>(src)];
-    const std::size_t bytes = offsets[static_cast<std::size_t>(src) + 1] -
-                              offsets[static_cast<std::size_t>(src)];
-    if (src == rank_) {
-      MADMPI_CHECK_MSG(
-          send_type.size() * static_cast<std::size_t>(send_count) == bytes,
-          "gather root's own block disagrees with its receive slot");
-      send_type.pack(send_buf, send_count, dst);
-    } else {
-      coll_recv(dst, bytes, src, kGatherTag);
-    }
-  }
-}
-
 void Comm::set_collective_config(const CollectiveConfig& config) {
   std::lock_guard<std::mutex> lock(shared_->seq_mutex);
   shared_->collectives_of(rank_) = config;
@@ -144,7 +219,7 @@ Status Comm::barrier() {
   }
   if (size() == 1) return Status::ok();
   return run_schedule(barrier_schedule(resolve_barrier(), coll_topo(), rank_),
-                      nullptr);
+                      nullptr, nullptr);
 }
 
 Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
@@ -158,25 +233,16 @@ Status Comm::bcast(void* buf, int count, const Datatype& type, rank_t root) {
   if (size() == 1) return Status::ok();
   const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
 
-  // The payload travels packed; non-contiguous types are staged.
-  std::vector<std::byte> staging;
-  std::byte* wire = nullptr;
-  if (type.is_contiguous()) {
-    wire = static_cast<std::byte*>(buf);
-  } else {
-    staging.resize(bytes);
-    wire = staging.data();
-    if (rank_ == root) type.pack(buf, count, wire);
-  }
-
+  // In place: the root's payload (packed once when non-contiguous) and
+  // every other rank's landing share one buffer.
+  Blocks wire(type, count);
+  std::byte* data = wire.out(buf);
+  if (rank_ == root) wire.in(buf);
   const Status status = run_schedule(
       bcast_schedule(resolve_bcast(bytes), coll_topo(), rank_, root, bytes),
-      wire);
-  if (!status.is_ok()) return status;
-  if (!type.is_contiguous() && rank_ != root) {
-    type.unpack(wire, count, buf);
-  }
-  return Status::ok();
+      data, data);
+  if (status.is_ok() && rank_ != root) wire.unpack(buf);
+  return status;
 }
 
 Status Comm::reduce(const void* send_buf, void* recv_buf, int count,
@@ -203,7 +269,7 @@ Status Comm::reduce(const void* send_buf, void* recv_buf, int count,
       resolve_allreduce(bytes) == AllreduceAlgorithm::kHierarchical;
   const Status status = run_schedule(
       reduce_schedule(hierarchical, coll_topo(), rank_, root, bytes),
-      accum.data(), type, &op);
+      accum.data(), accum.data(), type, &op);
   if (!status.is_ok()) return status;
   if (rank_ == root) {
     std::memcpy(recv_buf, accum.data(), bytes);
@@ -237,55 +303,20 @@ Status Comm::allreduce(const void* send_buf, void* recv_buf, int count,
   MADMPI_CHECK_MSG(type.is_contiguous(),
                    "allreduce requires a contiguous datatype");
   std::memcpy(recv_buf, send_buf, bytes);
+  auto* data = static_cast<std::byte*>(recv_buf);
   return run_schedule(
       allreduce_schedule(algorithm, coll_topo(), rank_, count, type.size()),
-      static_cast<std::byte*>(recv_buf), type, &op);
+      data, data, type, &op);
 }
 
 Status Comm::gather(const void* send_buf, int send_count,
                     const Datatype& send_type, void* recv_buf, int recv_count,
                     const Datatype& recv_type, rank_t root) {
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    return raise_error(entry);
-  }
-  if (ft_should_wrap()) {
-    return ft_collective([&] {
-      return gather(send_buf, send_count, send_type, recv_buf, recv_count,
-                    recv_type, root);
-    });
-  }
-  const int n = size();
-  const std::size_t bytes =
-      send_type.size() * static_cast<std::size_t>(send_count);
-  std::vector<std::size_t> offsets;
-  std::vector<std::byte> wire;
-  if (rank_ == root) {
-    MADMPI_CHECK_MSG(
-        recv_type.size() * static_cast<std::size_t>(recv_count) == bytes,
-        "gather send/recv type signatures disagree");
-    offsets.resize(static_cast<std::size_t>(n) + 1, 0);
-    for (int r = 0; r < n; ++r) {
-      offsets[static_cast<std::size_t>(r) + 1] =
-          offsets[static_cast<std::size_t>(r)] + bytes;
-    }
-    wire.resize(offsets.back());
-  }
-  try {
-    gather_packed_to_root(send_buf, send_count, send_type, wire.data(),
-                          offsets, root);
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  if (rank_ == root) {
-    auto* out = static_cast<std::byte*>(recv_buf);
-    const std::size_t slot =
-        recv_type.extent() * static_cast<std::size_t>(recv_count);
-    for (rank_t src = 0; src < n; ++src) {
-      recv_type.unpack(wire.data() + offsets[static_cast<std::size_t>(src)],
-                       recv_count, out + slot * static_cast<std::size_t>(src));
-    }
-  }
-  return Status::ok();
+  // The receive layout is significant at the root only.
+  const auto [counts, displs] =
+      equal_blocks(rank_ == root ? recv_count : 0, size());
+  return gatherv(send_buf, send_count, send_type, recv_buf, counts, displs,
+                 recv_type, root);
 }
 
 Status Comm::gatherv(const void* send_buf, int send_count,
@@ -303,79 +334,32 @@ Status Comm::gatherv(const void* send_buf, int send_count,
     });
   }
   const int n = size();
-  std::vector<std::size_t> offsets;
-  std::vector<std::byte> wire;
+  Blocks send(send_type, send_count);
+  const std::byte* in = send.in(send_buf);
+  Blocks recv;
+  std::byte* out = nullptr;
   if (rank_ == root) {
     MADMPI_CHECK(recv_counts.size() == static_cast<std::size_t>(n));
     MADMPI_CHECK(displacements.size() == static_cast<std::size_t>(n));
-    offsets.resize(static_cast<std::size_t>(n) + 1, 0);
-    for (int r = 0; r < n; ++r) {
-      offsets[static_cast<std::size_t>(r) + 1] =
-          offsets[static_cast<std::size_t>(r)] +
-          recv_type.size() * static_cast<std::size_t>(recv_counts[r]);
-    }
-    wire.resize(offsets.back());
+    recv = Blocks(recv_type, recv_counts, displacements);
+    out = recv.out(recv_buf);
+    copy_own(in, send.at(0), out, recv.at(root));
   }
-  try {
-    gather_packed_to_root(send_buf, send_count, send_type, wire.data(),
-                          offsets, root);
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  if (rank_ == root) {
-    auto* out = static_cast<std::byte*>(recv_buf);
-    for (rank_t src = 0; src < n; ++src) {
-      recv_type.unpack(wire.data() + offsets[static_cast<std::size_t>(src)],
-                       recv_counts[src],
-                       out + recv_type.extent() *
-                                 static_cast<std::size_t>(displacements[src]));
-    }
-  }
-  return Status::ok();
+  const Status status = run_schedule(
+      gather_schedule(n, rank_, root, send.at(0).bytes, recv.blocks()), in,
+      out);
+  if (status.is_ok()) recv.unpack(recv_buf);
+  return status;
 }
 
 Status Comm::scatter(const void* send_buf, int send_count,
                      const Datatype& send_type, void* recv_buf,
                      int recv_count, const Datatype& recv_type, rank_t root) {
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    return raise_error(entry);
-  }
-  if (ft_should_wrap()) {
-    return ft_collective([&] {
-      return scatter(send_buf, send_count, send_type, recv_buf, recv_count,
-                     recv_type, root);
-    });
-  }
-  const int n = size();
-  const std::size_t bytes =
-      recv_type.size() * static_cast<std::size_t>(recv_count);
-  try {
-    if (rank_ == root) {
-      MADMPI_CHECK_MSG(
-          send_type.size() * static_cast<std::size_t>(send_count) == bytes,
-          "scatter send/recv type signatures disagree");
-      const auto* in = static_cast<const std::byte*>(send_buf);
-      const std::size_t slot =
-          send_type.extent() * static_cast<std::size_t>(send_count);
-      std::vector<std::byte> wire(bytes);
-      for (rank_t dst = 0; dst < n; ++dst) {
-        const std::byte* src_elem = in + slot * static_cast<std::size_t>(dst);
-        send_type.pack(src_elem, send_count, wire.data());
-        if (dst == rank_) {
-          recv_type.unpack(wire.data(), recv_count, recv_buf);
-        } else {
-          coll_send(wire.data(), bytes, dst, kScatterTag);
-        }
-      }
-    } else {
-      std::vector<std::byte> wire(bytes);
-      coll_recv(wire.data(), bytes, root, kScatterTag);
-      recv_type.unpack(wire.data(), recv_count, recv_buf);
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  return Status::ok();
+  // The send layout is significant at the root only.
+  const auto [counts, displs] =
+      equal_blocks(rank_ == root ? send_count : 0, size());
+  return scatterv(send_buf, counts, displs, send_type, recv_buf, recv_count,
+                  recv_type, root);
 }
 
 Status Comm::scatterv(const void* send_buf, std::span<const int> send_counts,
@@ -393,38 +377,22 @@ Status Comm::scatterv(const void* send_buf, std::span<const int> send_counts,
     });
   }
   const int n = size();
-  try {
-    if (rank_ == root) {
-      MADMPI_CHECK(send_counts.size() == static_cast<std::size_t>(n));
-      MADMPI_CHECK(displacements.size() == static_cast<std::size_t>(n));
-      const auto* in = static_cast<const std::byte*>(send_buf);
-      for (rank_t dst = 0; dst < n; ++dst) {
-        const std::size_t bytes =
-            send_type.size() * static_cast<std::size_t>(send_counts[dst]);
-        const std::byte* src_elem =
-            in + send_type.extent() *
-                     static_cast<std::size_t>(displacements[dst]);
-        std::vector<std::byte> wire(bytes);
-        send_type.pack(src_elem, send_counts[dst], wire.data());
-        if (dst == rank_) {
-          MADMPI_CHECK(recv_type.size() *
-                           static_cast<std::size_t>(recv_count) == bytes);
-          recv_type.unpack(wire.data(), recv_count, recv_buf);
-        } else {
-          coll_send(wire.data(), bytes, dst, kScatterTag);
-        }
-      }
-    } else {
-      const std::size_t bytes =
-          recv_type.size() * static_cast<std::size_t>(recv_count);
-      std::vector<std::byte> wire(bytes);
-      coll_recv(wire.data(), bytes, root, kScatterTag);
-      recv_type.unpack(wire.data(), recv_count, recv_buf);
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
+  Blocks recv(recv_type, recv_count);
+  std::byte* out = recv.out(recv_buf);
+  Blocks send;
+  const std::byte* in = nullptr;
+  if (rank_ == root) {
+    MADMPI_CHECK(send_counts.size() == static_cast<std::size_t>(n));
+    MADMPI_CHECK(displacements.size() == static_cast<std::size_t>(n));
+    send = Blocks(send_type, send_counts, displacements);
+    in = send.in(send_buf);
+    copy_own(in, send.at(root), out, recv.at(0));
   }
-  return Status::ok();
+  const Status status = run_schedule(
+      scatter_schedule(n, rank_, root, send.blocks(), recv.at(0).bytes), in,
+      out);
+  if (status.is_ok()) recv.unpack(recv_buf);
+  return status;
 }
 
 Status Comm::allgather(const void* send_buf, int send_count,
@@ -439,45 +407,17 @@ Status Comm::allgather(const void* send_buf, int send_count,
                        recv_type);
     });
   }
-  // Ring algorithm: size-1 steps, each forwarding the freshest block.
   const int n = size();
-  const std::size_t block =
-      send_type.size() * static_cast<std::size_t>(send_count);
-  MADMPI_CHECK_MSG(
-      recv_type.size() * static_cast<std::size_t>(recv_count) == block,
-      "allgather send/recv type signatures disagree");
-
-  std::vector<std::byte> wire(block * static_cast<std::size_t>(n));
-  send_type.pack(send_buf, send_count,
-                 wire.data() + block * static_cast<std::size_t>(rank_));
-
-  const rank_t right = (rank_ + 1) % n;
-  const rank_t left = (rank_ - 1 + n) % n;
-  int cur = rank_;
-  try {
-    for (int step = 0; step < n - 1; ++step) {
-      const int incoming = (cur - 1 + n) % n;
-      // Post the receive before sending to avoid rendezvous cross-blocking.
-      const auto state = coll_post_recv(
-          wire.data() + block * static_cast<std::size_t>(incoming), block,
-          left, kAllgatherTag);
-      coll_send(wire.data() + block * static_cast<std::size_t>(cur), block,
-                right, kAllgatherTag);
-      if (state) coll_wait(*state);
-      cur = incoming;
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-
-  auto* out = static_cast<std::byte*>(recv_buf);
-  const std::size_t slot =
-      recv_type.extent() * static_cast<std::size_t>(recv_count);
-  for (rank_t r = 0; r < n; ++r) {
-    recv_type.unpack(wire.data() + block * static_cast<std::size_t>(r),
-                     recv_count, out + slot * static_cast<std::size_t>(r));
-  }
-  return Status::ok();
+  const auto [counts, displs] = equal_blocks(recv_count, n);
+  Blocks send(send_type, send_count);
+  Blocks recv(recv_type, counts, displs);
+  std::byte* out = recv.out(recv_buf);
+  copy_own(send.in(send_buf), send.at(0), out, recv.at(rank_));
+  // In place: each step forwards a block an earlier step landed.
+  const Status status =
+      run_schedule(allgather_schedule(n, rank_, recv.blocks()), out, out);
+  if (status.is_ok()) recv.unpack(recv_buf);
+  return status;
 }
 
 Status Comm::allgatherv(const void* send_buf, int send_count,
@@ -494,33 +434,32 @@ Status Comm::allgatherv(const void* send_buf, int send_count,
                         recv_counts, displacements, recv_type);
     });
   }
-  // Gather-to-0 then bcast of the concatenated packed blocks (simple and
-  // correct for ragged sizes).
   const int n = size();
   MADMPI_CHECK(recv_counts.size() == static_cast<std::size_t>(n));
   MADMPI_CHECK(displacements.size() == static_cast<std::size_t>(n));
-
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  // Gather the packed blocks to rank 0, then bcast their concatenation
+  // (simple and correct for ragged sizes). The inner calls route any
+  // failure through the error handler themselves.
+  std::vector<int> wire_counts;
+  std::vector<int> wire_displs;
+  std::int64_t total = 0;
   for (int r = 0; r < n; ++r) {
-    offsets[static_cast<std::size_t>(r) + 1] =
-        offsets[static_cast<std::size_t>(r)] +
-        recv_type.size() * static_cast<std::size_t>(recv_counts[r]);
+    wire_displs.push_back(static_cast<int>(total));
+    total += static_cast<std::int64_t>(recv_type.size()) * recv_counts[r];
+    MADMPI_CHECK_MSG(recv_counts[r] >= 0 && total <= INT_MAX,
+                     "allgatherv blocks exceed the int byte count range");
+    wire_counts.push_back(static_cast<int>(total) - wire_displs.back());
   }
-  std::vector<std::byte> wire(offsets.back());
-
-  try {
-    gather_packed_to_root(send_buf, send_count, send_type, wire.data(),
-                          offsets, 0);
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  Status status =
-      bcast(wire.data(), static_cast<int>(wire.size()), Datatype::byte(), 0);
-  if (!status.is_ok()) return status;  // bcast already raised
-
+  const int wire_bytes = static_cast<int>(total);
+  std::vector<std::byte> wire(static_cast<std::size_t>(wire_bytes));
+  Status status = gatherv(send_buf, send_count, send_type, wire.data(),
+                          wire_counts, wire_displs, Datatype::byte(), 0);
+  if (!status.is_ok()) return status;
+  status = bcast(wire.data(), wire_bytes, Datatype::byte(), 0);
+  if (!status.is_ok()) return status;
   auto* out = static_cast<std::byte*>(recv_buf);
-  for (rank_t r = 0; r < n; ++r) {
-    recv_type.unpack(wire.data() + offsets[static_cast<std::size_t>(r)],
+  for (int r = 0; r < n; ++r) {
+    recv_type.unpack(wire.data() + wire_displs[static_cast<std::size_t>(r)],
                      recv_counts[r],
                      out + recv_type.extent() *
                                static_cast<std::size_t>(displacements[r]));
@@ -531,58 +470,11 @@ Status Comm::allgatherv(const void* send_buf, int send_count,
 Status Comm::alltoall(const void* send_buf, int send_count,
                       const Datatype& send_type, void* recv_buf,
                       int recv_count, const Datatype& recv_type) {
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    return raise_error(entry);
-  }
-  if (ft_should_wrap()) {
-    return ft_collective([&] {
-      return alltoall(send_buf, send_count, send_type, recv_buf, recv_count,
-                      recv_type);
-    });
-  }
   const int n = size();
-  const std::size_t block =
-      send_type.size() * static_cast<std::size_t>(send_count);
-  MADMPI_CHECK_MSG(
-      recv_type.size() * static_cast<std::size_t>(recv_count) == block,
-      "alltoall send/recv type signatures disagree");
-
-  const auto* in = static_cast<const std::byte*>(send_buf);
-  auto* out = static_cast<std::byte*>(recv_buf);
-  const std::size_t in_slot =
-      send_type.extent() * static_cast<std::size_t>(send_count);
-  const std::size_t out_slot =
-      recv_type.extent() * static_cast<std::size_t>(recv_count);
-
-  std::vector<std::byte> send_wire(block);
-  std::vector<std::byte> recv_wire(block);
-
-  // Own block first.
-  send_type.pack(in + in_slot * static_cast<std::size_t>(rank_), send_count,
-                 send_wire.data());
-  recv_type.unpack(send_wire.data(), recv_count,
-                   out + out_slot * static_cast<std::size_t>(rank_));
-
-  // Pairwise exchange: step i pairs (rank+i) with (rank-i).
-  try {
-    for (int i = 1; i < n; ++i) {
-      const rank_t dst = (rank_ + i) % n;
-      const rank_t src = (rank_ - i + n) % n;
-
-      const auto state =
-          coll_post_recv(recv_wire.data(), block, src, kAlltoallTag);
-      send_type.pack(in + in_slot * static_cast<std::size_t>(dst), send_count,
-                     send_wire.data());
-      coll_send(send_wire.data(), block, dst, kAlltoallTag);
-      if (!state) continue;  // FT capture skipped a provably dead source
-      coll_wait(*state);
-      recv_type.unpack(recv_wire.data(), recv_count,
-                       out + out_slot * static_cast<std::size_t>(src));
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  return Status::ok();
+  const auto [send_counts, send_displs] = equal_blocks(send_count, n);
+  const auto [recv_counts, recv_displs] = equal_blocks(recv_count, n);
+  return alltoallv(send_buf, send_counts, send_displs, send_type, recv_buf,
+                   recv_counts, recv_displs, recv_type);
 }
 
 Status Comm::alltoallv(const void* send_buf, std::span<const int> send_counts,
@@ -605,55 +497,15 @@ Status Comm::alltoallv(const void* send_buf, std::span<const int> send_counts,
   MADMPI_CHECK(send_displs.size() == static_cast<std::size_t>(n));
   MADMPI_CHECK(recv_counts.size() == static_cast<std::size_t>(n));
   MADMPI_CHECK(recv_displs.size() == static_cast<std::size_t>(n));
-
-  const auto* in = static_cast<const std::byte*>(send_buf);
-  auto* out = static_cast<std::byte*>(recv_buf);
-
-  // Own block.
-  {
-    const std::size_t bytes =
-        send_type.size() * static_cast<std::size_t>(send_counts[rank_]);
-    MADMPI_CHECK_MSG(
-        recv_type.size() * static_cast<std::size_t>(recv_counts[rank_]) ==
-            bytes,
-        "alltoallv self block signatures disagree");
-    std::vector<std::byte> wire(bytes);
-    send_type.pack(in + send_type.extent() *
-                            static_cast<std::size_t>(send_displs[rank_]),
-                   send_counts[rank_], wire.data());
-    recv_type.unpack(wire.data(), recv_counts[rank_],
-                     out + recv_type.extent() *
-                               static_cast<std::size_t>(recv_displs[rank_]));
-  }
-
-  // Pairwise exchange, ragged block sizes per peer.
-  try {
-    for (int i = 1; i < n; ++i) {
-      const rank_t dst = (rank_ + i) % n;
-      const rank_t src = (rank_ - i + n) % n;
-      const std::size_t send_bytes =
-          send_type.size() * static_cast<std::size_t>(send_counts[dst]);
-      const std::size_t recv_bytes =
-          recv_type.size() * static_cast<std::size_t>(recv_counts[src]);
-
-      std::vector<std::byte> recv_wire(recv_bytes);
-      const auto state =
-          coll_post_recv(recv_wire.data(), recv_bytes, src, kAlltoallTag);
-      std::vector<std::byte> send_wire(send_bytes);
-      send_type.pack(in + send_type.extent() *
-                              static_cast<std::size_t>(send_displs[dst]),
-                     send_counts[dst], send_wire.data());
-      coll_send(send_wire.data(), send_bytes, dst, kAlltoallTag);
-      if (!state) continue;  // FT capture skipped a provably dead source
-      coll_wait(*state);
-      recv_type.unpack(recv_wire.data(), recv_counts[src],
-                       out + recv_type.extent() *
-                                 static_cast<std::size_t>(recv_displs[src]));
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  return Status::ok();
+  Blocks send(send_type, send_counts, send_displs);
+  Blocks recv(recv_type, recv_counts, recv_displs);
+  const std::byte* in = send.in(send_buf);
+  std::byte* out = recv.out(recv_buf);
+  copy_own(in, send.at(rank_), out, recv.at(rank_));
+  const Status status = run_schedule(
+      alltoall_schedule(n, rank_, send.blocks(), recv.blocks()), in, out);
+  if (status.is_ok()) recv.unpack(recv_buf);
+  return status;
 }
 
 Status Comm::scan(const void* send_buf, void* recv_buf, int count,
@@ -668,21 +520,9 @@ Status Comm::scan(const void* send_buf, void* recv_buf, int count,
   }
   const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
   std::memcpy(recv_buf, send_buf, bytes);
-
-  try {
-    if (rank_ > 0) {
-      std::vector<std::byte> prefix(bytes);
-      coll_recv(prefix.data(), bytes, rank_ - 1, kScanTag);
-      // recv_buf = prefix OP own.
-      op.apply(prefix.data(), recv_buf, count, type);
-    }
-    if (rank_ + 1 < size()) {
-      coll_send(recv_buf, bytes, rank_ + 1, kScanTag);
-    }
-  } catch (const CollAbort& abort) {
-    return raise_error(abort.status);
-  }
-  return Status::ok();
+  auto* data = static_cast<std::byte*>(recv_buf);
+  return run_schedule(scan_schedule(size(), rank_, bytes), data, data, type,
+                      &op);
 }
 
 Status Comm::reduce_scatter_block(const void* send_buf, void* recv_buf,

@@ -325,7 +325,6 @@ class Comm {
   /// under FT capture, where the per-hop verdict logic lives.
   void coll_send_multi(const std::vector<rank_t>& children, const void* buf,
                        std::size_t bytes, int tag);
-  void coll_recv(void* buf, std::size_t bytes, rank_t source, int tag);
   /// Post a receive on the collective context. Under FT capture the tag is
   /// remapped to the epoch, the receive carries the agreement deadline,
   /// and a hop the detector already proves dead is skipped and recorded —
@@ -344,22 +343,14 @@ class Comm {
                      int tag);
 
   /// The inline drive of the collective schedule runner
-  /// (coll_schedule.cpp): run `schedule` on this rank over `data` (and a
-  /// scratch buffer it owns), folding Reduce steps with `op` over `type`
-  /// elements. A failed hop unwinds to here and is raised through the
-  /// error handler.
-  Status run_schedule(const Schedule& schedule, std::byte* data,
-                      const Datatype& type = Datatype::byte(),
+  /// (coll_schedule.cpp): run `schedule` on this rank, sending from `in`
+  /// and landing receives in `out` (the same buffer for the in-place
+  /// shapes) or a scratch buffer it owns, folding Reduce steps into `out`
+  /// with `op` over `type` elements. A failed hop unwinds to here and is
+  /// raised through the error handler.
+  Status run_schedule(const Schedule& schedule, const std::byte* in,
+                      std::byte* out, const Datatype& type = Datatype::byte(),
                       const Op* op = nullptr);
-
-  /// Shared gather body: root collects each rank's packed block into
-  /// wire + offsets[src] (offsets has size()+1 entries, self block packed
-  /// locally); non-roots pack and send. gather/gatherv/allgatherv all
-  /// delegate here instead of repeating the pack/recv loop.
-  void gather_packed_to_root(const void* send_buf, int send_count,
-                             const Datatype& send_type, std::byte* wire,
-                             const std::vector<std::size_t>& offsets,
-                             rank_t root);
 
   Envelope make_envelope(rank_t dest, int tag, std::uint64_t bytes,
                          bool synchronous) const;

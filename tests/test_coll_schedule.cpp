@@ -5,14 +5,22 @@
 // transfer completes only while both sides sit in the round that holds
 // it). Checks:
 //   - every Send has exactly one matching Recv (same peer pair, bytes and
-//     tag, FIFO per pair), and no round receives into data it also sends;
+//     tag, FIFO per pair), and no in-place round receives into data it
+//     also sends;
 //   - all schedules run to completion (no deadlock);
 //   - a bcast delivers to every rank exactly once, a reduce folds every
 //     contribution exactly once, a barrier lets no rank out before every
 //     rank entered;
-//   - a hierarchical bcast crosses the interconnect clusters-1 times.
+//   - gather, scatter, allgather and alltoall land every block in its
+//     slot exactly once (equal, ragged and zero-byte blocks) and touch
+//     nothing between the slots; scan folds every lower rank exactly once;
+//   - a hierarchical bcast crosses the interconnect clusters-1 times;
+//   - the block shapes keep their post order (alltoall round k pairs
+//     rank-k with rank+k, the allgather pass is the ring, the gather root
+//     receives in ascending source order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -28,6 +36,7 @@ namespace {
 using mpi::AllreduceAlgorithm;
 using mpi::BarrierAlgorithm;
 using mpi::BcastAlgorithm;
+using mpi::Block;
 using mpi::CollTopo;
 using mpi::OffloadOp;
 using mpi::Region;
@@ -145,9 +154,25 @@ class Executor {
     }
   }
 
+  /// Set one rank's out buffer directly (the block shapes' layouts).
+  void set_out(rank_t r, std::vector<Cell> cells) {
+    data_[static_cast<std::size_t>(r)] = std::move(cells);
+  }
+
+  /// Give a rank a send buffer of its own. Once any rank has one, Send
+  /// steps read `in` (gather, scatter, alltoall); otherwise they read the
+  /// out buffer, as the in-place shapes do.
+  void set_in(rank_t r, std::vector<Cell> cells) {
+    if (in_.empty()) in_.resize(s_.size());
+    in_[static_cast<std::size_t>(r)] = std::move(cells);
+  }
+
   /// Pair sends with receives, then run to completion. False (after
   /// recording a failure) when pairing fails or the run deadlocks.
   bool run() {
+    for (std::size_t r = 0; r < s_.size(); ++r) {
+      landed_.emplace_back(data_[r].size(), 0);
+    }
     if (!pair()) return false;
     for (std::size_t r = 0; r < s_.size(); ++r) ready_.push_back(r);
     while (!ready_.empty()) {
@@ -171,6 +196,10 @@ class Executor {
   }
   int data_recvs(rank_t r) const {
     return data_recvs_[static_cast<std::size_t>(r)];
+  }
+  /// How many receives landed on each byte of a rank's out buffer.
+  const std::vector<int>& landed(rank_t r) const {
+    return landed_[static_cast<std::size_t>(r)];
   }
   bool heard_everyone(rank_t r) const {
     for (bool heard : heard_[static_cast<std::size_t>(r)]) {
@@ -234,11 +263,12 @@ class Executor {
     return true;
   }
 
-  /// The nonblocking drive lends `data` to in-flight sends, so a round
-  /// must never land a receive on bytes it is also sending.
+  /// The nonblocking drive lends `in` to in-flight sends, so an in-place
+  /// round must never land a receive on bytes it is also sending.
   void check_no_overlap(rank_t me, Round round) {
+    if (!in_.empty()) return;
     for (const Step& recv : round) {
-      if (recv.kind != StepKind::kRecv || recv.region != Region::kData) {
+      if (recv.kind != StepKind::kRecv || recv.region != Region::kOut) {
         continue;
       }
       for (const Step& send : round) {
@@ -293,11 +323,17 @@ class Executor {
     const Step& send = step_at(from);
     const Step& recv = step_at(to);
     std::vector<Cell>& dst =
-        recv.region == Region::kData ? data_[b] : scratch_[b];
+        recv.region == Region::kOut ? data_[b] : scratch_[b];
+    const std::vector<Cell>& src = in_.empty() ? data_[a] : in_[a];
     for (std::size_t k = 0; k < send.bytes; ++k) {
-      dst[recv.offset + k] = data_[a][send.offset + k];
+      dst[recv.offset + k] = src[send.offset + k];
     }
-    if (recv.region == Region::kData) ++data_recvs_[b];
+    if (recv.region == Region::kOut) {
+      ++data_recvs_[b];
+      for (std::size_t k = 0; k < recv.bytes; ++k) {
+        ++landed_[b][recv.offset + k];
+      }
+    }
     merge_heard(b, a);
     --pending_[a];
     --pending_[b];
@@ -365,7 +401,8 @@ class Executor {
 
   std::vector<Schedule> s_;
   std::string label_;
-  std::vector<std::vector<Cell>> data_, scratch_;
+  std::vector<std::vector<Cell>> data_, scratch_, in_;
+  std::vector<std::vector<int>> landed_;
   std::vector<std::vector<bool>> heard_;
   std::vector<int> data_recvs_;
   std::vector<std::size_t> cur_;
@@ -470,6 +507,209 @@ void check_allreduce(const CollTopo& topo, AllreduceAlgorithm algorithm,
   }
 }
 
+/// Block sizes for the block shapes: equal (two bytes each), or ragged
+/// with zero-byte blocks among them, keyed by one or two ranks.
+std::size_t block_bytes(bool ragged, int a, int b = 0) {
+  return ragged ? static_cast<std::size_t>((a * 5 + b * 3 + 1) % 4) : 2;
+}
+
+/// Blocks of sizes[r] bytes in descending rank order, each after a
+/// one-byte gap, so a stray landing hits a gap or a neighbour's slot.
+std::vector<Block> layout(const std::vector<std::size_t>& sizes) {
+  std::vector<Block> blocks(sizes.size());
+  std::size_t at = 0;
+  for (std::size_t r = sizes.size(); r-- > 0;) {
+    blocks[r] = {at + 1, sizes[r]};
+    at += 1 + sizes[r];
+  }
+  return blocks;
+}
+
+/// A buffer laid out as `blocks` (plus a trailing gap), block s holding
+/// keys[s] when `filled(s)`.
+template <typename Filled>
+std::vector<Cell> buffer(const std::vector<Block>& blocks,
+                         const std::vector<std::uint64_t>& keys,
+                         Filled filled) {
+  std::size_t end = 0;
+  for (const Block& block : blocks) {
+    end = std::max(end, block.offset + block.bytes);
+  }
+  std::vector<Cell> cells(end + 1);
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    if (!filled(s)) continue;
+    for (std::size_t k = 0; k < blocks[s].bytes; ++k) {
+      cells[blocks[s].offset + k] = {1, keys[s]};
+    }
+  }
+  return cells;
+}
+
+/// Rank r's out buffer holds keys[s] exactly once in every blocks[s],
+/// landed by exactly one receive — by none for block `own`, the caller's
+/// local copy (-1: none) — and nothing between the blocks.
+void expect_blocks(const Executor& run, rank_t r,
+                   const std::vector<Block>& blocks,
+                   const std::vector<std::uint64_t>& keys, int own,
+                   const std::string& where) {
+  const std::vector<Cell>& out = run.data(r);
+  const std::vector<int>& landed = run.landed(r);
+  std::vector<bool> in_block(out.size(), false);
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    for (std::size_t k = blocks[s].offset;
+         k < blocks[s].offset + blocks[s].bytes; ++k) {
+      in_block[k] = true;
+      ASSERT_EQ(landed[k], static_cast<int>(s) == own ? 0 : 1)
+          << where << ": landings on block " << s;
+      ASSERT_EQ(out[k].count, 1) << where << ": block " << s;
+      ASSERT_EQ(out[k].sum, keys[s]) << where << ": block " << s;
+    }
+  }
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    if (in_block[k]) continue;
+    ASSERT_EQ(landed[k], 0) << where << ": landing in a gap at " << k;
+    ASSERT_EQ(out[k].count, 0) << where << ": data in a gap at " << k;
+  }
+}
+
+std::vector<std::uint64_t> rank_keys(int n) {
+  std::vector<std::uint64_t> keys;
+  for (rank_t r = 0; r < n; ++r) keys.push_back(key_of(r));
+  return keys;
+}
+
+void check_gather(int n, rank_t root, bool ragged, const std::string& label) {
+  std::vector<std::size_t> sizes;
+  for (rank_t r = 0; r < n; ++r) sizes.push_back(block_bytes(ragged, r));
+  const std::vector<Block> blocks = layout(sizes);
+  const std::vector<std::uint64_t> keys = rank_keys(n);
+  std::vector<Schedule> schedules;
+  for (rank_t r = 0; r < n; ++r) {
+    schedules.push_back(mpi::gather_schedule(
+        n, r, root, sizes[static_cast<std::size_t>(r)], blocks));
+  }
+  Executor run(std::move(schedules), label);
+  for (rank_t r = 0; r < n; ++r) {
+    run.set_in(r, std::vector<Cell>(sizes[static_cast<std::size_t>(r)],
+                                    Cell{1, key_of(r)}));
+  }
+  run.set_out(root, buffer(blocks, keys, [root](std::size_t s) {
+                return static_cast<rank_t>(s) == root;
+              }));
+  if (!run.run()) return;
+  expect_blocks(run, root, blocks, keys, root, label + ": root");
+}
+
+void check_scatter(int n, rank_t root, bool ragged,
+                   const std::string& label) {
+  std::vector<std::size_t> sizes;
+  for (rank_t r = 0; r < n; ++r) sizes.push_back(block_bytes(ragged, r));
+  const std::vector<Block> blocks = layout(sizes);
+  const std::vector<std::uint64_t> keys = rank_keys(n);
+  std::vector<Schedule> schedules;
+  for (rank_t r = 0; r < n; ++r) {
+    schedules.push_back(mpi::scatter_schedule(
+        n, r, root, blocks, sizes[static_cast<std::size_t>(r)]));
+  }
+  Executor run(std::move(schedules), label);
+  run.set_in(root, buffer(blocks, keys, [](std::size_t) { return true; }));
+  for (rank_t r = 0; r < n; ++r) {
+    run.set_out(r, std::vector<Cell>(sizes[static_cast<std::size_t>(r)],
+                                     r == root ? Cell{1, key_of(r)} : Cell{}));
+  }
+  if (!run.run()) return;
+  for (rank_t r = 0; r < n; ++r) {
+    expect_blocks(run, r, {Block{0, sizes[static_cast<std::size_t>(r)]}},
+                  {key_of(r)}, r == root ? 0 : -1,
+                  label + ": rank " + std::to_string(r));
+  }
+}
+
+void check_allgather(int n, bool ragged, const std::string& label) {
+  std::vector<std::size_t> sizes;
+  for (rank_t r = 0; r < n; ++r) sizes.push_back(block_bytes(ragged, r));
+  const std::vector<Block> blocks = layout(sizes);
+  const std::vector<std::uint64_t> keys = rank_keys(n);
+  std::vector<Schedule> schedules;
+  for (rank_t r = 0; r < n; ++r) {
+    schedules.push_back(mpi::allgather_schedule(n, r, blocks));
+  }
+  Executor run(std::move(schedules), label);
+  for (rank_t r = 0; r < n; ++r) {
+    run.set_out(r, buffer(blocks, keys, [r](std::size_t s) {
+                  return static_cast<rank_t>(s) == r;
+                }));
+  }
+  if (!run.run()) return;
+  for (rank_t r = 0; r < n; ++r) {
+    expect_blocks(run, r, blocks, keys, r,
+                  label + ": rank " + std::to_string(r));
+  }
+}
+
+void check_alltoall(int n, bool ragged, const std::string& label) {
+  // Rank a's block for rank b: block_bytes(a, b) bytes keyed a * n + b.
+  auto key = [n](rank_t from, rank_t to) { return key_of(from * n + to); };
+  std::vector<Schedule> schedules;
+  std::vector<std::vector<Cell>> ins;
+  std::vector<std::vector<Block>> recv_blocks;
+  std::vector<std::vector<std::uint64_t>> recv_keys;
+  for (rank_t r = 0; r < n; ++r) {
+    std::vector<std::size_t> send_sizes, recv_sizes;
+    std::vector<std::uint64_t> send_keys, keys;
+    for (rank_t p = 0; p < n; ++p) {
+      send_sizes.push_back(block_bytes(ragged, r, p));
+      recv_sizes.push_back(block_bytes(ragged, p, r));
+      send_keys.push_back(key(r, p));
+      keys.push_back(key(p, r));
+    }
+    const std::vector<Block> send = layout(send_sizes);
+    recv_blocks.push_back(layout(recv_sizes));
+    recv_keys.push_back(std::move(keys));
+    schedules.push_back(
+        mpi::alltoall_schedule(n, r, send, recv_blocks.back()));
+    ins.push_back(buffer(send, send_keys, [](std::size_t) { return true; }));
+  }
+  Executor run(std::move(schedules), label);
+  for (rank_t r = 0; r < n; ++r) {
+    const std::size_t i = static_cast<std::size_t>(r);
+    run.set_in(r, std::move(ins[i]));
+    run.set_out(r, buffer(recv_blocks[i], recv_keys[i], [r](std::size_t s) {
+                  return static_cast<rank_t>(s) == r;
+                }));
+  }
+  if (!run.run()) return;
+  for (rank_t r = 0; r < n; ++r) {
+    const std::size_t i = static_cast<std::size_t>(r);
+    expect_blocks(run, r, recv_blocks[i], recv_keys[i], r,
+                  label + ": rank " + std::to_string(r));
+  }
+}
+
+void check_scan(int n, const std::string& label) {
+  constexpr std::size_t kBytes = 2;
+  std::vector<Schedule> schedules;
+  for (rank_t r = 0; r < n; ++r) {
+    schedules.push_back(mpi::scan_schedule(n, r, kBytes));
+  }
+  Executor run(std::move(schedules), label);
+  run.fill(kBytes, [](rank_t) { return true; });
+  if (!run.run()) return;
+  std::uint64_t prefix = 0;
+  for (rank_t r = 0; r < n; ++r) {
+    prefix += key_of(r);
+    for (const Cell& cell : run.data(r)) {
+      ASSERT_EQ(cell.count, r + 1) << label << ": rank " << r;
+      ASSERT_EQ(cell.sum, prefix) << label << ": rank " << r;
+    }
+  }
+}
+
+/// Allgather and alltoall move n^2 blocks (alltoall over n^2 channels).
+/// The block shapes read nothing from a digest but its size, so the
+/// 1024-rank digest checks only the linear ones.
+constexpr int kQuadraticMaxRanks = 256;
+
 /// Every algorithm the topology can resolve to, at every root in `roots`.
 void check_all(const CollTopo& topo, const std::string& shape,
                const std::vector<rank_t>& roots) {
@@ -501,6 +741,20 @@ void check_all(const CollTopo& topo, const std::string& shape,
     check_reduce(topo, false, root, shape + " reduce flat" + at);
     check_reduce(topo, true, root, shape + " reduce hier" + at);
   }
+  const int n = size_of(topo);
+  for (bool ragged : {false, true}) {
+    const std::string blocks = ragged ? " ragged" : " equal";
+    if (n <= kQuadraticMaxRanks) {
+      check_allgather(n, ragged, shape + " allgather" + blocks);
+      check_alltoall(n, ragged, shape + " alltoall" + blocks);
+    }
+    for (rank_t root : roots) {
+      const std::string at = blocks + " root " + std::to_string(root);
+      check_gather(n, root, ragged, shape + " gather" + at);
+      check_scatter(n, root, ragged, shape + " scatter" + at);
+    }
+  }
+  check_scan(n, shape + " scan");
 }
 
 std::vector<rank_t> every_root(const CollTopo& topo) {
@@ -551,6 +805,92 @@ TEST(CollSchedule, LinearRootFansOutInOneRound) {
   std::vector<rank_t> peers;
   for (const Step& step : root.round(0)) peers.push_back(step.peer);
   EXPECT_EQ(peers, (std::vector<rank_t>{0, 1, 3, 4, 5, 6}));
+}
+
+TEST(CollSchedule, AlltoallRoundKPairsRankMinusKWithRankPlusK) {
+  for (int n : {2, 3, 5, 8}) {
+    std::vector<Block> send, recv;
+    for (int p = 0; p < n; ++p) {
+      send.push_back({static_cast<std::size_t>(10 * p), 3});
+      recv.push_back({static_cast<std::size_t>(10 * p + 5), 3});
+    }
+    for (rank_t r = 0; r < n; ++r) {
+      const Schedule s = mpi::alltoall_schedule(n, r, send, recv);
+      ASSERT_EQ(s.rounds(), static_cast<std::size_t>(n - 1));
+      for (int k = 1; k < n; ++k) {
+        const Round round = s.round(static_cast<std::size_t>(k - 1));
+        const rank_t src = (r - k + n) % n;
+        const rank_t dst = (r + k) % n;
+        ASSERT_EQ(round.size(), 2u);
+        EXPECT_EQ(round[0].kind, StepKind::kRecv);
+        EXPECT_EQ(round[0].peer, src);
+        EXPECT_EQ(round[0].offset, recv[static_cast<std::size_t>(src)].offset);
+        EXPECT_EQ(round[1].kind, StepKind::kSend);
+        EXPECT_EQ(round[1].peer, dst);
+        EXPECT_EQ(round[1].offset, send[static_cast<std::size_t>(dst)].offset);
+      }
+    }
+  }
+}
+
+TEST(CollSchedule, AllgatherPassIsTheRing) {
+  // Step k: land block rank-k-1 from the left neighbour, forward block
+  // rank-k to the right one — the ring allgather's order.
+  for (int n : {2, 3, 5, 8}) {
+    std::vector<Block> blocks;
+    for (int p = 0; p < n; ++p) {
+      blocks.push_back({static_cast<std::size_t>(4 * p), 4});
+    }
+    for (rank_t r = 0; r < n; ++r) {
+      const Schedule s = mpi::allgather_schedule(n, r, blocks);
+      ASSERT_EQ(s.rounds(), static_cast<std::size_t>(n - 1));
+      for (int k = 0; k < n - 1; ++k) {
+        const Round round = s.round(static_cast<std::size_t>(k));
+        ASSERT_EQ(round.size(), 2u);
+        EXPECT_EQ(round[0].kind, StepKind::kRecv);
+        EXPECT_EQ(round[0].peer, (r - 1 + n) % n);
+        EXPECT_EQ(round[0].offset,
+                  blocks[static_cast<std::size_t>((r - k - 1 + 2 * n) % n)]
+                      .offset);
+        EXPECT_EQ(round[1].kind, StepKind::kSend);
+        EXPECT_EQ(round[1].peer, (r + 1) % n);
+        EXPECT_EQ(round[1].offset,
+                  blocks[static_cast<std::size_t>((r - k + n) % n)].offset);
+      }
+    }
+  }
+}
+
+TEST(CollSchedule, GatherRootReceivesInAscendingSourceOrder) {
+  const int n = 6;
+  const std::vector<Block> blocks(static_cast<std::size_t>(n), Block{0, 1});
+  for (rank_t root : {0, 3, 5}) {
+    const Schedule s = mpi::gather_schedule(n, root, root, 1, blocks);
+    std::vector<rank_t> sources;
+    for (std::size_t i = 0; i < s.rounds(); ++i) {
+      ASSERT_EQ(s.round(i).size(), 1u) << "one receive per round";
+      EXPECT_EQ(s.round(i)[0].kind, StepKind::kRecv);
+      sources.push_back(s.round(i)[0].peer);
+    }
+    std::vector<rank_t> expected;
+    for (rank_t r = 0; r < n; ++r) {
+      if (r != root) expected.push_back(r);
+    }
+    EXPECT_EQ(sources, expected) << "root " << root;
+  }
+}
+
+TEST(CollSchedule, ScatterRootSendsOnePerRoundInAscendingOrder) {
+  const int n = 5;
+  const std::vector<Block> blocks(static_cast<std::size_t>(n), Block{0, 1});
+  const Schedule s = mpi::scatter_schedule(n, 2, 2, blocks, 1);
+  std::vector<rank_t> dests;
+  for (std::size_t i = 0; i < s.rounds(); ++i) {
+    ASSERT_EQ(s.round(i).size(), 1u);
+    EXPECT_EQ(s.round(i)[0].kind, StepKind::kSend);
+    dests.push_back(s.round(i)[0].peer);
+  }
+  EXPECT_EQ(dests, (std::vector<rank_t>{0, 1, 3, 4}));
 }
 
 }  // namespace

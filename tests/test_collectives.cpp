@@ -337,6 +337,101 @@ TEST(Collectives, BcastDerivedDatatype) {
   });
 }
 
+TEST(Collectives, BlockCollectivesWithStridedDatatypes) {
+  // `pair` packs ints 0 and 2 of a 3-int element: int 1 of every element
+  // is a hole the collectives must neither send nor overwrite. Each call
+  // runs strided on both sides, then strided on one side against a
+  // contiguous int32 x 2 on the other (the pack-once / unpack-once paths).
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(4, sim::Protocol::kSisci);
+  Session session(std::move(options));
+  session.run([](Comm comm) {
+    const auto pair = Datatype::vector(2, 1, 2, Datatype::int32());
+    const auto ints = Datatype::int32();
+    const int n = comm.size();
+    const int me = comm.rank();
+    constexpr int kHole = -1;
+    // Rank `from`'s block for rank `to`: {v, v + 1}, v = 100 from + 10 to.
+    auto value = [](int from, int to) { return 100 * from + 10 * to; };
+    // `blocks` strided elements, element p holding block(p).
+    auto strided = [&](int blocks, auto block) {
+      std::vector<int> buf(static_cast<std::size_t>(3 * blocks), kHole);
+      for (int p = 0; p < blocks; ++p) {
+        buf[static_cast<std::size_t>(3 * p)] = block(p);
+        buf[static_cast<std::size_t>(3 * p + 2)] = block(p) + 1;
+      }
+      return buf;
+    };
+    auto dense = [&](int blocks, auto block) {
+      std::vector<int> buf;
+      for (int p = 0; p < blocks; ++p) {
+        buf.push_back(block(p));
+        buf.push_back(block(p) + 1);
+      }
+      return buf;
+    };
+    auto holes = [&](int blocks) {
+      return strided(blocks, [](int) { return kHole; });
+    };
+    const int root = 2;
+    auto own = [&](int) { return value(me, root); };
+    auto to_each = [&](int p) { return value(me, p); };
+    auto from_each_to_me = [&](int p) { return value(p, me); };
+    auto from_each_to_root = [&](int p) { return value(p, root); };
+
+    for (bool dense_recv : {false, true}) {
+      const Datatype& recv_type = dense_recv ? ints : pair;
+      const int per_block = dense_recv ? 2 : 1;
+      auto expected = [&](int blocks, auto block) {
+        return dense_recv ? dense(blocks, block) : strided(blocks, block);
+      };
+      auto empty = [&](int blocks) {
+        if (!dense_recv) return holes(blocks);
+        return std::vector<int>(static_cast<std::size_t>(2 * blocks), kHole);
+      };
+
+      std::vector<int> send = strided(1, own);
+      std::vector<int> recv = empty(n);
+      ASSERT_TRUE(comm.gather(send.data(), 1, pair, recv.data(), per_block,
+                              recv_type, root)
+                      .is_ok());
+      if (me == root) {
+        EXPECT_EQ(recv, expected(n, from_each_to_root)) << "gather";
+      }
+
+      send = me == root ? strided(n, [&](int p) { return value(root, p); })
+                        : std::vector<int>{};
+      recv = empty(1);
+      ASSERT_TRUE(comm.scatter(send.data(), 1, pair, recv.data(), per_block,
+                               recv_type, root)
+                      .is_ok());
+      EXPECT_EQ(recv, expected(1, [&](int) { return value(root, me); }))
+          << "scatter";
+
+      send = strided(1, own);
+      recv = empty(n);
+      ASSERT_TRUE(comm.allgather(send.data(), 1, pair, recv.data(),
+                                 per_block, recv_type)
+                      .is_ok());
+      EXPECT_EQ(recv, expected(n, from_each_to_root)) << "allgather";
+
+      send = strided(n, to_each);
+      recv = empty(n);
+      ASSERT_TRUE(comm.alltoall(send.data(), 1, pair, recv.data(), per_block,
+                                recv_type)
+                      .is_ok());
+      EXPECT_EQ(recv, expected(n, from_each_to_me)) << "alltoall";
+    }
+
+    // Contiguous send side against a strided receive side.
+    std::vector<int> send = dense(n, to_each);
+    std::vector<int> recv = holes(n);
+    ASSERT_TRUE(
+        comm.alltoall(send.data(), 2, ints, recv.data(), 1, pair).is_ok());
+    EXPECT_EQ(recv, strided(n, from_each_to_me)) << "alltoall dense->strided";
+  });
+}
+
 TEST(Collectives, LargePayloadAllreduceOnHeterogeneousCluster) {
   auto session = world_of(6);
   session->run([](Comm comm) {

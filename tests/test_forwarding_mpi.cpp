@@ -91,6 +91,29 @@ TEST(ForwardingMpi, RendezvousAcrossTheGateway) {
   EXPECT_GE(session->ch_mad()->rendezvous_sent(), 1u);
 }
 
+TEST(ForwardingMpi, ManyMessagesStayOrdered) {
+  // A burst of same-tag eager messages relayed by the gateway must reach
+  // the receiver's matching queues in send order: a relay that reordered
+  // them would hand the in-order receives the wrong sequence numbers.
+  auto session = bridged_session();
+  constexpr int kMessages = 30;
+  session->run([](Comm comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i < kMessages; ++i) {
+        comm.send(&i, 1, Datatype::int32(), 4, 5);
+      }
+    } else if (comm.rank() == 4) {
+      for (int i = 0; i < kMessages; ++i) {
+        int seq = -1;
+        comm.recv(&seq, 1, Datatype::int32(), 0, 5);
+        ASSERT_EQ(seq, i);
+      }
+    }
+  });
+  EXPECT_GE(session->ch_mad()->forwarded(),
+            static_cast<std::uint64_t>(kMessages));
+}
+
 TEST(ForwardingMpi, BidirectionalSendrecvThroughGateway) {
   auto session = bridged_session();
   session->run([](Comm comm) {

@@ -176,6 +176,34 @@ TEST(Heterogeneity, CollectivesOnMixedCluster) {
   });
 }
 
+TEST(Heterogeneity, GatherFromBigEndianRanks) {
+  // Collective payloads travel as the sender's memory bytes and land as
+  // bytes, so a gather from big-endian ranks delivers their values
+  // intact, contiguous or strided.
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(4, sim::Protocol::kSisci);
+  options.cluster.nodes[1].big_endian = true;
+  options.cluster.nodes[3].big_endian = true;
+  Session session(std::move(options));
+  session.run([](Comm comm) {
+    const std::int64_t mine[3] = {(comm.rank() + 1) * 1000, -1,
+                                  (comm.rank() + 1) * 1000 + 1};
+    std::vector<std::int64_t> firsts(4, 0);
+    comm.gather(mine, 1, Datatype::int64(), firsts.data(), 1,
+                Datatype::int64(), 0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(firsts, (std::vector<std::int64_t>{1000, 2000, 3000, 4000}));
+    }
+    const auto ends = Datatype::vector(2, 1, 2, Datatype::int64());
+    std::vector<std::int64_t> pairs(8, 0);
+    comm.gather(mine, 1, ends, pairs.data(), 2, Datatype::int64(), 2);
+    if (comm.rank() == 2) {
+      EXPECT_EQ(pairs, (std::vector<std::int64_t>{1000, 1001, 2000, 2001,
+                                                  3000, 3001, 4000, 4001}));
+    }
+  });
+}
+
 TEST(Heterogeneity, ConversionChargedOnlyAcrossUnlikeNodes) {
   // little->big transfer pays a conversion pass the little->little one
   // does not.
