@@ -154,10 +154,9 @@ void NativeDevice::start(marcel::Executor& executor) {
     net::Endpoint* endpoint = transport_->endpoint(node_id);
     const int peers = static_cast<int>(transport_->members().size()) - 1;
     NodeState* state_ptr = state.get();
-    state->poller = std::thread(
-        [this, state_ptr, endpoint, peers] {
-          poll_loop(*state_ptr, *endpoint, peers);
-        });
+    state->polled = executor.loop([this, state_ptr, endpoint, peers] {
+      poll_loop(*state_ptr, *endpoint, peers);
+    });
   }
 }
 
@@ -173,7 +172,7 @@ void NativeDevice::shutdown() {
     }
   }
   for (auto& [node_id, state] : states_) {
-    if (state->poller.joinable()) state->poller.join();
+    state->polled.wait();
   }
   for (node_id_t member : transport_->members()) {
     transport_->endpoint(member)->close();

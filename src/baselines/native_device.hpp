@@ -11,9 +11,9 @@
 #pragma once
 
 #include <atomic>
+#include <future>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/directory.hpp"
@@ -105,7 +105,7 @@ class NativeDevice final : public core::ManagedDevice {
   };
   struct NodeState {
     sim::Node* node = nullptr;
-    std::thread poller;
+    std::future<void> polled;  // ready once the poll loop returned
     std::mutex send_mutex;  // serializes transmit() (see there)
     std::mutex mutex;
     std::uint64_t next_handle = 1;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/datapath_stats.hpp"
+#include "common/env.hpp"
 
 namespace madmpi {
 
@@ -156,9 +157,7 @@ void Slab::release() {
 
 SlabPool::Options SlabPool::Options::from_env() {
   Options options;
-  if (const char* v = std::getenv("MADMPI_SLAB_DISABLE")) {
-    options.disabled = v[0] != '\0' && v[0] != '0';
-  }
+  options.disabled = env_flag("MADMPI_SLAB_DISABLE", options.disabled);
   if (const char* v = std::getenv("MADMPI_SLAB_MAX_CACHED")) {
     options.max_cached_per_class =
         static_cast<std::size_t>(std::strtoull(v, nullptr, 10));

@@ -9,7 +9,6 @@
 #include "common/log.hpp"
 #include "core/switchpoint.hpp"
 #include "marcel/engine.hpp"
-#include "marcel/thread.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/sched.hpp"
 #include "sim/trace.hpp"
@@ -36,7 +35,6 @@ ChMadDevice::ChMadDevice(RankDirectory& directory,
     credit_window_ = default_credit_window(switch_point_);
   }
   credit_policy_ = config.credit_policy;
-  rma_direct_ = config.rma_direct;
   rma_put_limit_ = config.rma_put_limit;
   if (!forward_channels_router_.channels().empty()) {
     forward_router_.emplace(router_);
@@ -50,8 +48,6 @@ ChMadDevice::ChMadDevice(RankDirectory& directory,
         if (!slot) {
           slot = std::make_unique<NodeState>();
           slot->node = &channel->at(member)->node();
-          slot->poll_server =
-              std::make_unique<marcel::PollServer>(*slot->node);
         }
       }
     }
@@ -84,6 +80,10 @@ void ChMadDevice::start(marcel::Executor& executor) {
   MADMPI_CHECK_MSG(!started_, "ch_mad started twice");
   started_ = true;
   executor_ = &executor;
+  for (auto& [node_id, state] : states_) {
+    state->poll_server =
+        std::make_unique<marcel::PollServer>(*state->node, executor);
+  }
 
   // Direct channels: pollers dispatch ch_mad packets straight away.
   // Forwarding channels: pollers first read the routing header and either
@@ -97,10 +97,10 @@ void ChMadDevice::start(marcel::Executor& executor) {
       state->poll_server->add_poller(
           channel->id(), channel->poll_cost(),
           [this, state, endpoint, channel, terms_seen, peers, forwarding,
-           member] {
+           member](marcel::PollServer::Poller& poller) {
             auto incoming = endpoint->begin_unpacking();
             if (!incoming) return false;  // channel closed
-            state->poll_server->charge_wakeup(channel->id());
+            state->poll_server->charge_wakeup(poller);
             if (forwarding) {
               ForwardHeader fwd;
               incoming->unpack(&fwd, sizeof fwd, mad::SendMode::kSafer,
@@ -211,7 +211,7 @@ Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
       // PIO is near-free, TCP emulation pays a syscall-ish setup). A
       // failover retry re-issues the operation and pays again.
       endpoint->node().clock().advance(endpoint->model().rma_put_us);
-      if (rma_direct_ && direct->driver().supports_rma_direct()) {
+      if (direct->driver().supports_rma_direct()) {
         mode = net::DeliveryMode::kRmaDirect;
       }
     }

@@ -3,9 +3,9 @@
 // One device handles every network simultaneously: each message picks the
 // best common channel to its destination (ChannelRouter), is built as one
 // Madeleine message — an EXPRESS header packet plus, for data-bearing
-// types, a CHEAPER body packet — and is received by one persistent polling
-// thread per channel (Marcel poll server). Two transfer modes, selected by
-// the single elected switch point:
+// types, a CHEAPER body packet — and is received by one persistent poller
+// per channel (Marcel poll server, a loop on the session's executor). Two
+// transfer modes, selected by the single elected switch point:
 //
 //   eager       MAD_SHORT_PKT; intermediary copy on the receiving side.
 //   rendezvous  MAD_REQUEST_PKT -> MAD_SENDOK_PKT (carrying the receiver's
@@ -66,12 +66,6 @@ class ChMadDevice final : public ManagedDevice {
     std::size_t credit_window_bytes = 0;
     CreditPolicy credit_policy = CreditPolicy::kDemote;
 
-    /// One-sided delivery mode: when true (default), RMA packets travel
-    /// DeliveryMode::kRmaDirect on channels whose driver supports it
-    /// (SISCI mapped PIO, BIP DMA); false forces the two-sided emulation
-    /// path everywhere (ablation knob, MADMPI_RMA_DIRECT).
-    bool rma_direct = true;
-
     /// Upper bound in bytes for a single put/get/accumulate payload; 0
     /// means unlimited (MADMPI_RMA_PUT_LIMIT).
     std::size_t rma_put_limit = 0;
@@ -121,7 +115,8 @@ class ChMadDevice final : public ManagedDevice {
              std::shared_ptr<mpi::RequestState> completion) override;
 
   // --- lifecycle --------------------------------------------------------
-  /// Spawn the polling threads (one per channel per member node).
+  /// Start the pollers (one per channel per member node) as loops on
+  /// `executor`.
   void start(marcel::Executor& executor) override;
 
   /// Distributed termination: every node broadcasts MAD_TERM_PKT on every
@@ -256,8 +251,8 @@ class ChMadDevice final : public ManagedDevice {
   /// failover the paper's architecture makes possible. Returns non-ok
   /// (kUnreachable) only when no route remains.
   /// `rma_data` marks one-sided traffic: the elected channel charges its
-  /// rma_put_us initiation cost and, when the driver supports it (and the
-  /// rma_direct knob is on), the packet travels DeliveryMode::kRmaDirect.
+  /// rma_put_us initiation cost and, when the driver supports it, the
+  /// packet travels DeliveryMode::kRmaDirect.
   Status send_packet(node_id_t src_node, node_id_t dst_node,
                      const PacketHeader& header, byte_span body = {},
                      bool rma_data = false) {
@@ -333,7 +328,6 @@ class ChMadDevice final : public ManagedDevice {
   std::size_t switch_point_;
   std::size_t credit_window_ = 0;  // 0 = flow control disabled
   CreditPolicy credit_policy_ = CreditPolicy::kDemote;
-  bool rma_direct_ = true;
   std::size_t rma_put_limit_ = 0;  // 0 = unlimited
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;

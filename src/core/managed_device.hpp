@@ -1,5 +1,5 @@
-// A device with a polling/thread lifecycle (ch_mad and the baseline native
-// devices implement this; ch_self and smp_plug need no threads).
+// A device with a poller lifecycle (ch_mad and the baseline native devices
+// implement this; ch_self and smp_plug need no pollers).
 #pragma once
 
 #include "marcel/executor.hpp"
@@ -9,8 +9,9 @@ namespace madmpi::core {
 
 class ManagedDevice : public mpi::Device {
  public:
-  /// Bring the device up; its helper tasks run on `executor`, which the
-  /// owner drains before shutdown().
+  /// Bring the device up; its pollers and helper tasks run on `executor`,
+  /// which the owner drains before shutdown(). shutdown() waits for the
+  /// pollers to return.
   virtual void start(marcel::Executor& executor) = 0;
   virtual void shutdown() {}
 };

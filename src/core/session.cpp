@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/log.hpp"
 #include "marcel/engine.hpp"
 #include "sim/cost_model.hpp"
@@ -28,12 +29,6 @@ usec_t env_us(const char* name, usec_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
   return std::strtod(value, nullptr);
-}
-
-bool env_flag(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0);
 }
 
 ChMadDevice::CreditPolicy env_credit_policy(ChMadDevice::CreditPolicy fallback) {
@@ -76,7 +71,6 @@ Session::Session(Options options) {
     config.credit_window_bytes =
         env_bytes("MADMPI_CREDIT_WINDOW", options.credit_window_bytes);
     config.credit_policy = env_credit_policy(options.credit_policy);
-    config.rma_direct = env_flag("MADMPI_RMA_DIRECT", options.rma_direct);
     {
       const std::size_t limit =
           env_bytes("MADMPI_RMA_PUT_LIMIT", options.rma_put_limit_bytes);
@@ -184,7 +178,7 @@ Session::Session(Options options) {
       }
     };
     watchdog_ = std::make_unique<ProgressWatchdog>(
-        std::move(sweep), std::chrono::milliseconds(2),
+        executor_, std::move(sweep), std::chrono::milliseconds(2),
         [this] { return progress_fingerprint(); });
   }
 }

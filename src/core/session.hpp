@@ -66,12 +66,6 @@ class Session final : public mpi::Runtime {
     /// watchdog. Env: MADMPI_WATCHDOG_HORIZON_US.
     usec_t watchdog_horizon_us = 10000.0;
 
-    /// One-sided delivery: when true (default), RMA packets travel
-    /// DeliveryMode::kRmaDirect on channels whose driver supports it
-    /// (SISCI mapped PIO, BIP DMA); false forces the two-sided emulation
-    /// path everywhere. Env: MADMPI_RMA_DIRECT=0|1.
-    bool rma_direct = true;
-
     /// Upper bound for a single one-sided payload in bytes; ops beyond it
     /// fail with kResourceLimit. 0 means unlimited.
     /// Env: MADMPI_RMA_PUT_LIMIT.
@@ -93,7 +87,8 @@ class Session final : public mpi::Runtime {
     return directory_.context_of(global);
   }
   mpi::Device& device_for(rank_t src, rank_t dst) override;
-  /// The one helper-task executor every device and communicator shares.
+  /// The one executor every device and communicator shares: helper tasks,
+  /// the pollers and the watchdog sweep.
   marcel::Executor& executor() override { return executor_; }
   int derive_context_id(int parent_context, std::int64_t key) override;
   /// Failure detector for the FT collectives: directional route health
@@ -116,8 +111,9 @@ class Session final : public mpi::Runtime {
     return mpi::Comm::world(this, rank, /*world_context=*/0);
   }
 
-  /// Drain the helper tasks, stop the watchdog and polling threads, close
-  /// channels, then join the helper workers. Implicit in the destructor.
+  /// Drain the helper tasks, stop the watchdog sweep and the pollers,
+  /// close channels, then join every executor worker. Implicit in the
+  /// destructor.
   void finalize();
 
   // --- introspection --------------------------------------------------------
@@ -154,7 +150,7 @@ class Session final : public mpi::Runtime {
   /// external harnesses.
   std::uint64_t progress_fingerprint();
 
-  /// The watchdog thread, or nullptr when no watchdog is configured
+  /// The watchdog, or nullptr when no watchdog is configured
   /// (introspection: tests assert on sweeps_skipped()).
   ProgressWatchdog* watchdog() { return watchdog_.get(); }
 
@@ -206,8 +202,10 @@ class Session final : public mpi::Runtime {
 
   bool finalized_ = false;
 
-  // Declared last: constructed first (its worker is the session's first
-  // thread) and destroyed first (its tasks use the devices).
+  // Declared last, so destroyed first: its tasks and loops use the
+  // devices. Constructed last too; its pre-started worker is still the
+  // session's first thread, because the devices start their pollers and
+  // the watchdog its sweep in the constructor body.
   marcel::Executor executor_;
 };
 

@@ -2,14 +2,13 @@
 
 namespace madmpi::core {
 
-ProgressWatchdog::ProgressWatchdog(Sweep sweep,
+ProgressWatchdog::ProgressWatchdog(marcel::Executor& executor, Sweep sweep,
                                    std::chrono::milliseconds interval,
                                    Fingerprint fingerprint)
     : sweep_(std::move(sweep)),
       interval_(interval),
-      fingerprint_(std::move(fingerprint)) {
-  thread_ = std::thread([this] { run(); });
-}
+      fingerprint_(std::move(fingerprint)),
+      returned_(executor.loop([this] { run(); })) {}
 
 ProgressWatchdog::~ProgressWatchdog() { stop(); }
 
@@ -19,7 +18,7 @@ void ProgressWatchdog::stop() {
     stopping_ = true;
   }
   cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  returned_.wait();
 }
 
 void ProgressWatchdog::run() {

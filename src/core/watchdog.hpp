@@ -1,10 +1,10 @@
 // Progress watchdog (robustness layer tentpole, part 3).
 //
-// A session-owned thread that periodically sweeps for operations that can
-// no longer make progress — posted receives and rendezvous handshakes whose
-// only route to the peer is dead — and cancels them with
-// ErrorCode::kTimedOut so the blocked rank gets an MPI error through its
-// communicator's error handler instead of hanging forever.
+// A loop on the session's executor that periodically sweeps for
+// operations that can no longer make progress — posted receives and
+// rendezvous handshakes whose only route to the peer is dead — and cancels
+// them with ErrorCode::kTimedOut so the blocked rank gets an MPI error
+// through its communicator's error handler instead of hanging forever.
 //
 // The poll interval is wall-clock time and deliberately does NOT leak into
 // the simulation: every cancellation stamps virtual time as the operation's
@@ -17,15 +17,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <mutex>
-#include <thread>
+
+#include "marcel/executor.hpp"
 
 namespace madmpi::core {
 
 class ProgressWatchdog {
  public:
   /// One full sweep over every rank context and device. Runs on the
-  /// watchdog thread; must be safe to call concurrently with rank threads.
+  /// watchdog's loop; must be safe to call concurrently with rank threads.
   using Sweep = std::function<void()>;
 
   /// Cheap digest of global progress (the session hashes every node's
@@ -37,8 +39,9 @@ class ProgressWatchdog {
   /// whose last act was to advance a clock is still caught.
   using Fingerprint = std::function<std::uint64_t()>;
 
-  explicit ProgressWatchdog(
-      Sweep sweep,
+  /// Start sweeping on a loop of `executor`; it binds no lane.
+  ProgressWatchdog(
+      marcel::Executor& executor, Sweep sweep,
       std::chrono::milliseconds interval = std::chrono::milliseconds(2),
       Fingerprint fingerprint = nullptr);
   ~ProgressWatchdog();
@@ -46,7 +49,8 @@ class ProgressWatchdog {
   ProgressWatchdog(const ProgressWatchdog&) = delete;
   ProgressWatchdog& operator=(const ProgressWatchdog&) = delete;
 
-  /// Stop the thread and join it. Idempotent; implicit in the destructor.
+  /// Stop the loop and wait for it to return. Idempotent; implicit in the
+  /// destructor.
   void stop();
 
   /// Ticks that skipped their sweep because the fingerprint moved (tests).
@@ -67,7 +71,7 @@ class ProgressWatchdog {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  std::thread thread_;
+  std::future<void> returned_;
 };
 
 }  // namespace madmpi::core

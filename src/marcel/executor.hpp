@@ -1,4 +1,6 @@
-// The session's helper-task executor.
+// The session's one executor: every OS thread the library starts for
+// progress or helper work is one of its workers. Marcel's cost profile
+// (ThreadCosts, paper §3.3) is charged to the node's virtual clock.
 //
 // Polling threads never send (paper §4.2.3), so the paper pushes each
 // rendezvous reply and each MPI_Isend from a temporary Marcel thread.
@@ -8,17 +10,22 @@
 // a new one. drain() waits for every task, including tasks posted by
 // tasks; join() then retires the workers, so no helper outlives its owner.
 //
+// loop() runs a task that returns only when its source shuts down (a
+// poller, the watchdog sweep) on a new worker of its own. drain() does not
+// wait for it; its future does, and join() joins it with the others.
+//
 // One worker starts with the executor and allocates at once; join() ends
-// it last. glibc binds a thread to a malloc arena at its first allocation,
-// preferring the arena of the thread that exited last, so over
-// back-to-back sessions that worker, which runs the rendezvous data
-// pushes, keeps one arena instead of leaving their allocations cached in
-// the arenas of earlier pollers and ranks.
+// it last, and loop() never takes it. glibc binds a thread to a malloc
+// arena at its first allocation, preferring the arena of the thread that
+// exited last, so over back-to-back sessions that worker, which runs the
+// rendezvous data pushes, keeps one arena instead of leaving their
+// allocations cached in the arenas of earlier pollers and ranks.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -29,6 +36,14 @@
 #include "sim/node.hpp"
 
 namespace madmpi::marcel {
+
+/// Virtual-time costs of Marcel operations (user-level threads are cheap:
+/// the paper cites excellent creation/destruction/yield performance).
+struct ThreadCosts {
+  static constexpr usec_t kCreate = 2.0;     // spawn a temporary thread
+  static constexpr usec_t kWake = 2.5;       // unblock + schedule a thread
+  static constexpr usec_t kSemSignal = 0.5;  // semaphore V operation
+};
 
 class Executor {
  public:
@@ -66,15 +81,44 @@ class Executor {
     worker->wake.notify_one();
   }
 
-  /// Block until no task is running, tasks posted by tasks included.
-  /// Never call drain() or join() from a task.
+  /// Run `fn` on a new worker until it returns. With a `node`, charge
+  /// `cost` and bind the loop's lane as post() does; without, bind none.
+  /// The future is ready once `fn` returned and its lanes expired.
+  std::future<void> loop(std::function<void()> fn, sim::Node* node = nullptr,
+                         usec_t cost = 0.0) {
+    const usec_t birth = node != nullptr ? node->clock().advance(cost) : 0.0;
+    std::promise<void> returned;
+    std::future<void> future = returned.get_future();
+    auto worker = std::make_shared<Worker>();
+    worker->busy = true;  // post() never hands it a task
+    std::lock_guard<std::mutex> lock(mutex_);
+    workers_.push_back(worker);
+    ++workers_started_;
+    worker->thread = std::thread([node, birth, fn = std::move(fn),
+                                  returned = std::move(returned)]() mutable {
+      {
+        sim::VirtualClock::LaneMap lanes;
+        sim::VirtualClock::exchange_lane_map(&lanes);
+        if (node != nullptr) node->clock().bind_lane(birth);
+        fn();
+        fn = nullptr;  // captured state dies before the owner wakes
+        sim::VirtualClock::exchange_lane_map(nullptr);
+      }
+      returned.set_value();
+    });
+    return future;
+  }
+
+  /// Block until no post()ed task is running, tasks posted by tasks
+  /// included; loops are not waited for. Never call drain() or join()
+  /// from a task.
   void drain() {
     std::unique_lock<std::mutex> lock(mutex_);
     drained_.wait(lock, [this] { return active_ == 0; });
   }
 
-  /// drain(), then retire and join every worker. A later post() starts a
-  /// fresh worker.
+  /// drain(), then retire and join every worker, loops included: their
+  /// sources must have shut down. A later post() starts a fresh worker.
   void join() {
     drain();
     std::unique_lock<std::mutex> lock(mutex_);
@@ -89,7 +133,8 @@ class Executor {
     }
   }
 
-  /// Workers started so far (tests: steady-state traffic starts none).
+  /// Workers started so far, loops included (tests: steady-state traffic
+  /// starts none).
   std::size_t workers_started() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return workers_started_;

@@ -13,7 +13,7 @@
 
 #include "common/types.hpp"
 #include "marcel/engine.hpp"
-#include "marcel/thread.hpp"
+#include "marcel/executor.hpp"
 #include "sim/node.hpp"
 
 namespace madmpi::marcel {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/env.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
 
@@ -97,10 +98,7 @@ BarrierAlgorithm barrier_algorithm_default() {
   return BarrierAlgorithm::kAuto;
 }
 
-bool coll_offload_default() {
-  const std::string v = env_lower("MADMPI_COLL_OFFLOAD");
-  return !(v == "0" || v == "false" || v == "off" || v == "no");
-}
+bool coll_offload_default() { return env_flag("MADMPI_COLL_OFFLOAD", true); }
 
 std::string CollDecisionTable::serialize() const {
   if (!valid) return "untuned";

@@ -24,6 +24,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/status.hpp"
 #include "mpi/coll_schedule.hpp"
 #include "mpi/comm_shared.hpp"
@@ -105,10 +106,7 @@ void tune_collectives(Comm world) {
   };
   // MADMPI_COLL_TUNE_LOG=1: rank 0 prints every probe score (margin
   // debugging for new topologies).
-  const bool log_scores = [] {
-    const char* value = std::getenv("MADMPI_COLL_TUNE_LOG");
-    return value != nullptr && value[0] == '1';
-  }();
+  const bool log_scores = env_flag("MADMPI_COLL_TUNE_LOG", false);
   auto log_score = [&](const char* collective, int algorithm,
                        std::size_t bytes, double us) {
     if (log_scores && me == 0) {

@@ -8,7 +8,7 @@
 #include "common/datapath_stats.hpp"
 #include "common/log.hpp"
 #include "marcel/engine.hpp"
-#include "marcel/thread.hpp"
+#include "marcel/executor.hpp"
 #include "sim/cost_model.hpp"
 
 #include "mpi/comm_shared.hpp"

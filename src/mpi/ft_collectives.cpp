@@ -27,6 +27,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/env.hpp"
 #include "marcel/engine.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/comm_shared.hpp"
@@ -113,12 +114,7 @@ int agree_tag(int epoch, int round) {
 }  // namespace ft
 
 bool ft_collectives_default() {
-  static const bool value = [] {
-    const char* env = std::getenv("MADMPI_FT_COLLECTIVES");
-    if (env == nullptr) return false;
-    const std::string s(env);
-    return !(s.empty() || s == "0" || s == "off" || s == "false");
-  }();
+  static const bool value = env_flag("MADMPI_FT_COLLECTIVES", false);
   return value;
 }
 

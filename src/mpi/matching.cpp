@@ -15,23 +15,6 @@ namespace madmpi::mpi {
 
 namespace {
 
-/// MADMPI_MATCH_BUCKETS: bucket count per rank, rounded up to a power of
-/// two and clamped to [1, 4096]. The default keeps per-rank footprint
-/// small while giving 1024-rank sessions essentially collision-free
-/// specific-source matching.
-std::size_t match_buckets_from_env() {
-  std::size_t buckets = 64;
-  const char* value = std::getenv("MADMPI_MATCH_BUCKETS");
-  if (value != nullptr && *value != '\0') {
-    const unsigned long long parsed = std::strtoull(value, nullptr, 10);
-    if (parsed >= 1) buckets = static_cast<std::size_t>(parsed);
-  }
-  buckets = std::min<std::size_t>(buckets, 4096);
-  std::size_t rounded = 1;
-  while (rounded < buckets) rounded <<= 1;
-  return rounded;
-}
-
 /// Fibonacci-style spread of the (context, source) key across buckets.
 std::size_t bucket_index(std::uint64_t key, std::size_t mask) {
   return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
@@ -66,12 +49,10 @@ struct WaiterGuard {
 RankContext::RankContext(rank_t global_rank, sim::Node& node)
     : global_rank_(global_rank),
       node_(node),
-      buckets_(match_buckets_from_env()) {
-  bucket_mask_ = buckets_.size() - 1;
-}
+      buckets_(kBuckets) {}
 
 RankContext::Bucket& RankContext::bucket_of(std::uint64_t key) {
-  return buckets_[bucket_index(key, bucket_mask_)];
+  return buckets_[bucket_index(key, kBuckets - 1)];
 }
 
 void RankContext::finish_recv(const PostedRecv& posted, const Envelope& env,
@@ -790,7 +771,7 @@ std::size_t RankContext::cancel_unreachable(ErrorCode code) {
             });
   for (PostedRecv& posted : victims) {
     // Deterministic stamp: the error is observed `horizon` after the
-    // post, not whenever the wall-clock watchdog thread got scheduled.
+    // post, not whenever the wall-clock watchdog sweep got scheduled.
     node_.clock().bind_lane(posted.posted_at + horizon);
     MpiStatus status;
     status.source = posted.source;

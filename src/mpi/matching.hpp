@@ -67,7 +67,7 @@ struct PostedRecv {
   /// Virtual time at which the receive was posted (poster's lane). The
   /// watchdog stamps cancellations at posted_at + horizon so the error is
   /// observed a deterministic horizon after the post, independent of when
-  /// the wall-clock watchdog thread happened to fire.
+  /// the wall-clock watchdog sweep happened to fire.
   usec_t posted_at = 0.0;
 
   /// FT collectives: absolute virtual-time deadline. 0 = none. A receive
@@ -402,8 +402,10 @@ class RankContext {
   mutable std::mutex mutex_;
   std::condition_variable unexpected_arrived_;
 
-  std::vector<Bucket> buckets_;  // size fixed at construction, power of two
-  std::size_t bucket_mask_ = 0;
+  /// Buckets per rank, a power of two: a small per-rank footprint, yet
+  /// essentially collision-free specific-source matching at 1024 ranks.
+  static constexpr std::size_t kBuckets = 64;
+  std::vector<Bucket> buckets_;  // kBuckets of them
 
   /// Wildcard-source posted receives, in post order (guarded by mutex_).
   std::deque<PostedRecv> wildcard_posted_;

@@ -1,7 +1,9 @@
 #include "mpi/op.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/status.hpp"
 
@@ -9,11 +11,20 @@ namespace madmpi::mpi {
 
 namespace {
 
+// Elements load and store through memcpy: a wire payload need not be
+// aligned for T.
 template <typename T, typename Fn>
 void combine(const void* in, void* inout, int count, Fn&& fn) {
-  const T* a = static_cast<const T*>(in);
-  T* b = static_cast<T*>(inout);
-  for (int i = 0; i < count; ++i) b[i] = fn(a[i], b[i]);
+  const auto* a = static_cast<const std::byte*>(in);
+  auto* b = static_cast<std::byte*>(inout);
+  for (int i = 0; i < count; ++i, a += sizeof(T), b += sizeof(T)) {
+    T x;
+    T y;
+    std::memcpy(&x, a, sizeof x);
+    std::memcpy(&y, b, sizeof y);
+    const T result = fn(x, y);
+    std::memcpy(b, &result, sizeof result);
+  }
 }
 
 /// Dispatch an arithmetic operation over the primitive class. Bitwise and

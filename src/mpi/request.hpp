@@ -14,7 +14,7 @@
 
 #include "common/status.hpp"
 #include "marcel/engine.hpp"
-#include "marcel/thread.hpp"
+#include "marcel/executor.hpp"
 #include "mpi/types.hpp"
 #include "sim/node.hpp"
 

@@ -1,14 +1,20 @@
 // Unit tests for the common utilities.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "common/byte_buffer.hpp"
+#include "common/env.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
+#include "common/slab_pool.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
+#include "mpi/coll_types.hpp"
 
 namespace madmpi {
 namespace {
@@ -189,6 +195,57 @@ TEST(Rng, BoolIsBalancedEnough) {
   for (int i = 0; i < 10000; ++i) heads += rng.next_bool() ? 1 : 0;
   EXPECT_GT(heads, 4500);
   EXPECT_LT(heads, 5500);
+}
+
+TEST(EnvFlag, EveryFlagKnobFollowsOneRule) {
+  // Each on/off knob with its default, read by its consumer where that
+  // reads the environment on every call (MADMPI_FT_COLLECTIVES is read
+  // once per process, the two tuner knobs inside a run).
+  struct Knob {
+    const char* name;
+    bool fallback;
+    std::function<bool()> read;
+  };
+  const Knob knobs[] = {
+      {"MADMPI_COLL_TUNE", false, nullptr},
+      {"MADMPI_COLL_TUNE_LOG", false, nullptr},
+      {"MADMPI_FT_COLLECTIVES", false, nullptr},
+      {"MADMPI_COLL_OFFLOAD", true, [] { return mpi::coll_offload_default(); }},
+      {"MADMPI_SLAB_DISABLE", false,
+       [] { return SlabPool::Options::from_env().disabled; }},
+  };
+  struct Row {
+    const char* value;  // nullptr: unset
+    int expected;       // 0 off, 1 on, -1 the knob's default
+  };
+  const Row rows[] = {
+      {nullptr, -1}, {"", -1},     {"0", 0},     {"off", 0},   {"OFF", 0},
+      {"Off", 0},    {"false", 0}, {"FALSE", 0}, {"no", 0},    {"No", 0},
+      {"1", 1},      {"on", 1},    {"true", 1},  {"yes", 1},   {"2", 1},
+  };
+  for (const Knob& knob : knobs) {
+    const char* saved = std::getenv(knob.name);
+    const std::string restore = saved != nullptr ? saved : "";
+    for (const Row& row : rows) {
+      if (row.value == nullptr) {
+        ::unsetenv(knob.name);
+      } else {
+        ::setenv(knob.name, row.value, /*overwrite=*/1);
+      }
+      const bool expected = row.expected < 0 ? knob.fallback : row.expected;
+      const char* shown = row.value != nullptr ? row.value : "(unset)";
+      EXPECT_EQ(env_flag(knob.name, knob.fallback), expected)
+          << knob.name << "=" << shown;
+      if (knob.read) {
+        EXPECT_EQ(knob.read(), expected) << knob.name << "=" << shown;
+      }
+    }
+    if (saved != nullptr) {
+      ::setenv(knob.name, restore.c_str(), 1);
+    } else {
+      ::unsetenv(knob.name);
+    }
+  }
 }
 
 }  // namespace

@@ -217,8 +217,9 @@ TEST(Watchdog, FingerprintSkipsSweepsWhileTimeAdvances) {
   // except the forced every-kForcedSweepPeriod-th are skipped.
   std::atomic<int> sweeps{0};
   std::atomic<std::uint64_t> print{0};
+  marcel::Executor executor;
   core::ProgressWatchdog watchdog(
-      [&sweeps] { sweeps.fetch_add(1); },
+      executor, [&sweeps] { sweeps.fetch_add(1); },
       std::chrono::milliseconds(1),
       [&print] { return print.fetch_add(1) + 1; });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -231,7 +232,9 @@ TEST(Watchdog, FingerprintSkipsSweepsWhileTimeAdvances) {
 
 TEST(Watchdog, StaticFingerprintNeverSkips) {
   std::atomic<int> sweeps{0};
-  core::ProgressWatchdog watchdog([&sweeps] { sweeps.fetch_add(1); },
+  marcel::Executor executor;
+  core::ProgressWatchdog watchdog(executor,
+                                  [&sweeps] { sweeps.fetch_add(1); },
                                   std::chrono::milliseconds(1),
                                   [] { return std::uint64_t{7}; });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -244,7 +247,7 @@ TEST(Watchdog, SessionFingerprintTracksClockMovement) {
   core::Session::Options options;
   options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kTcp);
   core::Session session(std::move(options));
-  ASSERT_NE(session.watchdog(), nullptr);  // finalize() retires the thread
+  ASSERT_NE(session.watchdog(), nullptr);  // finalize() stops its loop
   session.run([](mpi::Comm comm) {
     int value = comm.rank();
     int sum = 0;

@@ -266,7 +266,7 @@ TEST(Watchdog, RecvFromKilledPeerReturnsTimeoutInsteadOfHanging) {
       EXPECT_EQ(value, -1);  // nothing was delivered
     }
   });
-  // The cancel counter is bumped by the watchdog thread *after* it
+  // The cancel counter is bumped by the watchdog sweep *after* it
   // completes the victim request, so it is only authoritative once
   // finalize() has joined that thread.
   session->finalize();

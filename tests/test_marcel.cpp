@@ -1,16 +1,16 @@
-// Tests for the Marcel-like thread layer: semaphores, threads, poll server,
-// helper-task executor.
+// Tests for the Marcel-like thread layer: semaphores, poll server, and the
+// executor's helper tasks and loops.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <thread>
 
 #include "marcel/executor.hpp"
 #include "marcel/poll_server.hpp"
 #include "marcel/semaphore.hpp"
-#include "marcel/thread.hpp"
 
 namespace madmpi::marcel {
 namespace {
@@ -58,29 +58,49 @@ TEST(Semaphore, CrossThreadHandoff) {
   releaser.join();
 }
 
-TEST(Thread, CreationChargesMarcelCost) {
+TEST(PollServer, CreationChargesMarcelCost) {
   sim::Node node(0, "n", 2);
+  Executor executor;
+  node.clock().advance(40.0);
   const usec_t before = node.clock().now();
+  usec_t born = -1.0;
   {
-    Thread thread(node, [] {});
-    thread.join();
+    PollServer server(node, executor);
+    server.add_poller(1, 1.0, [&](PollServer::Poller&) {
+      born = node.clock().now();
+      return false;
+    });
+    server.join();
   }
+  // The creator paid the Marcel thread-create cost, and the poller's lane
+  // started at that stamp.
   EXPECT_DOUBLE_EQ(node.clock().now(), before + ThreadCosts::kCreate);
+  EXPECT_DOUBLE_EQ(born, before + ThreadCosts::kCreate);
 }
 
-TEST(Thread, JoinsOnDestruction) {
+TEST(PollServer, JoinsOnDestruction) {
   sim::Node node(0, "n", 2);
+  Executor executor;
   std::atomic<bool> ran{false};
-  { Thread thread(node, [&] { ran = true; }); }
+  {
+    PollServer server(node, executor);
+    server.add_poller(1, 1.0, [&](PollServer::Poller&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ran = true;
+      return false;
+    });
+  }
   EXPECT_TRUE(ran.load());
 }
 
 TEST(PollServer, PollersRegisterAndUnregisterOnNode) {
   sim::Node node(0, "n", 2);
+  Executor executor;
   {
-    PollServer server(node);
+    PollServer server(node, executor);
     std::atomic<int> remaining{3};
-    server.add_poller(7, 15.0, [&] { return --remaining > 0; });
+    server.add_poller(7, 15.0,
+                      [&](PollServer::Poller&) { return --remaining > 0; });
     EXPECT_EQ(server.poller_count(), 1u);
     server.join();
   }
@@ -90,23 +110,27 @@ TEST(PollServer, PollersRegisterAndUnregisterOnNode) {
 
 TEST(PollServer, WakeupChargesWakePlusInterference) {
   sim::Node node(0, "n", 2);
-  PollServer server(node);
+  Executor executor;
+  PollServer server(node, executor);
   node.register_poller(1, 15.0);  // a concurrent TCP-ish poller
   node.register_poller(2, 0.4);   // the channel being handled
+  PollServer::Poller poller;
+  poller.channel = 2;
   const usec_t before = node.clock().now();
-  const usec_t charged = server.charge_wakeup(2);
+  const usec_t charged = server.charge_wakeup(poller);
   EXPECT_DOUBLE_EQ(charged, ThreadCosts::kWake + 0.5 * 15.0);
   EXPECT_DOUBLE_EQ(node.clock().now(), before + charged);
 }
 
 TEST(PollServer, MultiplePollersRunConcurrently) {
   sim::Node node(0, "n", 2);
-  PollServer server(node);
+  Executor executor;
+  PollServer server(node, executor);
   std::atomic<int> alive{0};
   std::atomic<int> peak{0};
   std::atomic<bool> release{false};
   for (channel_id_t c = 0; c < 3; ++c) {
-    server.add_poller(c, 1.0, [&] {
+    server.add_poller(c, 1.0, [&](PollServer::Poller&) {
       const int now = ++alive;
       int expected = peak.load();
       while (now > expected && !peak.compare_exchange_weak(expected, now)) {
@@ -215,6 +239,70 @@ TEST(MarcelExecutor, DrainWaitsForTasksPostedByTasks) {
   executor.post(node, 1.0, [&link] { link(2); });
   executor.drain();
   EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(MarcelExecutor, DrainReturnsWhileALoopRuns) {
+  sim::Node node(0, "n", 2);
+  std::atomic<bool> release{false};
+  Executor executor;  // joined first: its loop uses the flag above
+  std::future<void> returned = executor.loop([&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::atomic<int> ran{0};
+  executor.post(node, 0.0, [&] { ++ran; });
+  executor.drain();  // waits for the task, not for the loop
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(returned.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  release = true;
+  returned.wait();
+}
+
+TEST(MarcelExecutor, JoinReturnsOnlyAfterTheLoopReturned) {
+  std::atomic<bool> release{false};
+  std::atomic<bool> loop_returned{false};
+  std::atomic<bool> joined{false};
+  Executor executor;
+  executor.loop([&] {
+    while (!release.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    loop_returned = true;
+  });
+  std::thread joiner([&] {
+    executor.join();
+    joined = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(joined.load());
+  release = true;
+  joiner.join();
+  EXPECT_TRUE(loop_returned.load());
+}
+
+TEST(MarcelExecutor, LoopNeverTakesThePreStartedWorker) {
+  sim::Node node(0, "n", 2);
+  std::atomic<bool> release{false};
+  Executor executor;
+  std::thread::id first;
+  executor.post(node, 0.0, [&] { first = std::this_thread::get_id(); });
+  executor.drain();
+  // The pre-started worker is idle now, and the loop still starts its own.
+  std::atomic<std::thread::id> looping{};
+  std::future<void> returned = executor.loop([&] {
+    looping = std::this_thread::get_id();
+    while (!release.load()) std::this_thread::yield();
+  });
+  ASSERT_TRUE(eventually([&] { return looping.load() != std::thread::id{}; }));
+  EXPECT_NE(looping.load(), first);
+  EXPECT_EQ(executor.workers_started(), 2u);
+  // A task posted while the loop runs finds that worker idle.
+  std::thread::id task;
+  executor.post(node, 0.0, [&] { task = std::this_thread::get_id(); });
+  executor.drain();
+  EXPECT_EQ(task, first);
+  EXPECT_EQ(executor.workers_started(), 2u);
+  release = true;
+  returned.wait();
 }
 
 TEST(MarcelExecutor, OutsidePostRacesDrainAndJoin) {

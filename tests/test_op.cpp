@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "mpi/op.hpp"
 
@@ -80,6 +82,48 @@ TEST(Op, ContiguousOfPrimitiveReducesElementwise) {
   std::array<double, 6> inout{10, 10, 10, 10, 10, 10};
   Op::sum().apply(in.data(), inout.data(), 2, vec3);
   EXPECT_EQ(inout, (std::array<double, 6>{11, 12, 13, 14, 15, 16}));
+}
+
+// Reduce at aligned addresses and again with `in` and `inout` one byte
+// off, as a wire payload may sit; both must give the same bytes.
+template <typename T>
+void expect_odd_offset_matches(const Op& op, const Datatype& type) {
+  constexpr int kCount = 5;
+  std::array<T, kCount> in{};
+  std::array<T, kCount> inout{};
+  for (int i = 0; i < kCount; ++i) {
+    in[i] = static_cast<T>(i % 3);  // zeros too, for the logical ops
+    inout[i] = static_cast<T>(2 * i + 1);
+  }
+  alignas(16) std::array<std::byte, sizeof in + 1> in_raw{};
+  alignas(16) std::array<std::byte, sizeof inout + 1> inout_raw{};
+  std::memcpy(in_raw.data() + 1, in.data(), sizeof in);
+  std::memcpy(inout_raw.data() + 1, inout.data(), sizeof inout);
+  op.apply(in.data(), inout.data(), kCount, type);
+  op.apply(in_raw.data() + 1, inout_raw.data() + 1, kCount, type);
+  EXPECT_EQ(std::memcmp(inout_raw.data() + 1, inout.data(), sizeof inout), 0)
+      << op.name() << " on " << type.name();
+}
+
+TEST(Op, EveryOpAndTypeAtAnOddOffset) {
+  const Op arithmetic[] = {Op::sum(), Op::prod(), Op::min(), Op::max()};
+  const Op integral[] = {Op::land(), Op::lor(), Op::band(), Op::bor(),
+                         Op::bxor()};
+  auto integer_types = [](const Op& op) {
+    expect_odd_offset_matches<std::int8_t>(op, Datatype::int8());
+    expect_odd_offset_matches<std::uint8_t>(op, Datatype::uint8());
+    expect_odd_offset_matches<std::uint8_t>(op, Datatype::byte());
+    expect_odd_offset_matches<std::int32_t>(op, Datatype::int32());
+    expect_odd_offset_matches<std::uint32_t>(op, Datatype::uint32());
+    expect_odd_offset_matches<std::int64_t>(op, Datatype::int64());
+    expect_odd_offset_matches<std::uint64_t>(op, Datatype::uint64());
+  };
+  for (const Op& op : arithmetic) {
+    integer_types(op);
+    expect_odd_offset_matches<float>(op, Datatype::float32());
+    expect_odd_offset_matches<double>(op, Datatype::float64());
+  }
+  for (const Op& op : integral) integer_types(op);
 }
 
 TEST(Op, BitwiseOnFloatAborts) {

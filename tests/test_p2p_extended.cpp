@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "core/session.hpp"
@@ -344,6 +346,75 @@ TEST(MarcelExecutorSession, FinalizeLeavesNoHelperThreadBehind) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_LE(live_threads(), before);
+}
+
+TEST(MarcelExecutorSession, EveryLibraryThreadIsARankOrAWorker) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  // The threaded engine: one OS thread per rank.
+  const char* engine = std::getenv("MADMPI_ENGINE");
+  const std::string saved_engine = engine != nullptr ? engine : "";
+  ::setenv("MADMPI_ENGINE", "threaded", 1);
+  // As above: let a sanitizer start its own thread first, then take the
+  // lowest count over a short settle.
+  std::thread([] {}).join();
+  std::size_t before = live_threads();
+  const auto settled =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (std::chrono::steady_clock::now() < settled) {
+    before = std::min(before, live_threads());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Two nodes on SCI and TCP: two pollers each, plus the watchdog sweep.
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
+  sim::NetworkSpec tcp;
+  tcp.protocol = sim::Protocol::kTcp;
+  for (const auto& node : options.cluster.nodes) {
+    tcp.members.push_back(node.name);
+  }
+  options.cluster.networks.push_back(std::move(tcp));
+  Session session(std::move(options));
+  ASSERT_NE(session.watchdog(), nullptr);
+  const auto ranks = static_cast<std::size_t>(session.world_size());
+  std::size_t started = 0;
+  std::size_t live = 0;
+  session.run([&](Comm comm) {
+    std::vector<int> buffer(64 * 1024, comm.rank());  // rendezvous
+    if (comm.rank() == 0) {
+      comm.send(buffer.data(), 64 * 1024, Datatype::int32(), 1, 0);
+    } else {
+      comm.recv(buffer.data(), 64 * 1024, Datatype::int32(), 0, 0);
+    }
+    comm.barrier();
+    if (comm.rank() == 0) {
+      // A late helper may start a worker while we count: count again
+      // until workers_started() holds still across the count.
+      for (int attempt = 0; attempt < 100; ++attempt) {
+        started = session.executor().workers_started();
+        live = live_threads();
+        if (session.executor().workers_started() == started) break;
+      }
+    }
+    comm.barrier();
+  });
+  // The pre-started worker, four pollers and the sweep at least.
+  EXPECT_GE(started, 6u);
+  EXPECT_EQ(live, before + ranks + started);
+  session.finalize();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live_threads() != before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(live_threads(), before);
+  if (engine != nullptr) {
+    ::setenv("MADMPI_ENGINE", saved_engine.c_str(), 1);
+  } else {
+    ::unsetenv("MADMPI_ENGINE");
+  }
 }
 
 TEST(MarcelExecutorSession, SteadyRendezvousStartsNoWorker) {
