@@ -162,14 +162,6 @@ SlabPool::Options SlabPool::Options::from_env() {
     options.max_cached_per_class =
         static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
   }
-  if (const char* v = std::getenv("MADMPI_SLAB_MAX_CLASS")) {
-    const auto bytes = std::strtoull(v, nullptr, 10);
-    if (bytes >= 64) options.max_slab_bytes = static_cast<std::size_t>(bytes);
-  }
-  if (const char* v = std::getenv("MADMPI_SLAB_REFILL")) {
-    options.refill_batch =
-        static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  }
   return options;
 }
 

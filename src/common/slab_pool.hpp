@@ -19,12 +19,9 @@
 //   MADMPI_SLAB_DISABLE=1      every acquire is a one-off heap allocation
 //                              (fallback path; pooling off, for debugging)
 //   MADMPI_SLAB_MAX_CACHED=N   free slabs cached per size class (default 16)
-//   MADMPI_SLAB_MAX_CLASS=N    largest pooled slab in bytes (default 256 KB;
-//                              bigger requests fall back to one-off heap
-//                              allocations that are never cached)
-//   MADMPI_SLAB_REFILL=N       slabs carved per cache miss (default 8): one
-//                              is handed out, the spares are cached so later
-//                              concurrency spikes stay off the heap
+// The largest pooled slab (256 KB; bigger requests fall back to one-off
+// heap allocations that are never cached) and the slabs carved per cache
+// miss (8) are Options fields only.
 #pragma once
 
 #include <atomic>

@@ -38,6 +38,15 @@ void raise_high_water(std::atomic<std::size_t>& high_water,
   }
 }
 
+/// The (context, source, tag) triple a probe matches with.
+PostedRecv pattern_of(int context, rank_t source, int tag) {
+  PostedRecv pattern;
+  pattern.context = context;
+  pattern.source = source;
+  pattern.tag = tag;
+  return pattern;
+}
+
 /// Decrements the probe-waiter count on every exit path of probe/mprobe.
 struct WaiterGuard {
   std::atomic<std::size_t>& waiters;
@@ -139,29 +148,21 @@ bool RankContext::take_matching_posted(
   }
 
   std::uint64_t steps = 0;
+  const auto first_match = [&env, &steps](std::deque<PostedRecv>& queue) {
+    auto scan = queue.begin();
+    for (; scan != queue.end(); ++scan) {
+      ++steps;
+      if (matches(*scan, env)) break;
+    }
+    return scan;
+  };
   KeyQueues& key_queues = bucket.keys[key];  // single lookup; the miss
                                              // path appends here anyway
   std::deque<PostedRecv>* bucket_queue = &key_queues.posted;
-  auto bucket_hit = bucket_queue->end();
-  for (auto scan = bucket_queue->begin(); scan != bucket_queue->end();
-       ++scan) {
-    ++steps;
-    if (matches(*scan, env)) {
-      bucket_hit = scan;
-      break;
-    }
-  }
-  auto wildcard_hit = wildcard_posted_.end();
-  if (rank_lock.owns_lock()) {
-    for (auto scan = wildcard_posted_.begin();
-         scan != wildcard_posted_.end(); ++scan) {
-      ++steps;
-      if (matches(*scan, env)) {
-        wildcard_hit = scan;
-        break;
-      }
-    }
-  }
+  const auto bucket_hit = first_match(*bucket_queue);
+  const auto wildcard_hit = rank_lock.owns_lock()
+                                ? first_match(wildcard_posted_)
+                                : wildcard_posted_.end();
   stats.count_match_attempt(steps);
 
   const bool bucket_found = bucket_hit != bucket_queue->end();
@@ -192,6 +193,11 @@ RankContext::UnexpectedHit RankContext::peek_unexpected(
   auto& stats = DatapathStats::global();
   UnexpectedHit hit;
   std::uint64_t steps = 0;
+  const auto record = [&hit](Bucket& bucket, std::uint64_t key,
+                             const UnexpectedMessage& message) {
+    hit = UnexpectedHit{&bucket, key, message.env, message.available_at,
+                        message.seq, true};
+  };
   if (pattern.source != kAnySource) {
     const std::uint64_t key = key_of(pattern.context, pattern.source);
     Bucket& bucket = bucket_of(key);
@@ -202,12 +208,7 @@ RankContext::UnexpectedHit RankContext::peek_unexpected(
       for (const UnexpectedMessage& message : it->second.unexpected) {
         ++steps;
         if (matches(pattern, message.env)) {
-          hit.bucket = &bucket;
-          hit.key = key;
-          hit.env = message.env;
-          hit.available_at = message.available_at;
-          hit.seq = message.seq;
-          hit.found = true;
+          record(bucket, key, message);
           break;
         }
       }
@@ -225,14 +226,7 @@ RankContext::UnexpectedHit RankContext::peek_unexpected(
       for (const UnexpectedMessage& message : queues.unexpected) {
         ++steps;
         if (!matches(pattern, message.env)) continue;
-        if (!hit.found || message.seq < hit.seq) {
-          hit.bucket = &bucket;
-          hit.key = key;
-          hit.env = message.env;
-          hit.available_at = message.available_at;
-          hit.seq = message.seq;
-          hit.found = true;
-        }
+        if (!hit.found || message.seq < hit.seq) record(bucket, key, message);
         break;  // later entries for this key have higher seqs
       }
     }
@@ -241,45 +235,12 @@ RankContext::UnexpectedHit RankContext::peek_unexpected(
   return hit;
 }
 
-bool RankContext::take_unexpected(const PostedRecv& pattern,
-                                  UnexpectedMessage* out) {
-  auto& stats = DatapathStats::global();
-  if (pattern.source != kAnySource) {
-    const std::uint64_t key = key_of(pattern.context, pattern.source);
-    Bucket& bucket = bucket_of(key);
-    std::lock_guard<std::mutex> lock(bucket.mutex);
-    stats.count_match_bucket_lock();
-    auto it = bucket.keys.find(key);
-    if (it == bucket.keys.end()) {
-      stats.count_match_attempt(0);
-      return false;
-    }
-    std::uint64_t steps = 0;
-    auto& queue = it->second.unexpected;
-    for (auto scan = queue.begin(); scan != queue.end(); ++scan) {
-      ++steps;
-      if (!matches(pattern, scan->env)) continue;
-      *out = std::move(*scan);
-      queue.erase(scan);
-      unexpected_count_.fetch_sub(1, std::memory_order_relaxed);
-      sub_clamped(stored_, out->charge);
-      stats.count_match_attempt(steps);
-      return true;
-    }
-    stats.count_match_attempt(steps);
-    return false;
-  }
-  // Wildcard source (mutex_ held by the caller): find the global
-  // lowest-seq candidate, then re-lock its bucket to pop it. The entry
-  // cannot vanish in between — only this rank's own thread removes
-  // unexpected entries — and it stays the first match of its key's
-  // seq-sorted deque.
-  UnexpectedHit hit = peek_unexpected(pattern);
-  if (!hit.found) return false;
-  std::lock_guard<std::mutex> lock(hit.bucket->mutex);
-  stats.count_match_bucket_lock();
-  auto& queue = hit.bucket->keys[hit.key].unexpected;
+bool RankContext::pop_unexpected(std::deque<UnexpectedMessage>& queue,
+                                 const PostedRecv& pattern,
+                                 UnexpectedMessage* out,
+                                 std::uint64_t& steps) {
   for (auto scan = queue.begin(); scan != queue.end(); ++scan) {
+    ++steps;
     if (!matches(pattern, scan->env)) continue;
     *out = std::move(*scan);
     queue.erase(scan);
@@ -287,8 +248,39 @@ bool RankContext::take_unexpected(const PostedRecv& pattern,
     sub_clamped(stored_, out->charge);
     return true;
   }
-  MADMPI_CHECK_MSG(false, "matched unexpected entry vanished mid-take");
   return false;
+}
+
+bool RankContext::take_unexpected(const PostedRecv& pattern,
+                                  UnexpectedMessage* out) {
+  auto& stats = DatapathStats::global();
+  std::uint64_t steps = 0;
+  if (pattern.source != kAnySource) {
+    const std::uint64_t key = key_of(pattern.context, pattern.source);
+    Bucket& bucket = bucket_of(key);
+    std::lock_guard<std::mutex> lock(bucket.mutex);
+    stats.count_match_bucket_lock();
+    auto it = bucket.keys.find(key);
+    const bool found = it != bucket.keys.end() &&
+                       pop_unexpected(it->second.unexpected, pattern, out,
+                                      steps);
+    stats.count_match_attempt(steps);
+    return found;
+  }
+  // Wildcard source (mutex_ held by the caller): find the global
+  // lowest-seq candidate, then re-lock its bucket to pop it. The entry
+  // cannot vanish in between — only this rank's own thread removes
+  // unexpected entries — and it stays the first match of its key's
+  // seq-sorted deque. The peek already counted the attempt.
+  UnexpectedHit hit = peek_unexpected(pattern);
+  if (!hit.found) return false;
+  std::lock_guard<std::mutex> lock(hit.bucket->mutex);
+  stats.count_match_bucket_lock();
+  const bool popped =
+      pop_unexpected(hit.bucket->keys[hit.key].unexpected, pattern, out,
+                     steps);
+  MADMPI_CHECK_MSG(popped, "matched unexpected entry vanished mid-take");
+  return popped;
 }
 
 void RankContext::consume_unexpected(UnexpectedMessage message,
@@ -311,15 +303,33 @@ void RankContext::consume_unexpected(UnexpectedMessage message,
   finish_recv(posted, message.env, message.payload.span());
 }
 
-void RankContext::wake_probes_after_append() {
+void RankContext::append_posted(std::deque<PostedRecv>& queue,
+                                PostedRecv&& posted) {
+  posted.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  queue.push_back(std::move(posted));
+  DatapathStats::global().note_match_posted_depth(
+      posted_count_.fetch_add(1, std::memory_order_relaxed) + 1);
+}
+
+void RankContext::append_unexpected(UnexpectedMessage&& message,
+                                    KeyQueues* queues,
+                                    std::unique_lock<std::mutex>& rank_lock,
+                                    std::unique_lock<std::mutex>& bucket_lock) {
+  message.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  queues->unexpected.push_back(std::move(message));
+  DatapathStats::global().note_match_unexpected_depth(
+      unexpected_count_.fetch_add(1, std::memory_order_relaxed) + 1);
+  bucket_lock.unlock();
+  if (rank_lock.owns_lock()) rank_lock.unlock();
+  // Only when a probe loop is actually waiting (common deliveries skip the
+  // rank lock and the notify entirely).
   if (probe_waiters_.load(std::memory_order_acquire) == 0) return;
   // Serialize with the waiter's scan-to-wait transition: a prober that
   // missed our append registered itself before scanning, so we see its
   // count; locking the rank mutex here means it has reached the condvar
   // (or the park) before our notify fires.
   { std::lock_guard<std::mutex> lock(mutex_); }
-  unexpected_arrived_.notify_all();
-  marcel::engine_notify();
+  notify_waiters();
 }
 
 // ------------------------------------------------------------------ post
@@ -336,25 +346,16 @@ void RankContext::post_recv(PostedRecv posted) {
     stats.count_match_bucket_lock();
     auto& queues = bucket.keys[key];
     std::uint64_t steps = 0;
-    for (auto scan = queues.unexpected.begin();
-         scan != queues.unexpected.end(); ++scan) {
-      ++steps;
-      if (!matches(posted, scan->env)) continue;
-      UnexpectedMessage message = std::move(*scan);
-      queues.unexpected.erase(scan);
-      unexpected_count_.fetch_sub(1, std::memory_order_relaxed);
-      sub_clamped(stored_, message.charge);
-      stats.count_match_attempt(steps);
+    UnexpectedMessage message;
+    const bool found =
+        pop_unexpected(queues.unexpected, posted, &message, steps);
+    stats.count_match_attempt(steps);
+    if (found) {
       lock.unlock();
       consume_unexpected(std::move(message), std::move(posted));
-      return;
+    } else {
+      append_posted(queues.posted, std::move(posted));
     }
-    stats.count_match_attempt(steps);
-    posted.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    queues.posted.push_back(std::move(posted));
-    const std::size_t depth =
-        posted_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    stats.note_match_posted_depth(depth);
     return;
   }
 
@@ -373,11 +374,7 @@ void RankContext::post_recv(PostedRecv posted) {
     consume_unexpected(std::move(message), std::move(posted));
     return;
   }
-  posted.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  wildcard_posted_.push_back(std::move(posted));
-  const std::size_t depth =
-      posted_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  DatapathStats::global().note_match_posted_depth(depth);
+  append_posted(wildcard_posted_, std::move(posted));
 }
 
 // -------------------------------------------------------------- delivery
@@ -432,14 +429,7 @@ void RankContext::deliver_eager(const Envelope& env, byte_span payload,
                             sim::kHostCopyUsPerByte);
   sim::trace(message.available_at, node_.id(), sim::TraceCategory::kMatch,
              payload.size(), "unexpected");
-  message.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  queues->unexpected.push_back(std::move(message));
-  const std::size_t depth =
-      unexpected_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  DatapathStats::global().note_match_unexpected_depth(depth);
-  bucket_lock.unlock();
-  if (rank_lock.owns_lock()) rank_lock.unlock();
-  wake_probes_after_append();
+  append_unexpected(std::move(message), queues, rank_lock, bucket_lock);
 }
 
 void RankContext::deliver_rendezvous(const Envelope& env,
@@ -457,48 +447,37 @@ void RankContext::deliver_rendezvous(const Envelope& env,
   message.rendezvous = true;
   message.on_match = std::move(on_match);
   message.available_at = node_.clock().now();
-  message.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  queues->unexpected.push_back(std::move(message));
-  const std::size_t depth =
-      unexpected_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  DatapathStats::global().note_match_unexpected_depth(depth);
-  bucket_lock.unlock();
-  if (rank_lock.owns_lock()) rank_lock.unlock();
-  wake_probes_after_append();
+  append_unexpected(std::move(message), queues, rank_lock, bucket_lock);
 }
 
 // ----------------------------------------------------------------- probe
 
-bool RankContext::iprobe(int context, rank_t source, int tag,
-                         MpiStatus* status) {
-  PostedRecv pattern;
-  pattern.context = context;
-  pattern.source = source;
-  pattern.tag = tag;
-  UnexpectedHit hit;
-  if (source == kAnySource) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DatapathStats::global().count_match_rank_lock();
-    hit = peek_unexpected(pattern);
-  } else {
-    hit = peek_unexpected(pattern);
-  }
-  if (!hit.found) return false;
-  node_.clock().sync_to(hit.available_at);
-  if (status != nullptr) {
-    status->source = hit.env.src;
-    status->tag = hit.env.tag;
-    status->bytes = hit.env.bytes;
-  }
-  return true;
+std::unique_lock<std::mutex> RankContext::lock_for_source(rank_t source) {
+  if (source != kAnySource) return {};
+  DatapathStats::global().count_match_rank_lock();
+  return std::unique_lock<std::mutex>(mutex_);
 }
 
-void RankContext::probe(int context, rank_t source, int tag,
-                        rank_t source_global, MpiStatus* status) {
-  PostedRecv pattern;
-  pattern.context = context;
-  pattern.source = source;
-  pattern.tag = tag;
+void RankContext::observe(const Envelope& env, usec_t available_at,
+                          MpiStatus* status) {
+  node_.clock().sync_to(available_at);
+  if (status != nullptr) {
+    status->source = env.src;
+    status->tag = env.tag;
+    status->bytes = env.bytes;
+  }
+}
+
+void RankContext::hand_over(UnexpectedMessage taken, MatchedMessage* message,
+                            MpiStatus* status) {
+  observe(taken.env, taken.available_at, status);
+  message->message_ = std::move(taken);
+  message->valid_ = true;
+}
+
+template <typename Found>
+bool RankContext::probe_wait(const PostedRecv& pattern, rank_t source_global,
+                             MpiStatus* status, Found found) {
   const usec_t probed_at = node_.clock().now();
   std::unique_lock<std::mutex> lock(mutex_);
   DatapathStats::global().count_match_rank_lock();
@@ -507,16 +486,7 @@ void RankContext::probe(int context, rank_t source, int tag,
   probe_waiters_.fetch_add(1, std::memory_order_release);
   WaiterGuard guard{probe_waiters_};
   for (;;) {
-    const UnexpectedHit hit = peek_unexpected(pattern);
-    if (hit.found) {
-      node_.clock().sync_to(hit.available_at);
-      if (status != nullptr) {
-        status->source = hit.env.src;
-        status->tag = hit.env.tag;
-        status->bytes = hit.env.bytes;
-      }
-      return;
-    }
+    if (found()) return true;
     // Watchdog-aware wait: a probe for a peer that can no longer reach us
     // would otherwise block forever (the unbounded-wait bug). Wildcard
     // probes keep waiting — some peer may still be alive.
@@ -524,12 +494,12 @@ void RankContext::probe(int context, rank_t source, int tag,
         peer_unreachable_(source_global)) {
       node_.clock().sync_to(probed_at + watchdog_horizon_);
       if (status != nullptr) {
-        status->source = source;
-        status->tag = tag;
+        status->source = pattern.source;
+        status->tag = pattern.tag;
         status->bytes = 0;
         status->error = ErrorCode::kTimedOut;
       }
-      return;
+      return false;
     }
     if (marcel::on_fiber()) {
       // Park the fiber instead of blocking its shard worker. The
@@ -556,89 +526,51 @@ void RankContext::probe(int context, rank_t source, int tag,
   }
 }
 
+bool RankContext::iprobe(int context, rank_t source, int tag,
+                         MpiStatus* status) {
+  const PostedRecv pattern = pattern_of(context, source, tag);
+  std::unique_lock<std::mutex> lock = lock_for_source(source);
+  const UnexpectedHit hit = peek_unexpected(pattern);
+  if (lock) lock.unlock();
+  if (!hit.found) return false;
+  observe(hit.env, hit.available_at, status);
+  return true;
+}
+
+void RankContext::probe(int context, rank_t source, int tag,
+                        rank_t source_global, MpiStatus* status) {
+  const PostedRecv pattern = pattern_of(context, source, tag);
+  UnexpectedHit hit;
+  if (probe_wait(pattern, source_global, status, [&] {
+        hit = peek_unexpected(pattern);
+        return hit.found;
+      })) {
+    observe(hit.env, hit.available_at, status);
+  }
+}
+
 // --------------------------------------------------------- matched probe
 
 bool RankContext::improbe(int context, rank_t source, int tag,
                           MatchedMessage* message, MpiStatus* status) {
-  PostedRecv pattern;
-  pattern.context = context;
-  pattern.source = source;
-  pattern.tag = tag;
+  const PostedRecv pattern = pattern_of(context, source, tag);
   UnexpectedMessage taken;
-  bool found = false;
-  if (source == kAnySource) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DatapathStats::global().count_match_rank_lock();
-    found = take_unexpected(pattern, &taken);
-  } else {
-    found = take_unexpected(pattern, &taken);
-  }
+  std::unique_lock<std::mutex> lock = lock_for_source(source);
+  const bool found = take_unexpected(pattern, &taken);
+  if (lock) lock.unlock();
   if (!found) return false;
-  node_.clock().sync_to(taken.available_at);
-  if (status != nullptr) {
-    status->source = taken.env.src;
-    status->tag = taken.env.tag;
-    status->bytes = taken.env.bytes;
-  }
-  message->message_ = std::move(taken);
-  message->valid_ = true;
+  hand_over(std::move(taken), message, status);
   return true;
 }
 
 void RankContext::mprobe(int context, rank_t source, int tag,
                          rank_t source_global, MatchedMessage* message,
                          MpiStatus* status) {
-  PostedRecv pattern;
-  pattern.context = context;
-  pattern.source = source;
-  pattern.tag = tag;
-  const usec_t probed_at = node_.clock().now();
-  std::unique_lock<std::mutex> lock(mutex_);
-  DatapathStats::global().count_match_rank_lock();
-  probe_waiters_.fetch_add(1, std::memory_order_release);
-  WaiterGuard guard{probe_waiters_};
-  for (;;) {
-    UnexpectedMessage taken;
-    if (take_unexpected(pattern, &taken)) {
-      node_.clock().sync_to(taken.available_at);
-      if (status != nullptr) {
-        status->source = taken.env.src;
-        status->tag = taken.env.tag;
-        status->bytes = taken.env.bytes;
-      }
-      message->message_ = std::move(taken);
-      message->valid_ = true;
-      return;
-    }
-    if (peer_unreachable_ && source_global != kInvalidRank &&
-        peer_unreachable_(source_global)) {
-      node_.clock().sync_to(probed_at + watchdog_horizon_);
-      if (status != nullptr) {
-        status->source = source;
-        status->tag = tag;
-        status->bytes = 0;
-        status->error = ErrorCode::kTimedOut;
-      }
-      return;
-    }
-    if (marcel::on_fiber()) {
-      lock.unlock();
-      marcel::park_until([this, &pattern, source_global] {
-        std::function<bool(rank_t)> detector;
-        {
-          std::lock_guard<std::mutex> scan_lock(mutex_);
-          if (peek_unexpected(pattern).found) return true;
-          detector = peer_unreachable_;
-        }
-        return detector != nullptr && source_global != kInvalidRank &&
-               detector(source_global);
-      });
-      lock.lock();
-    } else if (peer_unreachable_) {
-      unexpected_arrived_.wait_for(lock, std::chrono::milliseconds(2));
-    } else {
-      unexpected_arrived_.wait(lock);
-    }
+  const PostedRecv pattern = pattern_of(context, source, tag);
+  UnexpectedMessage taken;
+  if (probe_wait(pattern, source_global, status,
+                 [&] { return take_unexpected(pattern, &taken); })) {
+    hand_over(std::move(taken), message, status);
   }
 }
 
@@ -692,6 +624,62 @@ void RankContext::set_watchdog(usec_t horizon,
   peer_unreachable_ = std::move(unreachable);
 }
 
+template <typename Remove>
+std::vector<PostedRecv> RankContext::sweep_posted(Remove remove) {
+  std::vector<PostedRecv> removed;
+  const auto take_from = [&removed, &remove](std::deque<PostedRecv>& queue) {
+    const std::size_t before = removed.size();
+    for (auto it = queue.begin(); it != queue.end();) {
+      if (remove(*it)) {
+        removed.push_back(std::move(*it));
+        it = queue.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return removed.size() - before;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (Bucket& bucket : buckets_) {
+      std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
+      for (auto& [key, queues] : bucket.keys) take_from(queues.posted);
+    }
+    if (const std::size_t wildcards = take_from(wildcard_posted_)) {
+      wildcard_count_.fetch_sub(wildcards, std::memory_order_release);
+    }
+  }
+  if (removed.empty()) return removed;
+  posted_count_.fetch_sub(removed.size(), std::memory_order_relaxed);
+  // Buckets iterate in hash order; completing in post order keeps the
+  // cancellation sequence (and thus any schedule it perturbs)
+  // deterministic, exactly like the flat queue did.
+  std::sort(removed.begin(), removed.end(),
+            [](const PostedRecv& a, const PostedRecv& b) {
+              return a.seq < b.seq;
+            });
+  return removed;
+}
+
+template <typename Stamp>
+std::size_t RankContext::fail_posted(std::vector<PostedRecv> victims,
+                                     ErrorCode code, const char* label,
+                                     Stamp stamp) {
+  // Completed outside the queue locks (complete() signals the waiter).
+  for (PostedRecv& posted : victims) {
+    node_.clock().bind_lane(stamp(posted));
+    MpiStatus status;
+    status.source = posted.source;
+    status.tag = posted.tag;
+    status.bytes = 0;
+    status.error = code;
+    sim::trace(node_.clock().now(), node_.id(),
+               sim::TraceCategory::kComplete, 0, label);
+    RequestState::complete(posted.request, status);
+  }
+  return victims.size();
+}
+
 std::size_t RankContext::cancel_unreachable(ErrorCode code) {
   std::function<bool(rank_t)> unreachable;
   usec_t horizon = 0.0;
@@ -704,104 +692,48 @@ std::size_t RankContext::cancel_unreachable(ErrorCode code) {
 
   // The failure detector may take channel/session locks, and delivery
   // paths hold those while calling into us — so consult it *without*
-  // holding the queue locks: snapshot the peers waited on, query the
-  // detector unlocked, then re-take the locks to remove victims.
+  // holding the queue locks: snapshot the peers waited on (a sweep that
+  // removes nothing), query the detector unlocked, then sweep again to
+  // remove victims.
   std::vector<rank_t> peers;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto note_peer = [&peers](const PostedRecv& posted) {
-      if (posted.source_global == kInvalidRank) return;
-      if (std::find(peers.begin(), peers.end(), posted.source_global) ==
-          peers.end()) {
-        peers.push_back(posted.source_global);
-      }
-    };
-    for (Bucket& bucket : buckets_) {
-      std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
-      for (auto& [key, queues] : bucket.keys) {
-        for (const PostedRecv& posted : queues.posted) note_peer(posted);
-      }
+  sweep_posted([&peers](const PostedRecv& posted) {
+    if (posted.source_global != kInvalidRank &&
+        std::find(peers.begin(), peers.end(), posted.source_global) ==
+            peers.end()) {
+      peers.push_back(posted.source_global);
     }
-    for (const PostedRecv& posted : wildcard_posted_) note_peer(posted);
-  }
+    return false;
+  });
   std::vector<rank_t> dead;
   for (rank_t peer : peers) {
     if (unreachable(peer)) dead.push_back(peer);
   }
   if (dead.empty()) return 0;
 
-  std::vector<PostedRecv> victims;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto is_dead = [&dead](const PostedRecv& posted) {
-      return posted.source_global != kInvalidRank &&
-             std::find(dead.begin(), dead.end(), posted.source_global) !=
-                 dead.end();
-    };
-    for (Bucket& bucket : buckets_) {
-      std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
-      for (auto& [key, queues] : bucket.keys) {
-        for (auto it = queues.posted.begin(); it != queues.posted.end();) {
-          if (is_dead(*it)) {
-            victims.push_back(std::move(*it));
-            it = queues.posted.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (auto it = wildcard_posted_.begin(); it != wildcard_posted_.end();) {
-      if (is_dead(*it)) {
-        victims.push_back(std::move(*it));
-        it = wildcard_posted_.erase(it);
-        wildcard_count_.fetch_sub(1, std::memory_order_release);
-      } else {
-        ++it;
-      }
-    }
-  }
-  sub_clamped(posted_count_, victims.size());
-  // Buckets iterate in hash order; completing in post order keeps the
-  // cancellation sequence (and thus any schedule it perturbs)
-  // deterministic, exactly like the flat queue did.
-  std::sort(victims.begin(), victims.end(),
-            [](const PostedRecv& a, const PostedRecv& b) {
-              return a.seq < b.seq;
-            });
-  for (PostedRecv& posted : victims) {
-    // Deterministic stamp: the error is observed `horizon` after the
-    // post, not whenever the wall-clock watchdog sweep got scheduled.
-    node_.clock().bind_lane(posted.posted_at + horizon);
-    MpiStatus status;
-    status.source = posted.source;
-    status.tag = posted.tag;
-    status.bytes = 0;
-    status.error = code;
-    sim::trace(node_.clock().now(), node_.id(),
-               sim::TraceCategory::kComplete, 0, "watchdog-cancel");
-    RequestState::complete(posted.request, status);
-  }
-  return victims.size();
+  // Deterministic stamp: the error is observed `horizon` after the post,
+  // not whenever the wall-clock watchdog sweep got scheduled.
+  return fail_posted(
+      sweep_posted([&dead](const PostedRecv& posted) {
+        return posted.source_global != kInvalidRank &&
+               std::find(dead.begin(), dead.end(), posted.source_global) !=
+                   dead.end();
+      }),
+      code, "watchdog-cancel",
+      [horizon](const PostedRecv& posted) {
+        return posted.posted_at + horizon;
+      });
 }
 
 usec_t RankContext::min_ft_deadline() const {
-  auto* self = const_cast<RankContext*>(this);
-  std::lock_guard<std::mutex> lock(mutex_);
   usec_t min_deadline = 0.0;
-  const auto consider = [&min_deadline](const PostedRecv& posted) {
-    if (posted.ft_deadline_us <= 0.0) return;
-    if (min_deadline == 0.0 || posted.ft_deadline_us < min_deadline) {
-      min_deadline = posted.ft_deadline_us;
-    }
-  };
-  for (Bucket& bucket : self->buckets_) {
-    std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
-    for (auto& [key, queues] : bucket.keys) {
-      for (const PostedRecv& posted : queues.posted) consider(posted);
-    }
-  }
-  for (const PostedRecv& posted : wildcard_posted_) consider(posted);
+  const_cast<RankContext*>(this)->sweep_posted(
+      [&min_deadline](const PostedRecv& posted) {
+        if (posted.ft_deadline_us > 0.0 &&
+            (min_deadline == 0.0 || posted.ft_deadline_us < min_deadline)) {
+          min_deadline = posted.ft_deadline_us;
+        }
+        return false;
+      });
   return min_deadline;
 }
 
@@ -816,99 +748,22 @@ std::size_t RankContext::cancel_expired(ErrorCode code,
   // receives — operations merely blocked behind the stuck one — are left
   // alone; unsticking the oldest either revives them or earns them their
   // own stall round.
-  std::vector<PostedRecv> victims;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto expired = [before_deadline_us](const PostedRecv& posted) {
-      return posted.ft_deadline_us > 0.0 &&
-             posted.ft_deadline_us <= before_deadline_us;
-    };
-    for (Bucket& bucket : buckets_) {
-      std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
-      for (auto& [key, queues] : bucket.keys) {
-        for (auto it = queues.posted.begin(); it != queues.posted.end();) {
-          if (expired(*it)) {
-            victims.push_back(std::move(*it));
-            it = queues.posted.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (auto it = wildcard_posted_.begin(); it != wildcard_posted_.end();) {
-      if (expired(*it)) {
-        victims.push_back(std::move(*it));
-        it = wildcard_posted_.erase(it);
-        wildcard_count_.fetch_sub(1, std::memory_order_release);
-      } else {
-        ++it;
-      }
-    }
-  }
-  sub_clamped(posted_count_, victims.size());
-  std::sort(victims.begin(), victims.end(),
-            [](const PostedRecv& a, const PostedRecv& b) {
-              return a.seq < b.seq;
-            });
-  for (PostedRecv& posted : victims) {
-    node_.clock().bind_lane(posted.ft_deadline_us);
-    MpiStatus status;
-    status.source = posted.source;
-    status.tag = posted.tag;
-    status.bytes = 0;
-    status.error = code;
-    sim::trace(node_.clock().now(), node_.id(),
-               sim::TraceCategory::kComplete, 0, "ft-deadline-cancel");
-    RequestState::complete(posted.request, status);
-  }
-  return victims.size();
+  return fail_posted(
+      sweep_posted([before_deadline_us](const PostedRecv& posted) {
+        return posted.ft_deadline_us > 0.0 &&
+               posted.ft_deadline_us <= before_deadline_us;
+      }),
+      code, "ft-deadline-cancel",
+      [](const PostedRecv& posted) { return posted.ft_deadline_us; });
 }
 
 std::size_t RankContext::cancel_context(int context, ErrorCode code) {
-  std::vector<PostedRecv> victims;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (Bucket& bucket : buckets_) {
-      std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
-      for (auto& [key, queues] : bucket.keys) {
-        for (auto it = queues.posted.begin(); it != queues.posted.end();) {
-          if (it->context == context) {
-            victims.push_back(std::move(*it));
-            it = queues.posted.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (auto it = wildcard_posted_.begin(); it != wildcard_posted_.end();) {
-      if (it->context == context) {
-        victims.push_back(std::move(*it));
-        it = wildcard_posted_.erase(it);
-        wildcard_count_.fetch_sub(1, std::memory_order_release);
-      } else {
-        ++it;
-      }
-    }
-  }
-  sub_clamped(posted_count_, victims.size());
-  std::sort(victims.begin(), victims.end(),
-            [](const PostedRecv& a, const PostedRecv& b) {
-              return a.seq < b.seq;
-            });
-  for (PostedRecv& posted : victims) {
-    node_.clock().bind_lane(posted.posted_at);
-    MpiStatus status;
-    status.source = posted.source;
-    status.tag = posted.tag;
-    status.bytes = 0;
-    status.error = code;
-    sim::trace(node_.clock().now(), node_.id(),
-               sim::TraceCategory::kComplete, 0, "revoke-cancel");
-    RequestState::complete(posted.request, status);
-  }
-  return victims.size();
+  return fail_posted(
+      sweep_posted([context](const PostedRecv& posted) {
+        return posted.context == context;
+      }),
+      code, "revoke-cancel",
+      [](const PostedRecv& posted) { return posted.posted_at; });
 }
 
 void RankContext::notify_waiters() {
@@ -917,52 +772,16 @@ void RankContext::notify_waiters() {
 }
 
 bool RankContext::cancel_posted(const RequestState* request) {
-  PostedRecv victim;
-  bool found = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto owned = [request](const PostedRecv& posted) {
-      return posted.request.get() == request;
-    };
-    for (auto it = wildcard_posted_.begin();
-         !found && it != wildcard_posted_.end(); ++it) {
-      if (owned(*it)) {
-        victim = std::move(*it);
-        wildcard_posted_.erase(it);
-        wildcard_count_.fetch_sub(1, std::memory_order_release);
-        found = true;
-        break;
-      }
-    }
-    for (std::size_t b = 0; !found && b < buckets_.size(); ++b) {
-      Bucket& bucket = buckets_[b];
-      std::lock_guard<std::mutex> bucket_guard(bucket.mutex);
-      for (auto& [key, queues] : bucket.keys) {
-        auto it = std::find_if(queues.posted.begin(), queues.posted.end(),
-                               owned);
-        if (it != queues.posted.end()) {
-          victim = std::move(*it);
-          queues.posted.erase(it);
-          found = true;
-          break;
-        }
-      }
-    }
-  }
-  if (!found) return false;  // already matched: too late
-  posted_count_.fetch_sub(1, std::memory_order_relaxed);
-  // Completed outside the queue lock (complete() signals the waiter). The
-  // canceller is the rank's own thread, so its lane already carries the
-  // right virtual time — no deterministic re-stamping needed.
-  MpiStatus status;
-  status.source = victim.source;
-  status.tag = victim.tag;
-  status.bytes = 0;
-  status.error = ErrorCode::kCancelled;
-  sim::trace(node_.clock().now(), node_.id(), sim::TraceCategory::kComplete,
-             0, "cancel-recv");
-  RequestState::complete(victim.request, status);
-  return true;
+  // Nothing removed means the receive already matched: cancellation lost
+  // the race and the receive completes normally. The canceller is the
+  // rank's own thread, so its lane already carries the right virtual
+  // time — no deterministic re-stamping needed.
+  return fail_posted(
+             sweep_posted([request](const PostedRecv& posted) {
+               return posted.request.get() == request;
+             }),
+             ErrorCode::kCancelled, "cancel-recv",
+             [this](const PostedRecv&) { return node_.clock().now(); }) != 0;
 }
 
 // --------------------------------------------------------------- windows

@@ -17,12 +17,19 @@
 //
 // Lock hierarchy (DESIGN.md §13): the rank-wide mutex_ is always taken
 // before any bucket mutex, never after. Bucket-only paths: specific-source
-// post/delivery/iprobe when no wildcard receive is queued. Rank-lock
-// paths: wildcard posts, probe waits, cancellation sweeps, min_ft_deadline
-// and store-budget administration. Deliveries detect queued wildcards via
-// an atomic count read under the bucket lock (the wildcard poster
-// increments it before touching any bucket, so the mutex ordering makes a
-// lost match impossible) and upgrade to the rank lock.
+// post/delivery/iprobe/improbe when no wildcard receive is queued.
+// Rank-lock paths: wildcard posts and non-blocking probes, the one
+// blocking-probe loop (probe and mprobe), the one posted-queue walk (every
+// cancellation and min_ft_deadline) and watchdog installation. Deliveries
+// detect queued wildcards via an atomic count read under the bucket lock
+// (the wildcard poster increments it before touching any bucket, so the
+// mutex ordering makes a lost match impossible) and upgrade to the rank
+// lock.
+//
+// Each queue operation is written once (see the private helpers): one
+// posted match, one posted append, one unexpected pop, one unexpected
+// append, one posted-queue walk with one error-completion routine, and one
+// blocking-probe loop.
 #pragma once
 
 #include <atomic>
@@ -365,6 +372,8 @@ class RankContext {
   void finish_recv(const PostedRecv& posted, const Envelope& env,
                    byte_span payload);
 
+  // ---- Posted queue: match, append, sweep ----
+
   /// Remove and return the earliest-posted receive matching `env`.
   /// On a miss, returns false with `bucket_lock` (and `rank_lock`, when
   /// wildcards forced the slow path) still held and `queues` pointing at
@@ -376,29 +385,85 @@ class RankContext {
                             std::unique_lock<std::mutex>& bucket_lock,
                             KeyQueues** queues, PostedRecv* out);
 
+  /// Queue `posted` with the next seq. The caller holds the queue's lock
+  /// (its bucket's for a specific source, mutex_ for the wildcard list).
+  void append_posted(std::deque<PostedRecv>& queue, PostedRecv&& posted);
+
+  /// The one walk over every posted receive (all buckets, then the
+  /// wildcard list) under mutex_ and each bucket lock in turn. Removes
+  /// the receives `remove` selects and returns them in post order, with
+  /// wildcard_count_ and posted_count_ already lowered. `remove` runs
+  /// under the queue locks, so it must not consult the failure detector;
+  /// one that never selects makes this the locked read-only walk.
+  template <typename Remove>
+  std::vector<PostedRecv> sweep_posted(Remove remove);
+
+  /// Complete swept receives in order with `code`, each on the lane
+  /// `stamp(posted)` returns (the cancel's deterministic observation
+  /// time), traced as `label`. Returns how many were completed.
+  template <typename Stamp>
+  std::size_t fail_posted(std::vector<PostedRecv> victims, ErrorCode code,
+                          const char* label, Stamp stamp);
+
+  // ---- Unexpected queue: peek, pop, append, consume ----
+
   /// Lowest-seq unexpected entry matching `pattern`, without removing it.
   /// Wildcard-source patterns sweep every bucket and REQUIRE mutex_ held
   /// by the caller (so no wildcard post races the sweep).
   UnexpectedHit peek_unexpected(const PostedRecv& pattern);
 
+  /// Pop the first entry of one key's seq-sorted `queue` matching
+  /// `pattern`, lowering unexpected_count_ and the stored bytes; adds the
+  /// entries scanned to `steps`. The caller holds the queue's bucket lock.
+  bool pop_unexpected(std::deque<UnexpectedMessage>& queue,
+                      const PostedRecv& pattern, UnexpectedMessage* out,
+                      std::uint64_t& steps);
+
   /// Remove the lowest-seq matching unexpected entry. Same locking
   /// contract as peek_unexpected.
   bool take_unexpected(const PostedRecv& pattern, UnexpectedMessage* out);
+
+  /// Shared tail of deliver_eager and deliver_rendezvous after a posted
+  /// miss: queue `message` with the next seq inside the miss's critical
+  /// section, release both locks, then wake probe waiters — only when
+  /// one is registered, so common deliveries skip the rank lock.
+  void append_unexpected(UnexpectedMessage&& message, KeyQueues* queues,
+                         std::unique_lock<std::mutex>& rank_lock,
+                         std::unique_lock<std::mutex>& bucket_lock);
 
   /// Deliver a drained unexpected entry into `posted` (shared tail of
   /// post_recv and mrecv): causal clock edge, copy charge, credits
   /// before completion.
   void consume_unexpected(UnexpectedMessage message, PostedRecv posted);
 
-  /// Post-append wakeup: only when a probe loop is actually waiting
-  /// (common deliveries skip the rank lock and the notify entirely).
-  void wake_probes_after_append();
+  // ---- Probes ----
+
+  /// iprobe/improbe prologue: a wildcard-source scan needs mutex_ (no
+  /// wildcard post may race its bucket sweep); a specific one runs on
+  /// its bucket lock alone and gets an empty lock back.
+  std::unique_lock<std::mutex> lock_for_source(rank_t source);
+
+  /// A probe hit: synchronize to the entry's arrival and fill `status`.
+  void observe(const Envelope& env, usec_t available_at, MpiStatus* status);
+
+  /// improbe/mprobe hit: observe `taken` and move it into the handle.
+  void hand_over(UnexpectedMessage taken, MatchedMessage* message,
+                 MpiStatus* status);
+
+  /// The blocking-probe loop of probe() and mprobe(), which differ only
+  /// in `found` (peek versus take; it runs under mutex_). Registers as a
+  /// waiter, parks a fiber or waits on the condvar between scans, and
+  /// returns false with a kTimedOut `status` stamped at probe time plus
+  /// the horizon once the watchdog reports `source_global` unreachable.
+  template <typename Found>
+  bool probe_wait(const PostedRecv& pattern, rank_t source_global,
+                  MpiStatus* status, Found found);
 
   rank_t global_rank_;
   sim::Node& node_;
 
-  /// Rank-wide lock: wildcard posted list, probe waits, cancellation
-  /// sweeps, watchdog installation. Always acquired BEFORE bucket locks.
+  /// Rank-wide lock: wildcard posted list, probe waits, posted-queue
+  /// walks, watchdog installation. Always acquired BEFORE bucket locks.
   mutable std::mutex mutex_;
   std::condition_variable unexpected_arrived_;
 

@@ -312,6 +312,20 @@ TEST(Watchdog, ProbeFromKilledPeerAlsoTimesOut) {
   });
 }
 
+TEST(Watchdog, MprobeFromKilledPeerAlsoTimesOut) {
+  auto session = tcp_pair(
+      [](Session::Options& o) { o.watchdog_horizon_us = 2000.0; });
+  install_plan(*session, 0, sim::Protocol::kTcp, 0)->kill_at(0.0);
+  session->run([](Comm comm) {
+    if (comm.rank() != 0) {
+      mpi::MatchedMessage message;
+      const auto status = comm.mprobe(0, 0, &message);
+      EXPECT_EQ(status.error, ErrorCode::kTimedOut);
+      EXPECT_FALSE(message.valid());
+    }
+  });
+}
+
 TEST(Watchdog, CustomErrhandlerRunsOnCancel) {
   auto session = tcp_pair(
       [](Session::Options& o) { o.watchdog_horizon_us = 2000.0; });

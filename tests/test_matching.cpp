@@ -3,7 +3,10 @@
 
 #include <cstring>
 #include <thread>
+#include <vector>
 
+#include "common/datapath_stats.hpp"
+#include "marcel/executor.hpp"
 #include "mpi/matching.hpp"
 
 namespace madmpi::mpi {
@@ -41,6 +44,72 @@ struct MatchFixture : ::testing::Test {
   static byte_span bytes_of(const char* text) {
     return byte_span{reinterpret_cast<const std::byte*>(text),
                      std::strlen(text)};
+  }
+
+  /// A completion as the request's hook saw it. Receives in the cancel
+  /// tests carry distinct tags, so the tag names the receive.
+  struct Completion {
+    int tag = 0;
+    ErrorCode error = ErrorCode::kOk;
+    usec_t at = 0.0;  // node clock inside the hook
+  };
+  std::vector<Completion> completions;
+  char sink[8] = {};
+
+  /// Queue a receive carrying the watchdog fields, with a completion hook
+  /// that records (tag, error, node clock) into `completions`.
+  std::shared_ptr<RequestState> post_recorded(int ctx, rank_t src, int tag,
+                                              rank_t source_global,
+                                              usec_t posted_at,
+                                              usec_t ft_deadline_us = 0.0) {
+    auto state = std::make_shared<RequestState>(node);
+    state->set_on_complete([this](const MpiStatus& status) {
+      completions.push_back({status.tag, status.error, node.clock().now()});
+    });
+    PostedRecv posted;
+    posted.context = ctx;
+    posted.source = src;
+    posted.tag = tag;
+    posted.buffer = sink;
+    posted.type = Datatype::byte();
+    posted.count = sizeof sink;
+    posted.capacity_bytes = sizeof sink;
+    posted.request = state;
+    posted.source_global = source_global;
+    posted.posted_at = posted_at;
+    posted.ft_deadline_us = ft_deadline_us;
+    context.post_recv(std::move(posted));
+    return state;
+  }
+
+  /// The completion expected for a cancellation stamped at `stamp`: the
+  /// completer pays the Marcel signal cost before the hook runs.
+  static Completion cancelled(int tag, ErrorCode error, usec_t stamp) {
+    return {tag, error, stamp + marcel::ThreadCosts::kSemSignal};
+  }
+
+  void expect_completions(const std::vector<Completion>& expected) {
+    ASSERT_EQ(completions.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(completions[i].tag, expected[i].tag) << "completion " << i;
+      EXPECT_EQ(completions[i].error, expected[i].error) << "completion " << i;
+      EXPECT_DOUBLE_EQ(completions[i].at, expected[i].at) << "completion " << i;
+    }
+  }
+
+  /// The survivor of a cancellation still matches a later delivery, and —
+  /// with the wildcard victim gone — the delivery stays on its bucket lock.
+  void expect_survivor_matches(int ctx, rank_t src, int tag,
+                               const std::shared_ptr<RequestState>& survivor) {
+    const DatapathSnapshot before = DatapathStats::global().snapshot();
+    context.deliver_eager(envelope(ctx, src, tag, 1), bytes_of("s"));
+    const DatapathSnapshot delta = DatapathStats::global().snapshot() - before;
+    MpiStatus status;
+    ASSERT_TRUE(survivor->test(&status));
+    EXPECT_EQ(status.error, ErrorCode::kOk);
+    EXPECT_EQ(status.tag, tag);
+    EXPECT_EQ(delta.match_rank_locks, 0u);
+    EXPECT_EQ(context.posted_count(), 0u);
   }
 };
 
@@ -349,6 +418,115 @@ TEST_F(MatchFixture, CountersTrackQueueDepths) {
   post(0, 7, 1, buffer, sizeof buffer);
   EXPECT_EQ(context.unexpected_count(), 0u);
   EXPECT_EQ(context.unexpected_bytes(), 0u);
+}
+
+// ------------------------------------------------------------ cancellation
+//
+// Each cancel queues victims in a bucket and in the wildcard list around a
+// non-victim, and checks: completions in post order, each with its error
+// code and deterministic stamp; posted_count() down by exactly the victims;
+// the non-victim still matching, without the rank lock.
+
+TEST_F(MatchFixture, CancelUnreachableCompletesDeadPeersInPostOrder) {
+  constexpr usec_t kHorizon = 1000.0;
+  context.set_watchdog(kHorizon, [](rank_t peer) { return peer == 3; });
+  post_recorded(0, 3, 1, /*source_global=*/3, /*posted_at=*/10.0);
+  post_recorded(0, kAnySource, 2, /*source_global=*/3, 20.0);
+  auto survivor = post_recorded(0, 2, 3, /*source_global=*/2, 30.0);
+  post_recorded(0, 3, 4, /*source_global=*/3, 40.0);
+  post_recorded(0, 4, 5, /*source_global=*/kInvalidRank, 50.0);
+  ASSERT_EQ(context.posted_count(), 5u);
+
+  EXPECT_EQ(context.cancel_unreachable(ErrorCode::kTimedOut), 3u);
+  expect_completions({cancelled(1, ErrorCode::kTimedOut, 10.0 + kHorizon),
+                      cancelled(2, ErrorCode::kTimedOut, 20.0 + kHorizon),
+                      cancelled(4, ErrorCode::kTimedOut, 40.0 + kHorizon)});
+  EXPECT_EQ(context.posted_count(), 2u);
+  EXPECT_EQ(context.cancel_unreachable(ErrorCode::kTimedOut), 0u);
+
+  // Drop the receive no detector can judge, then match the survivor.
+  context.deliver_eager(envelope(0, 4, 5, 1), bytes_of("x"));
+  expect_survivor_matches(0, 2, 3, survivor);
+}
+
+TEST_F(MatchFixture, CancelUnreachableWithoutDetectorCancelsNothing) {
+  post_recorded(0, 3, 1, /*source_global=*/3, 10.0);
+  EXPECT_EQ(context.cancel_unreachable(ErrorCode::kTimedOut), 0u);
+  EXPECT_TRUE(completions.empty());
+  EXPECT_EQ(context.posted_count(), 1u);
+}
+
+TEST_F(MatchFixture, CancelExpiredTakesTheCohortAtOrBelowTheWindow) {
+  post_recorded(0, 1, 1, 1, /*posted_at=*/5.0, /*ft_deadline_us=*/100.0);
+  post_recorded(0, kAnySource, 2, kInvalidRank, 6.0, 50.0);
+  auto newer = post_recorded(0, 1, 3, 1, 7.0, 500.0);
+  post_recorded(0, 1, 4, 1, 8.0, 200.0);
+  auto plain = post_recorded(0, 2, 5, 2, 9.0);  // carries no deadline
+  ASSERT_EQ(context.posted_count(), 5u);
+
+  EXPECT_EQ(context.cancel_expired(ErrorCode::kProcFailed, 200.0), 3u);
+  // Post order, not deadline order; each stamped at its own deadline.
+  expect_completions({cancelled(1, ErrorCode::kProcFailed, 100.0),
+                      cancelled(2, ErrorCode::kProcFailed, 50.0),
+                      cancelled(4, ErrorCode::kProcFailed, 200.0)});
+  EXPECT_EQ(context.posted_count(), 2u);
+
+  context.deliver_eager(envelope(0, 2, 5, 1), bytes_of("x"));
+  EXPECT_TRUE(plain->completed());
+  expect_survivor_matches(0, 1, 3, newer);
+}
+
+TEST_F(MatchFixture, MinFtDeadlineIsTheSmallestOrZero) {
+  EXPECT_EQ(context.min_ft_deadline(), 0.0);
+  post_recorded(0, 1, 1, 1, 0.0);
+  post_recorded(0, kAnySource, 2, kInvalidRank, 0.0);
+  EXPECT_EQ(context.min_ft_deadline(), 0.0);  // none carries a deadline
+  post_recorded(0, 1, 3, 1, 0.0, 300.0);
+  EXPECT_EQ(context.min_ft_deadline(), 300.0);
+  post_recorded(0, kAnySource, 4, kInvalidRank, 0.0, 70.0);
+  post_recorded(0, 2, 5, 2, 0.0, 90.0);
+  EXPECT_EQ(context.min_ft_deadline(), 70.0);
+  EXPECT_EQ(context.posted_count(), 5u);  // reading it removes nothing
+}
+
+TEST_F(MatchFixture, CancelContextStampsAtPostTime) {
+  post_recorded(5, 1, 1, 1, /*posted_at=*/11.0);
+  post_recorded(5, kAnySource, 2, kInvalidRank, 12.0);
+  auto survivor = post_recorded(6, 1, 3, 1, 13.0);
+  post_recorded(5, 2, 4, 2, 14.0);
+  ASSERT_EQ(context.posted_count(), 4u);
+
+  EXPECT_EQ(context.cancel_context(5, ErrorCode::kRevoked), 3u);
+  expect_completions({cancelled(1, ErrorCode::kRevoked, 11.0),
+                      cancelled(2, ErrorCode::kRevoked, 12.0),
+                      cancelled(4, ErrorCode::kRevoked, 14.0)});
+  EXPECT_EQ(context.posted_count(), 1u);
+  EXPECT_EQ(context.cancel_context(5, ErrorCode::kRevoked), 0u);
+  expect_survivor_matches(6, 1, 3, survivor);
+}
+
+TEST_F(MatchFixture, CancelPostedStampsAtTheCallersLane) {
+  auto in_bucket = post_recorded(0, 1, 1, 1, 0.0);
+  auto wildcard = post_recorded(0, kAnySource, 2, kInvalidRank, 0.0);
+  auto survivor = post_recorded(0, 1, 3, 1, 0.0);
+  ASSERT_EQ(context.posted_count(), 3u);
+
+  node.clock().advance(25.0);
+  const usec_t first_at = node.clock().now();
+  EXPECT_TRUE(context.cancel_posted(in_bucket.get()));
+  EXPECT_EQ(context.posted_count(), 2u);
+  node.clock().advance(25.0);
+  const usec_t second_at = node.clock().now();
+  EXPECT_TRUE(context.cancel_posted(wildcard.get()));
+  EXPECT_EQ(context.posted_count(), 1u);
+  expect_completions({cancelled(1, ErrorCode::kCancelled, first_at),
+                      cancelled(2, ErrorCode::kCancelled, second_at)});
+
+  // Already gone: cancellation loses, nothing completes twice.
+  EXPECT_FALSE(context.cancel_posted(in_bucket.get()));
+  EXPECT_FALSE(context.cancel_posted(wildcard.get()));
+  EXPECT_EQ(completions.size(), 2u);
+  expect_survivor_matches(0, 1, 3, survivor);
 }
 
 }  // namespace
