@@ -128,7 +128,7 @@ Status NativeDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   NodeState& state = state_of(src_node.id());
   PendingSend pending;
   pending.data = packed;
-  pending.done = std::make_unique<marcel::Semaphore>(src_node, 0);
+  pending.done = std::make_shared<mpi::RequestState>(src_node);
   std::uint64_t handle = 0;
   {
     std::lock_guard<std::mutex> lock(state.mutex);
@@ -252,7 +252,7 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
                         [this, &endpoint, peer, data, pending] {
           transmit(endpoint, peer, data, pending->data,
                    profile_.rndv_zero_copy);
-          pending->done->signal();
+          mpi::RequestState::complete(pending->done, {});
         });
         break;
       }
@@ -268,39 +268,18 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
         }
         const mpi::PostedRecv& posted = rhandle.posted;
         const std::uint64_t bytes = header.envelope.bytes;
-        // Truncation policy mirrors finish_recv: deliver the prefix that
-        // fits, flag MPI_ERR_TRUNCATE on the status.
-        const bool truncated = bytes > posted.capacity_bytes;
-        const std::uint64_t delivered =
-            truncated ? posted.capacity_bytes : bytes;
+        sim::Frame frame;
         if (bytes != 0) {
-          sim::Frame frame = incoming->take_data_block();
+          frame = incoming->take_data_block();
           MADMPI_CHECK(frame.payload.size() == bytes);
-          const std::size_t elem = posted.type.size();
-          const int elements =
-              static_cast<int>(delivered / (elem ? elem : 1));
-          if (header.envelope.sender_big_endian) {
-            posted.type.swap_packed_bytes(frame.payload.data(), delivered);
-          }
-          posted.type.unpack(frame.payload.data(), elements, posted.buffer);
-          if (posted.type.is_contiguous() && elem != 0 &&
-              delivered % elem != 0) {
-            const std::size_t tail = delivered % elem;
-            auto* base = static_cast<std::byte*>(posted.buffer);
-            std::memcpy(base + static_cast<std::size_t>(elements) * elem,
-                        frame.payload.data() + delivered - tail, tail);
-          }
           if (!profile_.rndv_zero_copy) {
             node.clock().advance(static_cast<double>(bytes) *
                                  profile_.extra_copy_rndv_per_byte);
           }
         }
-        mpi::MpiStatus status;
-        status.source = header.envelope.src;
-        status.tag = header.envelope.tag;
-        status.bytes = delivered;
-        if (truncated) status.error = ErrorCode::kTruncated;
-        mpi::RequestState::complete(posted.request, status);
+        mpi::RequestState::complete(
+            posted.request, mpi::place_recv(posted, header.envelope,
+                                            frame.payload.contiguous()));
         break;
       }
 

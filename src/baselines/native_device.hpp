@@ -18,7 +18,6 @@
 
 #include "core/directory.hpp"
 #include "core/managed_device.hpp"
-#include "marcel/semaphore.hpp"
 #include "net/driver.hpp"
 #include "sim/topology.hpp"
 
@@ -98,7 +97,7 @@ class NativeDevice final : public core::ManagedDevice {
   struct WireHeader;
   struct PendingSend {
     byte_span data;
-    std::unique_ptr<marcel::Semaphore> done;
+    std::shared_ptr<mpi::RequestState> done;
   };
   struct Rhandle {
     mpi::PostedRecv posted;

@@ -35,7 +35,6 @@ ChMadDevice::ChMadDevice(RankDirectory& directory,
     credit_window_ = default_credit_window(switch_point_);
   }
   credit_policy_ = config.credit_policy;
-  rma_put_limit_ = config.rma_put_limit;
   if (!forward_channels_router_.channels().empty()) {
     forward_router_.emplace(router_);
   }
@@ -422,13 +421,6 @@ Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
                         std::shared_ptr<mpi::RequestState> completion) {
   sim::Node& src_node = directory_.node_of(src);
   sim::Node& dst_node = directory_.node_of(dst);
-  if (rma_put_limit_ != 0 && desc.bytes > rma_put_limit_) {
-    return Status(ErrorCode::kResourceLimit,
-                  "one-sided payload of " + std::to_string(desc.bytes) +
-                      " bytes exceeds MADMPI_RMA_PUT_LIMIT (" +
-                      std::to_string(rma_put_limit_) + ")");
-  }
-
   PacketHeader header;
   header.src_global = src;
   header.dst_global = dst;
@@ -985,76 +977,39 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       }
       const mpi::PostedRecv& posted = rhandle.posted;
       const std::uint64_t bytes = header.envelope.bytes;
-      // An oversized message is an application error (MPI_ERR_TRUNCATE),
-      // not a protocol one: consume the full wire block, deliver the
-      // prefix that fits, and report the error on the request's status.
-      const bool truncated = bytes > posted.capacity_bytes;
-      const std::uint64_t delivered =
-          truncated ? posted.capacity_bytes : bytes;
+      // Consume the wire block as a view and place it from there. A
+      // malformed stream claiming more data than arrived leaves the view
+      // empty and incoming.truncated() set: the placement then reports
+      // MPI_ERR_TRUNCATE on the posted request instead of aborting the
+      // rank.
+      mad::Unpacking::View view;
       if (bytes != 0) {
-        const bool direct = posted.type.is_contiguous() && !truncated;
-        if (direct) {
-          // Zero-copy: straight into the posted user buffer.
-          incoming.unpack(posted.buffer, bytes, mad::SendMode::kLater,
-                          mad::RecvMode::kCheaper);
-        } else {
-          // The rendezvous bounce buffer is retired: consume the wire
-          // block as a view and place it from there. `direct` stays purely
-          // a charging distinction — this branch still pays the modeled
-          // intermediary copy the zero-copy branch avoids.
-          mad::Unpacking::View view = incoming.unpack_view(
-              bytes, mad::SendMode::kLater, mad::RecvMode::kCheaper);
-          if (incoming.truncated()) {
-            // Malformed stream claiming more data than arrived: recover
-            // with MPI_ERR_TRUNCATE on the posted request instead of
-            // aborting the rank.
-            incoming.end_unpacking();
-            mpi::MpiStatus status;
-            status.source = header.envelope.src;
-            status.tag = header.envelope.tag;
-            status.bytes = 0;
-            status.error = ErrorCode::kTruncated;
-            mpi::RequestState::complete(posted.request, status);
-            return;
-          }
-          if (!incoming.aborted()) {
-            byte_span wire = view.bytes;
-            ChunkRef swapped;
-            if (header.envelope.sender_big_endian) {
-              // Byte-swapping must not touch the wire slab (a retransmit
-              // or the unexpected store may still read it): stage the one
-              // mutable copy through the pool.
-              swapped = SlabPool::global().stage(wire);
-              posted.type.swap_packed_bytes(swapped.mutable_data(),
-                                            delivered);
-              wire = swapped.span();
-            }
-            if (posted.type.is_contiguous()) {
-              std::memcpy(posted.buffer, wire.data(), delivered);
-            } else {
-              const std::size_t elem = posted.type.size();
-              const int elements =
-                  static_cast<int>(delivered / (elem ? elem : 1));
-              posted.type.unpack(wire.data(), elements, posted.buffer);
-            }
-            state.node->clock().advance(static_cast<double>(delivered) *
-                                        sim::kHostCopyUsPerByte);
-          }
-        }
-        if (incoming.aborted()) {
-          // The sender's data push died mid-flight; it re-elects a route
-          // and resends kRndvData with the same sync_address. Re-arm the
-          // rhandle so the retry finds it.
-          incoming.end_unpacking();
-          std::lock_guard<std::mutex> lock(state.mutex);
-          state.rhandles[header.sync_address] = std::move(rhandle);
-          return;
-        }
-        if (direct && header.envelope.sender_big_endian) {
-          // Heterogeneity: the wire carried the sender's byte order
-          // (contiguous wire layout == buffer layout, so in-place).
-          posted.type.swap_packed_bytes(
-              static_cast<std::byte*>(posted.buffer), bytes);
+        view = incoming.unpack_view(bytes, mad::SendMode::kLater,
+                                    mad::RecvMode::kCheaper);
+      }
+      incoming.end_unpacking();
+      if (incoming.aborted()) {
+        // The sender's data push died mid-flight; it re-elects a route
+        // and resends kRndvData with the same sync_address. Re-arm the
+        // rhandle so the retry finds it.
+        std::lock_guard<std::mutex> lock(state.mutex);
+        state.rhandles[header.sync_address] = std::move(rhandle);
+        return;
+      }
+      // An oversized message is an application error (MPI_ERR_TRUNCATE),
+      // not a protocol one: the full wire block is consumed and the prefix
+      // that fits delivered.
+      const mpi::MpiStatus status =
+          mpi::place_recv(posted, header.envelope, view.bytes);
+      if (bytes != 0 && !incoming.truncated()) {
+        // `direct` is purely a charging distinction: a contiguous receive
+        // that fits models the NIC landing straight in the user buffer,
+        // and any other receive pays the modeled intermediary copy.
+        const bool direct = posted.type.is_contiguous() &&
+                            bytes <= posted.capacity_bytes;
+        if (!direct) {
+          state.node->clock().advance(static_cast<double>(status.bytes) *
+                                      sim::kHostCopyUsPerByte);
         }
         if (header.envelope.sender_big_endian !=
             state.node->big_endian()) {
@@ -1063,14 +1018,11 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                                       sim::kHostCopyUsPerByte);
         }
       }
-      incoming.end_unpacking();
-      mpi::MpiStatus status;
-      status.source = header.envelope.src;
-      status.tag = header.envelope.tag;
-      status.bytes = delivered;
-      if (truncated) status.error = ErrorCode::kTruncated;
-      // Releasing the rhandle's semaphore = completing the request: the
-      // blocked main thread resumes (paper §4.2.2, last step).
+      // Drop the wire reference first: a lent sender buffer is released
+      // (completing the send) before the receive completes. Releasing the
+      // rhandle's request = the blocked main thread resumes (paper §4.2.2,
+      // last step).
+      view = {};
       mpi::RequestState::complete(posted.request, status);
       return;
     }

@@ -65,10 +65,6 @@ class ChMadDevice final : public ManagedDevice {
     /// disables flow control entirely.
     std::size_t credit_window_bytes = 0;
     CreditPolicy credit_policy = CreditPolicy::kDemote;
-
-    /// Upper bound in bytes for a single put/get/accumulate payload; 0
-    /// means unlimited (MADMPI_RMA_PUT_LIMIT).
-    std::size_t rma_put_limit = 0;
   };
 
   // Two overloads rather than `Config config = {}`: the Config default
@@ -328,7 +324,6 @@ class ChMadDevice final : public ManagedDevice {
   std::size_t switch_point_;
   std::size_t credit_window_ = 0;  // 0 = flow control disabled
   CreditPolicy credit_policy_ = CreditPolicy::kDemote;
-  std::size_t rma_put_limit_ = 0;  // 0 = unlimited
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
   marcel::Executor* executor_ = nullptr;  // set by start()

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -14,36 +13,6 @@
 #include "sim/fault.hpp"
 
 namespace madmpi::core {
-
-namespace {
-
-// Environment overrides for the robustness knobs (README documents them).
-std::size_t env_bytes(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  if (std::strcmp(value, "off") == 0) return SIZE_MAX;
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
-}
-
-usec_t env_us(const char* name, usec_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::strtod(value, nullptr);
-}
-
-ChMadDevice::CreditPolicy env_credit_policy(ChMadDevice::CreditPolicy fallback) {
-  const char* value = std::getenv("MADMPI_CREDIT_POLICY");
-  if (value == nullptr || *value == '\0') return fallback;
-  if (std::strcmp(value, "block") == 0) return ChMadDevice::CreditPolicy::kBlock;
-  if (std::strcmp(value, "demote") == 0) {
-    return ChMadDevice::CreditPolicy::kDemote;
-  }
-  MADMPI_LOG_WARN("session", "unknown MADMPI_CREDIT_POLICY '%s', keeping default",
-                  value);
-  return fallback;
-}
-
-}  // namespace
 
 Session::Session(Options options) {
   MADMPI_CHECK_MSG(options.cluster.validate().is_ok(),
@@ -68,14 +37,8 @@ Session::Session(Options options) {
   } else if (!cluster().networks.empty()) {
     ChMadDevice::Config config;
     config.switch_point_override = options.switch_point_override;
-    config.credit_window_bytes =
-        env_bytes("MADMPI_CREDIT_WINDOW", options.credit_window_bytes);
-    config.credit_policy = env_credit_policy(options.credit_policy);
-    {
-      const std::size_t limit =
-          env_bytes("MADMPI_RMA_PUT_LIMIT", options.rma_put_limit_bytes);
-      config.rma_put_limit = limit == SIZE_MAX ? 0 : limit;  // "off" = none
-    }
+    config.credit_window_bytes = options.credit_window_bytes;
+    config.credit_policy = options.credit_policy;
     if (options.enable_forwarding) {
       // A second channel per network, dedicated to forwarded traffic:
       // channel isolation keeps relays from ever matching direct messages.
@@ -93,18 +56,15 @@ Session::Session(Options options) {
   }
   if (internode_) internode_->start(executor_);
 
-  const std::size_t budget =
-      env_bytes("MADMPI_UNEXPECTED_BUDGET", options.unexpected_budget_bytes);
   for (rank_t rank = 0; rank < world_size(); ++rank) {
     directory_.context_of(rank).set_unexpected_budget(
-        budget == SIZE_MAX ? 0 : budget);
+        options.unexpected_budget_bytes);
   }
 
   // Progress watchdog: needs the ch_mad router as its failure oracle, so
   // sessions with a custom inter-node device (the baselines) run without
   // one, exactly as before this layer existed.
-  watchdog_horizon_us_ =
-      env_us("MADMPI_WATCHDOG_HORIZON_US", options.watchdog_horizon_us);
+  watchdog_horizon_us_ = options.watchdog_horizon_us;
   if (watchdog_horizon_us_ > 0.0 && ch_mad() != nullptr) {
     for (rank_t rank = 0; rank < world_size(); ++rank) {
       const node_id_t home = directory_.node_of(rank).id();

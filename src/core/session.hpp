@@ -43,33 +43,27 @@ class Session final : public mpi::Runtime {
     std::function<std::unique_ptr<ManagedDevice>(Session&)>
         internode_factory;
 
-    // --- robustness knobs (each overridable by environment) -----------
+    // --- robustness knobs ----------------------------------------------
 
     /// Per-peer eager credit window in bytes, forwarded to ch_mad.
     /// 0 derives the window from the elected switch point; SIZE_MAX
-    /// disables credit flow control. Env: MADMPI_CREDIT_WINDOW.
+    /// disables credit flow control.
     std::size_t credit_window_bytes = 0;
 
     /// What a dry sender does: demote to rendezvous (default) or block
     /// in virtual time until credits return.
-    /// Env: MADMPI_CREDIT_POLICY=demote|block.
     ChMadDevice::CreditPolicy credit_policy = ChMadDevice::CreditPolicy::kDemote;
 
     /// Per-rank unexpected-store budget in bytes; eager messages that
     /// would overflow it are refused at the ADI and retried as
-    /// rendezvous. 0 means unlimited. Env: MADMPI_UNEXPECTED_BUDGET.
+    /// rendezvous. 0 means unlimited.
     std::size_t unexpected_budget_bytes = 8 * 1024 * 1024;
 
     /// Progress-watchdog horizon in virtual microseconds: an operation
     /// whose peer is unreachable is cancelled (ErrorCode::kTimedOut) and
     /// stamped at its start time plus this horizon. 0 disables the
-    /// watchdog. Env: MADMPI_WATCHDOG_HORIZON_US.
+    /// watchdog.
     usec_t watchdog_horizon_us = 10000.0;
-
-    /// Upper bound for a single one-sided payload in bytes; ops beyond it
-    /// fail with kResourceLimit. 0 means unlimited.
-    /// Env: MADMPI_RMA_PUT_LIMIT.
-    std::size_t rma_put_limit_bytes = 0;
   };
 
   explicit Session(Options options);

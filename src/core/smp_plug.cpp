@@ -1,46 +1,8 @@
 #include "core/smp_plug.hpp"
 
-#include <cstring>
-
-#include "marcel/semaphore.hpp"
 #include "sim/cost_model.hpp"
 
 namespace madmpi::core {
-
-namespace {
-
-/// The single-copy handoff into the posted buffer, completing the receive.
-/// Truncation delivers the prefix that fits and reports MPI_ERR_TRUNCATE
-/// on the receive status (same policy as finish_recv).
-void hand_off(sim::Node& node, const mpi::Envelope& env, byte_span packed,
-              const mpi::PostedRecv& target) {
-  const bool truncated = env.bytes > target.capacity_bytes;
-  const std::size_t delivered =
-      truncated ? target.capacity_bytes : packed.size();
-  node.clock().advance(static_cast<double>(delivered) *
-                       sim::kHostCopyUsPerByte);
-  const std::size_t elem_size = target.type.size();
-  const int elements =
-      elem_size == 0 ? 0 : static_cast<int>(delivered / elem_size);
-  target.type.unpack(packed.data(), elements, target.buffer);
-  if (target.type.is_contiguous()) {
-    // Ragged tail of a truncated contiguous receive: deliver raw prefix.
-    const std::size_t tail = elem_size == 0 ? 0 : delivered % elem_size;
-    if (tail != 0) {
-      auto* base = static_cast<std::byte*>(target.buffer);
-      std::memcpy(base + static_cast<std::size_t>(elements) * elem_size,
-                  packed.data() + delivered - tail, tail);
-    }
-  }
-  mpi::MpiStatus status;
-  status.source = env.src;
-  status.tag = env.tag;
-  status.bytes = delivered;
-  if (truncated) status.error = ErrorCode::kTruncated;
-  mpi::RequestState::complete(target.request, status);
-}
-
-}  // namespace
 
 SmpPlugDevice::SmpPlugDevice(RankDirectory& directory,
                              marcel::Executor& executor)
@@ -65,17 +27,21 @@ Status SmpPlugDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   }
 
   // Rendezvous: announce, park until the receive is posted, then deliver
-  // straight into the user buffer (single copy).
-  marcel::Semaphore matched(node, 0);
+  // straight into the user buffer (single copy). Whichever thread posts
+  // the receive pays the signal; we wake no earlier than its stamp.
+  auto matched = std::make_shared<mpi::RequestState>(node);
   mpi::PostedRecv target;
   node.clock().advance(kPostUs + kWakeUs);
   directory_.context_of(dst).deliver_rendezvous(
-      env, [&matched, &target](const mpi::Envelope&, mpi::PostedRecv posted) {
+      env, [matched, &target](const mpi::Envelope&, mpi::PostedRecv posted) {
         target = std::move(posted);
-        matched.signal();
+        mpi::RequestState::complete(matched, {});
       });
-  matched.wait();
-  hand_off(node, env, packed, target);
+  matched->wait();
+  const mpi::MpiStatus status = mpi::place_recv(target, env, packed);
+  node.clock().advance(static_cast<double>(status.bytes) *
+                       sim::kHostCopyUsPerByte);
+  mpi::RequestState::complete(target.request, status);
   return Status::ok();
 }
 
@@ -102,7 +68,10 @@ bool SmpPlugDevice::isend_rendezvous(
         executor_.post(node, marcel::ThreadCosts::kCreate,
                        [&node, env, packed, keepalive, state,
                         target = std::move(target)] {
-          hand_off(node, env, packed, target);
+          const mpi::MpiStatus status = mpi::place_recv(target, env, packed);
+          node.clock().advance(static_cast<double>(status.bytes) *
+                               sim::kHostCopyUsPerByte);
+          mpi::RequestState::complete(target.request, status);
           mpi::RequestState::complete(
               state, mpi::MpiStatus::of_send(env, ErrorCode::kOk));
         });

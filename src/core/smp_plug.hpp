@@ -11,9 +11,9 @@ namespace madmpi::core {
 /// Ranks on the same node exchange messages through a shared segment.
 /// Eager: copy in + copy out (the second copy is charged by the matching
 /// layer). Rendezvous (above the shared-segment size): the sender parks on
-/// a semaphore until the receive is posted, then writes straight into the
-/// destination buffer — a genuine single-copy handoff, no polling thread
-/// needed because both parties share the node.
+/// a request until the receive is posted, then writes straight into the
+/// destination buffer (mpi::place_recv) — a genuine single-copy handoff, no
+/// polling thread needed because both parties share the node.
 class SmpPlugDevice final : public mpi::Device {
  public:
   SmpPlugDevice(RankDirectory& directory, marcel::Executor& executor);

@@ -39,24 +39,31 @@ Packing::~Packing() {
 
 void Packing::pack(const void* data, std::size_t size, SendMode send_mode,
                    RecvMode recv_mode) {
-  MADMPI_CHECK_MSG(!ended_, "pack() after end_packing()");
   MADMPI_CHECK_MSG(data != nullptr || size == 0, "null block with size > 0");
+  write_block(byte_span{static_cast<const std::byte*>(data), size}, nullptr,
+              send_mode, recv_mode);
+}
 
+void Packing::pack_chunk(const ChunkRef& chunk, SendMode send_mode,
+                         RecvMode recv_mode) {
+  write_block(chunk.span(), &chunk, send_mode, recv_mode);
+}
+
+void Packing::write_block(byte_span data, const ChunkRef* chunk,
+                          SendMode send_mode, RecvMode recv_mode) {
+  MADMPI_CHECK_MSG(!ended_, "pack after end_packing()");
   const sim::LinkCostModel& model = endpoint_->model();
   sim::VirtualClock& clock = endpoint_->node().clock();
 
   // Bookkeeping cost: the first pack is cheap; every further pack pays the
   // sender share of the protocol's per-block transaction overhead (the
   // "significant overhead" per pack operation measured in Section 5.1).
-  if (blocks_packed_ == 0) {
-    clock.advance(kPackFixedUs);
-  } else {
-    clock.advance(kPackFixedUs + kSenderBlockShare * model.per_block_us);
-  }
-  ++blocks_packed_;
+  clock.advance(blocks_packed_++ == 0
+                    ? kPackFixedUs
+                    : kPackFixedUs + kSenderBlockShare * model.per_block_us);
 
   BlockRecord record;
-  record.length = static_cast<std::uint32_t>(size);
+  record.length = static_cast<std::uint32_t>(data.size());
   record.express = (recv_mode == RecvMode::kExpress);
 
   // EXPRESS data must travel with the control portion so it is available
@@ -66,7 +73,7 @@ void Packing::pack(const void* data, std::size_t size, SendMode send_mode,
   if (record.express) {
     plan.aggregate = true;
   } else {
-    plan = endpoint_->driver().plan_block(size);
+    plan = endpoint_->driver().plan_block(data.size());
   }
 
   if (plan.aggregate) {
@@ -78,84 +85,30 @@ void Packing::pack(const void* data, std::size_t size, SendMode send_mode,
       split_marked_ = true;
     }
     write_record(control_, record);
-    control_.append(data, size);
+    control_.append(data);
     // Real-datapath accounting: user payload staged into the control
     // buffer. EXPRESS header parsing is fixed-size bookkeeping present on
     // every path, so it is excluded from the bytes-copied metric.
-    if (!record.express) count_real_copy(size);
-    clock.advance(static_cast<double>(size) * model.copy_us_per_byte);
-    return;
-  }
-
-  record.placement = BlockPlacement::kSeparate;
-  record.zero_copy = plan.zero_copy;
-  write_record(control_, record);
-
-  // Separate blocks stage into a pooled chunk at pack time. This makes
-  // every send mode as safe as kSafer (the caller's buffer is free on
-  // return) while the chunk itself travels by reference through the
-  // transport, retransmits and all. Only kSafer charges the safety copy
-  // in virtual time — for kLater/kCheaper the stage models the DMA
-  // pipeline that overlapped with the wire in the old direct-span path.
-  ChunkRef chunk = endpoint_->net_->pool().stage(
-      byte_span{static_cast<const std::byte*>(data), size});
-  if (send_mode == SendMode::kSafer) {
-    clock.advance(static_cast<double>(size) * model.copy_us_per_byte);
-  }
-  separate_.push_back({std::move(chunk), plan.zero_copy});
-}
-
-void Packing::pack_chunk(const ChunkRef& chunk, SendMode send_mode,
-                         RecvMode recv_mode) {
-  MADMPI_CHECK_MSG(!ended_, "pack_chunk() after end_packing()");
-  const std::size_t size = chunk.size();
-
-  const sim::LinkCostModel& model = endpoint_->model();
-  sim::VirtualClock& clock = endpoint_->node().clock();
-
-  if (blocks_packed_ == 0) {
-    clock.advance(kPackFixedUs);
+    if (!record.express) count_real_copy(data.size());
   } else {
-    clock.advance(kPackFixedUs + kSenderBlockShare * model.per_block_us);
-  }
-  ++blocks_packed_;
-
-  BlockRecord record;
-  record.length = static_cast<std::uint32_t>(size);
-  record.express = (recv_mode == RecvMode::kExpress);
-
-  net::BlockPlan plan;
-  if (record.express) {
-    plan.aggregate = true;
-  } else {
-    plan = endpoint_->driver().plan_block(size);
-  }
-
-  if (plan.aggregate) {
-    record.placement = BlockPlacement::kInline;
-    if (!split_marked_ && !record.express) {
-      express_prefix_ = control_.position();
-      split_marked_ = true;
-    }
+    record.placement = BlockPlacement::kSeparate;
+    record.zero_copy = plan.zero_copy;
     write_record(control_, record);
-    control_.append(chunk.data(), size);
-    if (!record.express) count_real_copy(size);
-    clock.advance(static_cast<double>(size) * model.copy_us_per_byte);
-    return;
+    // A block that already lives in a chunk travels by refcount bump: the
+    // reference IS the kSafer safety copy. A borrowed span stages into a
+    // pooled chunk, which makes every send mode as safe as kSafer (the
+    // caller's buffer is free on return) while the chunk travels by
+    // reference through the transport, retransmits and all.
+    separate_.push_back(
+        {chunk != nullptr ? *chunk : endpoint_->net_->pool().stage(data),
+         plan.zero_copy});
   }
-
-  record.placement = BlockPlacement::kSeparate;
-  record.zero_copy = plan.zero_copy;
-  write_record(control_, record);
-
-  // Zero-copy relay: the reference IS the kSafer safety copy — the chunk
-  // stays alive (and immutable to us) for as long as the transport needs
-  // it, so no host bytes move. kSafer still pays the same virtual copy
-  // charge as pack() to keep timing identical across the two entry points.
-  if (send_mode == SendMode::kSafer) {
-    clock.advance(static_cast<double>(size) * model.copy_us_per_byte);
+  // The inline append is a copy in virtual time. A separate block charges
+  // the same only as kSafer's safety copy: for kLater/kCheaper the stage
+  // models the DMA pipeline that overlaps with the wire.
+  if (plan.aggregate || send_mode == SendMode::kSafer) {
+    clock.advance(static_cast<double>(data.size()) * model.copy_us_per_byte);
   }
-  separate_.push_back({chunk, plan.zero_copy});
 }
 
 Status Packing::end_packing() {
@@ -208,63 +161,27 @@ std::optional<std::size_t> Unpacking::peek_size() {
 
 void Unpacking::unpack(void* data, std::size_t size, SendMode send_mode,
                        RecvMode recv_mode) {
-  (void)send_mode;  // the sender-side constraint has no receiver effect
-  MADMPI_CHECK_MSG(!ended_, "unpack() after end_unpacking()");
-  MADMPI_CHECK_MSG(!reader_.exhausted(),
-                   "unpack() past the end of the message");
-
-  const sim::LinkCostModel& model = endpoint_->model();
-  sim::VirtualClock& clock = endpoint_->node().clock();
-
-  if (blocks_unpacked_ == 0) {
-    clock.advance(kPackFixedUs);
+  const std::optional<View> block =
+      read_block(size, send_mode, recv_mode, /*pin_inline=*/false);
+  MADMPI_CHECK_MSG(block.has_value(), "unpack() past the end of the message");
+  // The destination belongs to the caller: when it is the application's
+  // receive buffer this is the mandatory final placement (not a staging
+  // copy), and when the caller bounces it counts the staging itself. The
+  // copy out of a separate frame is simulation plumbing: zero-copy frames
+  // land directly in this buffer, and bounced frames' copy already
+  // pipelined with the wire in the transmit model.
+  if (block->bytes.size() == size) {
+    if (size != 0) std::memcpy(data, block->bytes.data(), size);
   } else {
-    clock.advance(kPackFixedUs + kReceiverBlockShare * model.per_block_us);
+    std::memset(data, 0, size);  // the sender aborted before this block
   }
-  ++blocks_unpacked_;
-
-  const BlockRecord record = read_record(reader_);
-  MADMPI_CHECK_MSG(record.length == size,
-                   "unpack size does not match the packed block");
-  MADMPI_CHECK_MSG(record.express == (recv_mode == RecvMode::kExpress),
-                   "unpack receive mode does not match the packed block");
-
-  if (record.placement == BlockPlacement::kInline) {
-    // The destination belongs to the caller: when it is the application's
-    // receive buffer this is the mandatory final placement (not a staging
-    // copy), and when the caller bounces it counts the staging itself.
-    reader_.read(data, size);
-    clock.advance(static_cast<double>(size) * model.copy_us_per_byte);
-    return;
-  }
-
-  // Separate block: its data frame follows the control frame in order —
-  // unless the sender aborted, in which case the abort marker was the last
-  // frame of this message and the remaining blocks never arrive.
-  if (aborted_) {
-    std::memset(data, 0, size);
-    return;
-  }
-  sim::Frame frame = message_.take_data_block();
-  if (frame.kind == net::kAbortFrame) {
-    aborted_ = true;
-    std::memset(data, 0, size);
-    return;
-  }
-  MADMPI_CHECK_MSG(frame.payload.size() == size,
-                   "data frame size does not match its record");
-  std::memcpy(data, frame.payload.contiguous().data(), size);
-  // Zero-copy frames land directly in this buffer (no cost: the memcpy
-  // above is simulation plumbing, not a modeled copy). Bounced frames'
-  // copy already pipelined with the wire in the transmit model. As with
-  // the inline path, staging into a bounce is counted by the caller.
 }
 
 Unpacking::View Unpacking::unpack_view(std::size_t size, SendMode send_mode,
                                        RecvMode recv_mode) {
-  (void)send_mode;
-  MADMPI_CHECK_MSG(!ended_, "unpack_view() after end_unpacking()");
-  if (reader_.exhausted()) {
+  std::optional<View> block =
+      read_block(size, send_mode, recv_mode, /*pin_inline=*/true);
+  if (!block) {
     // A stream claiming more blocks than the message carries is malformed
     // input, not a library invariant violation: flag it and hand back an
     // empty view so the caller can surface MPI_ERR_TRUNCATE instead of
@@ -272,16 +189,22 @@ Unpacking::View Unpacking::unpack_view(std::size_t size, SendMode send_mode,
     truncated_ = true;
     return {};
   }
+  return std::move(*block);
+}
+
+std::optional<Unpacking::View> Unpacking::read_block(std::size_t size,
+                                                     SendMode send_mode,
+                                                     RecvMode recv_mode,
+                                                     bool pin_inline) {
+  (void)send_mode;  // the sender-side constraint has no receiver effect
+  MADMPI_CHECK_MSG(!ended_, "unpack after end_unpacking()");
+  if (reader_.exhausted()) return std::nullopt;
 
   const sim::LinkCostModel& model = endpoint_->model();
   sim::VirtualClock& clock = endpoint_->node().clock();
-
-  if (blocks_unpacked_ == 0) {
-    clock.advance(kPackFixedUs);
-  } else {
-    clock.advance(kPackFixedUs + kReceiverBlockShare * model.per_block_us);
-  }
-  ++blocks_unpacked_;
+  clock.advance(blocks_unpacked_++ == 0
+                    ? kPackFixedUs
+                    : kPackFixedUs + kReceiverBlockShare * model.per_block_us);
 
   const BlockRecord record = read_record(reader_);
   MADMPI_CHECK_MSG(record.length == size,
@@ -289,26 +212,31 @@ Unpacking::View Unpacking::unpack_view(std::size_t size, SendMode send_mode,
   MADMPI_CHECK_MSG(record.express == (recv_mode == RecvMode::kExpress),
                    "unpack receive mode does not match the packed block");
 
+  View view;
   if (record.placement == BlockPlacement::kInline) {
-    // View straight into the control frame's slab: same virtual charge as
-    // unpack()'s inline read (timing identity), but zero host bytes move.
-    View view;
-    view.backing = message_.control_chunk(reader_.position(), size);
-    view.bytes = reader_.remaining().first(size);
+    // The bytes stay in the control frame's slab. Both entry points charge
+    // the copy out of it, so a view costs what unpack()'s copy costs.
+    if (pin_inline) {
+      view.backing = message_.control_chunk(reader_.position(), size);
+    }
+    view.bytes = reader_.remaining();
     reader_.skip(size);
+    view.bytes = view.bytes.first(size);
     clock.advance(static_cast<double>(size) * model.copy_us_per_byte);
     return view;
   }
 
-  if (aborted_) return {};
+  // Separate block: its data frame follows the control frame in order —
+  // unless the sender aborted, in which case the abort marker was the last
+  // frame of this message and the remaining blocks never arrive.
+  if (aborted_) return view;
   sim::Frame frame = message_.take_data_block();
   if (frame.kind == net::kAbortFrame) {
     aborted_ = true;
-    return {};
+    return view;
   }
   MADMPI_CHECK_MSG(frame.payload.size() == size,
                    "data frame size does not match its record");
-  View view;
   view.backing = frame.payload.slice(0, size);
   view.bytes = view.backing.span();
   return view;

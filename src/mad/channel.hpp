@@ -49,10 +49,10 @@ class Packing {
             RecvMode recv_mode);
 
   /// Append a block that already lives in a chunk — a pooled one (the
-  /// forwarding relay) or lent caller memory (the rendezvous data push):
-  /// wire layout and virtual charges match pack() exactly, but a separate
-  /// block travels by refcount bump — the reference IS the kSafer safety
-  /// copy.
+  /// forwarding relay) or lent caller memory (the rendezvous data push).
+  /// Same block body as pack(), so wire layout and virtual charges match
+  /// it by construction; only a separate block differs, travelling by
+  /// refcount bump — the reference IS the kSafer safety copy.
   void pack_chunk(const ChunkRef& chunk, SendMode send_mode,
                   RecvMode recv_mode);
 
@@ -70,6 +70,12 @@ class Packing {
   Packing(ChannelEndpoint* endpoint, node_id_t remote,
           std::unique_lock<std::mutex> connection_lock,
           net::DeliveryMode delivery);
+
+  /// The one block-write body behind pack() and pack_chunk(): per-block
+  /// charge, EXPRESS/CHEAPER plan, inline append or separate push. A
+  /// separate block reuses `chunk` when given, else stages `data`.
+  void write_block(byte_span data, const ChunkRef* chunk, SendMode send_mode,
+                   RecvMode recv_mode);
 
   ChannelEndpoint* endpoint_;
   node_id_t remote_;
@@ -106,7 +112,8 @@ class Unpacking {
 
   /// Zero-copy variant of unpack(): consumes the next block and returns a
   /// view of the wire bytes plus the chunk reference keeping them alive.
-  /// Identical virtual charges and mode checks as unpack(); no host copy.
+  /// Same block-read step as unpack(), so the virtual charges and mode
+  /// checks are identical by construction; no host copy.
   /// After a sender abort, `bytes` is empty and aborted() turns true — the
   /// consumer must discard the partial message as usual.
   struct View {
@@ -157,6 +164,14 @@ class Unpacking {
  private:
   friend class ChannelEndpoint;
   Unpacking(ChannelEndpoint* endpoint, net::IncomingMessage message);
+
+  /// The one block-read step behind unpack() and unpack_view(): record
+  /// read and checks, per-block charge, inline copy charge, data frame or
+  /// abort. Empty when the message has no block left. An inline block's
+  /// view carries a chunk reference only when `pin_inline` asks for one;
+  /// after a sender abort a separate block's view is empty.
+  std::optional<View> read_block(std::size_t size, SendMode send_mode,
+                                 RecvMode recv_mode, bool pin_inline);
 
   ChannelEndpoint* endpoint_;
   net::IncomingMessage message_;

@@ -29,8 +29,7 @@ struct Schedule;
 /// environment knob (off unless set to a truthy value, keeping the
 /// fault-free fast path byte-identical to the pre-FT stack by default).
 bool ft_collectives_default();
-/// Default for CollectiveConfig::agree_timeout_us — the
-/// MADMPI_FT_AGREE_TIMEOUT_US environment knob (virtual microseconds).
+/// Default for CollectiveConfig::agree_timeout_us: one virtual second.
 usec_t ft_agree_timeout_default();
 
 struct CollectiveConfig {

@@ -23,7 +23,6 @@
 //  3. Recovery — revoke() poisons the communicator everywhere and cancels
 //     blocked peers; shrink() agrees on the dead set and rebuilds a
 //     communicator over the survivors; agree() is the uniform AND.
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -118,15 +117,7 @@ bool ft_collectives_default() {
   return value;
 }
 
-usec_t ft_agree_timeout_default() {
-  static const usec_t value = [] {
-    const char* env = std::getenv("MADMPI_FT_AGREE_TIMEOUT_US");
-    if (env == nullptr) return 1.0e6;
-    const double parsed = std::strtod(env, nullptr);
-    return parsed > 0.0 ? parsed : 1.0e6;
-  }();
-  return value;
-}
+usec_t ft_agree_timeout_default() { return 1.0e6; }
 
 namespace {
 

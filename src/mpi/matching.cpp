@@ -64,61 +64,66 @@ RankContext::Bucket& RankContext::bucket_of(std::uint64_t key) {
   return buckets_[bucket_index(key, kBuckets - 1)];
 }
 
-void RankContext::finish_recv(const PostedRecv& posted, const Envelope& env,
-                              byte_span payload) {
+MpiStatus place_recv(const PostedRecv& posted, const Envelope& env,
+                     byte_span payload) {
+  MpiStatus status;
+  status.source = env.src;
+  status.tag = env.tag;
   // A message longer than the posted buffer is an application error
   // (MPI_ERR_TRUNCATE), not a reason to abort the harness: per the MPI
   // spec the prefix that fits is delivered and the error travels on the
   // operation's status. A payload *shorter* than its envelope claims is
   // the mirror image — a malformed ragged tail (truncated unpack on the
   // wire): deliver what arrived and report the same error.
-  const bool truncated = env.bytes > posted.capacity_bytes ||
-                         payload.size() < env.bytes;
-  if (truncated && payload.size() > posted.capacity_bytes) {
-    payload = payload.first(posted.capacity_bytes);
+  if (env.bytes > posted.capacity_bytes || payload.size() < env.bytes) {
+    status.error = ErrorCode::kTruncated;
+    payload = payload.first(std::min(payload.size(), posted.capacity_bytes));
   }
-  // Heterogeneity: big-endian wire data must be byte-swapped into host
-  // order before unpacking. The conversion pass is only *charged* when the
-  // two nodes genuinely differ (a big-endian pair exchanges big-endian
-  // wire data for free). Swapping covers the whole payload including a
-  // ragged-tail partial element — the tail bytes are delivered in host
-  // order like everything else, not as raw wire bytes.
-  std::vector<std::byte> converted;
-  if (env.sender_big_endian && !payload.empty()) {
-    converted.assign(payload.begin(), payload.end());
-    DatapathStats::global().count_staging_alloc();
-    count_real_copy(converted.size());
-    posted.type.swap_packed_bytes(converted.data(), converted.size());
-    payload = byte_span{converted.data(), converted.size()};
+  status.bytes = payload.size();
+  if (payload.empty()) return status;
+
+  // This is the mandatory final placement into the application buffer
+  // (present identically in every MPI implementation), so it is excluded
+  // from the staging-copy metric. Byte-order conversion covers the whole
+  // payload, a ragged-tail partial element included: no wire-order byte
+  // reaches the user buffer.
+  const Datatype& type = posted.type;
+  auto* buffer = static_cast<std::byte*>(posted.buffer);
+  if (type.is_contiguous()) {
+    // Wire layout == buffer layout: copy, then fix the byte order in place.
+    std::memcpy(buffer, payload.data(), payload.size());
+    if (env.sender_big_endian) type.swap_packed_bytes(buffer, payload.size());
+    return status;
   }
-  if (env.sender_big_endian != node_.big_endian() && !payload.empty()) {
-    node_.clock().advance(static_cast<double>(payload.size()) *
+  ChunkRef swapped;
+  if (env.sender_big_endian) {
+    // Swapping must not touch the wire bytes (a retransmit or the
+    // unexpected store may still read them): stage the one mutable copy
+    // through the pool.
+    swapped = SlabPool::global().stage(payload);
+    type.swap_packed_bytes(swapped.mutable_data(), payload.size());
+    payload = swapped.span();
+  }
+  const std::size_t elem_size = type.size();
+  if (elem_size == 0) return status;
+  const std::size_t elements = payload.size() / elem_size;
+  type.unpack(payload.data(), static_cast<int>(elements), buffer);
+  if (const std::size_t tail = payload.size() % elem_size; tail != 0) {
+    std::memcpy(buffer + type.extent() * elements,
+                payload.data() + elements * elem_size, tail);
+  }
+  return status;
+}
+
+void RankContext::finish_recv(const PostedRecv& posted, const Envelope& env,
+                              byte_span payload) {
+  const MpiStatus status = place_recv(posted, env, payload);
+  // The conversion pass is only *charged* when the two nodes genuinely
+  // differ (a big-endian pair exchanges big-endian wire data for free).
+  if (env.sender_big_endian != node_.big_endian() && status.bytes != 0) {
+    node_.clock().advance(static_cast<double>(status.bytes) *
                           sim::kHostCopyUsPerByte);
   }
-  if (!payload.empty()) {
-    // Unpack the wire representation through the receive datatype. This is
-    // the mandatory final placement into the application buffer (present
-    // identically in every MPI implementation), so it is excluded from the
-    // staging-copy metric. The element count actually received may be
-    // smaller than posted.
-    const std::size_t elem_size = posted.type.size();
-    const int elements =
-        elem_size == 0 ? 0 : static_cast<int>(payload.size() / elem_size);
-    posted.type.unpack(payload.data(), elements, posted.buffer);
-    // A possible ragged tail (partial element) is delivered raw.
-    const std::size_t tail = elem_size == 0 ? 0 : payload.size() % elem_size;
-    if (tail != 0) {
-      auto* base = static_cast<std::byte*>(posted.buffer);
-      std::memcpy(base + posted.type.extent() * static_cast<std::size_t>(
-                             elements),
-                  payload.data() + payload.size() - tail, tail);
-    }
-  }
-  MpiStatus status;
-  status.source = env.src;
-  status.tag = env.tag;
-  status.bytes = payload.size();
-  if (truncated) status.error = ErrorCode::kTruncated;
   sim::trace(node_.clock().now(), node_.id(), sim::TraceCategory::kComplete,
              status.bytes, "recv");
   RequestState::complete(posted.request, status);

@@ -91,6 +91,21 @@ struct PostedRecv {
   std::uint64_t seq = 0;
 };
 
+/// The one receive placement every device uses: place `payload` (packed
+/// wire bytes in the sender's byte order) into `posted` and return the
+/// status the receive completes with. It charges nothing and completes
+/// nothing; each caller keeps its own virtual charges.
+///  - A payload longer than the buffer delivers the prefix that fits, and
+///    one shorter than the envelope claims delivers what arrived; both
+///    report kTruncated.
+///  - Whole elements land through the type map. A ragged tail (a partial
+///    element) lands raw at extent * elements.
+///  - Big-endian wire data reaches the buffer in host order. A contiguous
+///    type is copied, then swapped in place; any other type swaps one
+///    pooled copy and unpacks that.
+MpiStatus place_recv(const PostedRecv& posted, const Envelope& env,
+                     byte_span payload);
+
 /// Called when a rendezvous request finds (or is found by) its posted
 /// receive: the device must send the OK_TO_SEND acknowledgement carrying
 /// a handle onto `posted` (paper §4.2.2 step 2).
@@ -366,9 +381,9 @@ class RankContext {
 
   Bucket& bucket_of(std::uint64_t key);
 
-  /// Unpack `payload` into the posted buffer and complete its request,
-  /// converting byte order when the sender's wire format differs from
-  /// this node's (the ADI's heterogeneity management).
+  /// Place `payload` into the posted buffer (place_recv) and complete its
+  /// request, charging the byte-order conversion when the sender's wire
+  /// format differs from this node's (the ADI's heterogeneity management).
   void finish_recv(const PostedRecv& posted, const Envelope& env,
                    byte_span payload);
 

@@ -142,6 +142,39 @@ TEST(Heterogeneity, DoublesSurviveMixedCluster) {
   });
 }
 
+TEST(Heterogeneity, BigEndianNodeRendezvousThroughSmpPlug) {
+  // Two ranks on one big-endian node: the shared segment carries
+  // big-endian wire data, and both smp_plug rendezvous paths (blocking and
+  // nonblocking) must swap it back as the eager path does.
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(1, sim::Protocol::kTcp, 2);
+  options.cluster.networks.clear();
+  options.cluster.nodes[0].big_endian = true;
+  Session session(std::move(options));
+  session.run([](Comm comm) {
+    constexpr int kCount = 50000;  // above the 32 KiB shared segment
+    for (int round = 0; round < 2; ++round) {
+      if (comm.rank() == 0) {
+        std::vector<std::int32_t> out(kCount);
+        std::iota(out.begin(), out.end(), round * 1000000 + 1);
+        if (round == 0) {
+          comm.send(out.data(), kCount, Datatype::int32(), 1, round);
+        } else {
+          comm.isend(out.data(), kCount, Datatype::int32(), 1, round).wait();
+        }
+      } else {
+        std::vector<std::int32_t> in(kCount, -1);
+        comm.recv(in.data(), kCount, Datatype::int32(), 0, round);
+        int wrong = 0;
+        for (int i = 0; i < kCount; ++i) {
+          wrong += in[static_cast<std::size_t>(i)] != round * 1000000 + 1 + i;
+        }
+        EXPECT_EQ(wrong, 0) << "round " << round;
+      }
+    }
+  });
+}
+
 TEST(Heterogeneity, DerivedDatatypeAcrossEndianness) {
   auto session = mixed_pair(sim::Protocol::kTcp);
   session->run([](Comm comm) {

@@ -1,5 +1,5 @@
-// Tests for the Marcel-like thread layer: semaphores, poll server, and the
-// executor's helper tasks and loops.
+// Tests for the Marcel-like thread layer: request hand-offs, poll server,
+// and the executor's helper tasks and loops.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,52 +10,38 @@
 
 #include "marcel/executor.hpp"
 #include "marcel/poll_server.hpp"
-#include "marcel/semaphore.hpp"
+#include "mpi/request.hpp"
 
 namespace madmpi::marcel {
 namespace {
 
-TEST(Semaphore, SignalThenWait) {
+// The completion hand-off the devices park on (a rendezvous sender waiting
+// for its match): the waiter's lane wakes at the completer's stamp.
+TEST(RequestState, WaiterClockSyncsToCompleter) {
   sim::Node node(0, "n", 2);
-  Semaphore sem(node, 0);
-  sem.signal();
-  EXPECT_EQ(sem.value(), 1);
-  sem.wait();
-  EXPECT_EQ(sem.value(), 0);
-}
-
-TEST(Semaphore, InitialPermits) {
-  sim::Node node(0, "n", 2);
-  Semaphore sem(node, 2);
-  EXPECT_TRUE(sem.try_wait());
-  EXPECT_TRUE(sem.try_wait());
-  EXPECT_FALSE(sem.try_wait());
-}
-
-TEST(Semaphore, WaiterClockSyncsToReleaser) {
-  sim::Node node(0, "n", 2);
-  Semaphore sem(node, 0);
-  node.clock().advance(100.0);  // "releaser" time
-  sem.signal();
-  // Simulate a waiter whose logical position was earlier: reset would be
-  // wrong (shared clock), so instead check the wait charges the wake cost
-  // beyond the release time.
-  const usec_t release_time = node.clock().now();
-  sem.wait();
-  EXPECT_GE(node.clock().now(), release_time + ThreadCosts::kWake - 1e-9);
-}
-
-TEST(Semaphore, CrossThreadHandoff) {
-  sim::Node node(0, "n", 2);
-  Semaphore sem(node, 0);
-  std::atomic<bool> released{false};
-  std::thread releaser([&] {
-    released = true;
-    sem.signal();
+  auto request = std::make_shared<mpi::RequestState>(node);
+  EXPECT_EQ(node.clock().now(), 0.0);  // the waiter's lane
+  std::thread completer([&] {
+    node.clock().advance(100.0);  // the completer's lane runs ahead
+    mpi::RequestState::complete(request, {});
   });
-  sem.wait();
+  request->wait();
+  completer.join();
+  EXPECT_DOUBLE_EQ(node.clock().now(),
+                   100.0 + ThreadCosts::kSemSignal + ThreadCosts::kWake);
+}
+
+TEST(RequestState, CrossThreadHandoff) {
+  sim::Node node(0, "n", 2);
+  auto request = std::make_shared<mpi::RequestState>(node);
+  std::atomic<bool> released{false};
+  std::thread completer([&] {
+    released = true;
+    mpi::RequestState::complete(request, {});
+  });
+  request->wait();
   EXPECT_TRUE(released.load());
-  releaser.join();
+  completer.join();
 }
 
 TEST(PollServer, CreationChargesMarcelCost) {

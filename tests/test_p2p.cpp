@@ -2,9 +2,11 @@
 // modes across the eager/rendezvous switch, wildcards, ordering, probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
+#include "baselines/native_device.hpp"
 #include "common/rng.hpp"
 #include "core/session.hpp"
 
@@ -305,6 +307,119 @@ TEST(P2P, RendezvousTruncationDeliversPrefixWithErrorStatus) {
   });
   EXPECT_GE(session->ch_mad()->rendezvous_sent(), 1u);
 }
+
+// ------------------------------------------------------------ ragged tail
+//
+// A byte message of 8k+2 bytes into a vector receive type of 8-byte
+// elements: k whole elements land through the type map, and the 2-byte
+// ragged tail lands raw at extent * k. The placement and status.bytes are
+// the same whichever device carries the message, eager or rendezvous.
+
+enum class RaggedDevice { kChMad, kSmpPlug, kBaseline };
+enum class RaggedSend { kSend, kSsend, kIssend };
+
+struct RaggedTailParam {
+  RaggedDevice device;
+  RaggedSend send;
+};
+
+class P2PRaggedTail : public ::testing::TestWithParam<RaggedTailParam> {};
+
+TEST_P(P2PRaggedTail, SameBytesEagerAndRendezvous) {
+  const auto& param = GetParam();
+  Session::Options options;
+  switch (param.device) {
+    case RaggedDevice::kChMad:
+      options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
+      break;
+    case RaggedDevice::kSmpPlug:
+      options.cluster =
+          sim::ClusterSpec::homogeneous(1, sim::Protocol::kTcp, 2);
+      options.cluster.networks.clear();
+      break;
+    case RaggedDevice::kBaseline:
+      options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
+      options.internode_factory =
+          [](Session& s) -> std::unique_ptr<core::ManagedDevice> {
+        return std::make_unique<baselines::NativeDevice>(
+            baselines::profile_by_name("ScaMPI"), s.fabric(), s.cluster(),
+            s.directory());
+      };
+      break;
+  }
+  Session session(std::move(options));
+
+  constexpr int kElements = 1000;
+  constexpr std::size_t kBytes = 8 * kElements + 2;  // below every switch
+  const auto message = pattern(kBytes, 23);
+  // Two 4-byte blocks 8 bytes apart: size 8, extent 12.
+  const auto type = Datatype::vector(2, 4, 8, Datatype::uint8());
+  ASSERT_EQ(type.size(), 8u);
+  ASSERT_EQ(type.extent(), 12u);
+
+  std::vector<std::uint8_t> expected(type.extent() * (kElements + 1), 0xEE);
+  for (std::size_t e = 0; e < kElements; ++e) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      expected[12 * e + j] = message[8 * e + j];
+      expected[12 * e + 8 + j] = message[8 * e + 4 + j];
+    }
+  }
+  expected[12 * kElements] = message[kBytes - 2];
+  expected[12 * kElements + 1] = message[kBytes - 1];
+
+  session.run([&](Comm comm) {
+    if (comm.rank() == 0) {
+      const int count = static_cast<int>(kBytes);
+      switch (param.send) {
+        case RaggedSend::kSend:
+          comm.send(message.data(), count, Datatype::uint8(), 1, 0);
+          break;
+        case RaggedSend::kSsend:
+          comm.ssend(message.data(), count, Datatype::uint8(), 1, 0);
+          break;
+        case RaggedSend::kIssend:
+          comm.issend(message.data(), count, Datatype::uint8(), 1, 0).wait();
+          break;
+      }
+    } else {
+      std::vector<std::uint8_t> buffer(expected.size(), 0xEE);
+      auto status = comm.recv(buffer.data(), kElements + 1, type, 0, 0);
+      EXPECT_EQ(status.error, ErrorCode::kOk);
+      EXPECT_EQ(status.bytes, kBytes);
+      const auto differ =
+          std::mismatch(buffer.begin(), buffer.end(), expected.begin());
+      EXPECT_EQ(differ.first - buffer.begin(),
+                static_cast<std::ptrdiff_t>(buffer.size()))
+          << "first misplaced byte (the ragged tail starts at "
+          << 12 * kElements << ")";
+    }
+  });
+  if (param.device == RaggedDevice::kChMad) {
+    EXPECT_EQ(session.ch_mad()->rendezvous_sent() != 0,
+              param.send != RaggedSend::kSend);
+  }
+}
+
+std::string ragged_tail_name(const RaggedTailParam& param) {
+  static const char* const kDevices[] = {"ch_mad", "smp_plug", "ScaMPI"};
+  static const char* const kSends[] = {"send", "ssend", "issend"};
+  return std::string(kDevices[static_cast<int>(param.device)]) + "_" +
+         kSends[static_cast<int>(param.send)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, P2PRaggedTail,
+    ::testing::Values(
+        RaggedTailParam{RaggedDevice::kChMad, RaggedSend::kSend},
+        RaggedTailParam{RaggedDevice::kChMad, RaggedSend::kSsend},
+        RaggedTailParam{RaggedDevice::kChMad, RaggedSend::kIssend},
+        RaggedTailParam{RaggedDevice::kSmpPlug, RaggedSend::kSend},
+        RaggedTailParam{RaggedDevice::kSmpPlug, RaggedSend::kSsend},
+        RaggedTailParam{RaggedDevice::kSmpPlug, RaggedSend::kIssend},
+        RaggedTailParam{RaggedDevice::kBaseline, RaggedSend::kSend},
+        RaggedTailParam{RaggedDevice::kBaseline, RaggedSend::kSsend},
+        RaggedTailParam{RaggedDevice::kBaseline, RaggedSend::kIssend}),
+    [](const auto& info) { return ragged_tail_name(info.param); });
 
 // --------------------------------------------------------- property sweeps
 
