@@ -96,7 +96,8 @@ void NativeDevice::transmit(net::Endpoint& endpoint, node_id_t dst,
     block.zero_copy = zero_copy;
     blocks.push_back(block);
   }
-  // Ranks and helper tasks share the endpoint: keep a message's frames whole.
+  // Ranks and the poller's rendezvous replies share the endpoint: keep a
+  // message's frames whole.
   std::lock_guard<std::mutex> lock(state_of(endpoint.node().id()).send_mutex);
   endpoint.send_message(dst, control.span(), blocks);
 }
@@ -149,7 +150,6 @@ Status NativeDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
 void NativeDevice::start(marcel::Executor& executor) {
   MADMPI_CHECK(!started_);
   started_ = true;
-  executor_ = &executor;
   for (auto& [node_id, state] : states_) {
     net::Endpoint* endpoint = transport_->endpoint(node_id);
     const int peers = static_cast<int>(transport_->members().size()) - 1;
@@ -228,11 +228,9 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
                   WireHeader ack = header;
                   ack.kind = WireKind::kRndvAck;
                   ack.sync_address = sync_address;
-                  executor_->post(*state_ptr->node,
-                                  profile_.rndv_handshake_us * 0.5,
-                                  [this, ep, peer, ack] {
-                                    transmit(*ep, peer, ack, {}, false);
-                                  });
+                  marcel::Executor::run_here(
+                      *state_ptr->node, profile_.rndv_handshake_us * 0.5,
+                      [&] { transmit(*ep, peer, ack, {}, false); });
                 });
         break;
       }
@@ -248,8 +246,8 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
         const node_id_t peer = incoming->source();
         WireHeader data = header;
         data.kind = WireKind::kRndvData;
-        executor_->post(node, profile_.rndv_handshake_us * 0.5,
-                        [this, &endpoint, peer, data, pending] {
+        marcel::Executor::run_here(node, profile_.rndv_handshake_us * 0.5,
+                                   [&] {
           transmit(endpoint, peer, data, pending->data,
                    profile_.rndv_zero_copy);
           mpi::RequestState::complete(pending->done, {});

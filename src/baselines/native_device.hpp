@@ -124,7 +124,6 @@ class NativeDevice final : public core::ManagedDevice {
   std::unique_ptr<net::ChannelTransport> transport_;
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
-  marcel::Executor* executor_ = nullptr;  // set by start()
 };
 
 }  // namespace madmpi::baselines

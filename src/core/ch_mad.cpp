@@ -78,7 +78,6 @@ bool ChMadDevice::reaches(rank_t src, rank_t dst) const {
 void ChMadDevice::start(marcel::Executor& executor) {
   MADMPI_CHECK_MSG(!started_, "ch_mad started twice");
   started_ = true;
-  executor_ = &executor;
   for (auto& [node_id, state] : states_) {
     state->poll_server =
         std::make_unique<marcel::PollServer>(*state->node, executor);
@@ -130,8 +129,9 @@ void ChMadDevice::shutdown() {
   for (auto& [node_id, state] : states_) {
     state->poll_server->begin_drain();
   }
-  // The session drained its executor before this, so no straggling
-  // MAD_CREDIT_PKT races channel close below.
+  // Credit returns, acks and pushes leave in place before the request they
+  // serve completes, so once the ranks returned none races channel close
+  // below.
   // Phase 1: every node announces termination to every direct peer, on
   // direct channels plainly and on forwarding channels wrapped in a
   // final-hop routing header.
@@ -409,11 +409,8 @@ void ChMadDevice::finish_pushed_send(sim::Node& node, PendingSend* pending) {
   // release stamp, and the lane completion hooks run on, are the ones the
   // data task would have used completing the send itself.
   sim::VirtualClock::LaneMap lanes;
-  sim::VirtualClock::LaneMap* previous =
-      sim::VirtualClock::exchange_lane_map(&lanes);
-  node.clock().bind_lane(pending->pushed_at);
-  finish_pending_send(pending);
-  sim::VirtualClock::exchange_lane_map(previous);
+  marcel::run_as_thread(lanes, &node, pending->pushed_at,
+                        [pending] { finish_pending_send(pending); });
 }
 
 Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
@@ -566,10 +563,8 @@ void ChMadDevice::credit_consumed(node_id_t me, node_id_t origin,
     batch = owed;
     owed = 0;
   }
-  // Credit returns follow the same no-sends-from-pollers rule as
-  // rendezvous acks.
-  executor_->post(*state.node, marcel::ThreadCosts::kCreate,
-                  [this, &state, me, origin, batch] {
+  // A credit return is a temporary thread, as a rendezvous ack is.
+  marcel::Executor::run_here(*state.node, marcel::ThreadCosts::kCreate, [&] {
     PacketHeader header;
     header.type = PacketType::kCredit;
     header.credit_bytes = batch;
@@ -772,8 +767,7 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
 void ChMadDevice::post_rma_reply(NodeState& state, node_id_t dst_node,
                                  PacketHeader header, ChunkRef body) {
   const node_id_t src_node = state.node->id();
-  executor_->post(*state.node, marcel::ThreadCosts::kCreate,
-                  [this, src_node, dst_node, header, body = std::move(body)] {
+  marcel::Executor::run_here(*state.node, marcel::ThreadCosts::kCreate, [&] {
     // Failure is survivable: the origin's watchdog/fence error path owns
     // recovery, the same as a lost rendezvous ack.
     Status status =
@@ -887,10 +881,9 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
                 PacketHeader ack = header;
                 ack.type = PacketType::kRndvOkToSend;
                 ack.sync_address = sync_address;
-                // Pollers never send (§4.2.3): a helper task acks.
-                executor_->post(
-                    *state_ptr->node, marcel::ThreadCosts::kCreate,
-                    [this, state_ptr, origin_node, ack]() mutable {
+                // Pollers never send (§4.2.3), so a temporary thread acks.
+                marcel::Executor::run_here(
+                    *state_ptr->node, marcel::ThreadCosts::kCreate, [&] {
                       const node_id_t me = state_ptr->node->id();
                       // Piggyback flow-control credits owed to the ack's
                       // destination: a receiver's debt towards its eager
@@ -934,12 +927,11 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       }
       const node_id_t receiver_node =
           directory_.node_of(header.dst_global).id();
-      executor_->post(*state.node, marcel::ThreadCosts::kCreate,
-                      [this, node = state.node, receiver_node, pending,
-                       sync_address = header.sync_address] {
+      sim::Node* node = state.node;
+      marcel::Executor::run_here(*node, marcel::ThreadCosts::kCreate, [&] {
         PacketHeader data = pending->header;
         data.type = PacketType::kRndvData;
-        data.sync_address = sync_address;
+        data.sync_address = header.sync_address;
         // Zero-copy push: the payload is lent to the wire instead of staged.
         // The hook keeps only the entry (request, stamp, optional owned
         // buffer) and the node — no device state, which may die first.

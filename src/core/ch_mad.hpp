@@ -15,9 +15,9 @@
 //               sender's buffer is lent to the wire, not copied; the send
 //               completes when the last wire reference to it drops.
 //
-// Polling threads never send (deadlock avoidance, §4.2.3): rendezvous
-// replies, data pushes and credit returns run as helper tasks on the
-// session's executor.
+// Polling threads never send (deadlock avoidance, §4.2.3): acks, data
+// pushes, credit returns and one-sided replies are temporary threads, run
+// in place as a host send never blocks (marcel::Executor::run_here).
 #pragma once
 
 #include <atomic>
@@ -279,8 +279,8 @@ class ChMadDevice final : public ManagedDevice {
   /// channel's polling thread on the gateway node).
   void relay(node_id_t me, ForwardHeader fwd, mad::Unpacking& incoming);
 
-  /// One-sided replies (lock grants, fence acks, get replies) go out as
-  /// helper tasks too; `body` (a get reply's bytes) rides by refcount.
+  /// One-sided replies (lock grants, fence acks, get replies) are
+  /// temporary threads too; `body` holds a get reply's bytes.
   void post_rma_reply(NodeState& state, node_id_t dst_node,
                       PacketHeader header, ChunkRef body);
   /// Register a rendezvous send that completes `completion` and inject its
@@ -326,7 +326,6 @@ class ChMadDevice final : public ManagedDevice {
   CreditPolicy credit_policy_ = CreditPolicy::kDemote;
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
-  marcel::Executor* executor_ = nullptr;  // set by start()
 
   std::atomic<std::uint64_t> eager_sent_{0};
   std::atomic<std::uint64_t> rendezvous_sent_{0};

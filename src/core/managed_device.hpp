@@ -9,9 +9,8 @@ namespace madmpi::core {
 
 class ManagedDevice : public mpi::Device {
  public:
-  /// Bring the device up; its pollers and helper tasks run on `executor`,
-  /// which the owner drains before shutdown(). shutdown() waits for the
-  /// pollers to return.
+  /// Bring the device up; its pollers run as loops on `executor`.
+  /// shutdown() waits for them to return.
   virtual void start(marcel::Executor& executor) = 0;
   virtual void shutdown() {}
 };

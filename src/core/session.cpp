@@ -29,7 +29,7 @@ Session::Session(Options options) {
   }
 
   ch_self_ = std::make_unique<ChSelfDevice>(directory_);
-  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_, executor_);
+  smp_plug_ = std::make_unique<SmpPlugDevice>(directory_);
 
   forwarding_enabled_ = options.enable_forwarding;
   if (options.internode_factory) {

@@ -81,8 +81,8 @@ class Session final : public mpi::Runtime {
     return directory_.context_of(global);
   }
   mpi::Device& device_for(rank_t src, rank_t dst) override;
-  /// The one executor every device and communicator shares: helper tasks,
-  /// the pollers and the watchdog sweep.
+  /// The one executor every device and communicator shares: blocking
+  /// helper tasks, the pollers and the watchdog sweep.
   marcel::Executor& executor() override { return executor_; }
   int derive_context_id(int parent_context, std::int64_t key) override;
   /// Failure detector for the FT collectives: directional route health

@@ -1,12 +1,12 @@
 #include "core/smp_plug.hpp"
 
+#include "marcel/executor.hpp"
 #include "sim/cost_model.hpp"
 
 namespace madmpi::core {
 
-SmpPlugDevice::SmpPlugDevice(RankDirectory& directory,
-                             marcel::Executor& executor)
-    : directory_(directory), executor_(executor) {}
+SmpPlugDevice::SmpPlugDevice(RankDirectory& directory)
+    : directory_(directory) {}
 
 bool SmpPlugDevice::reaches(rank_t src, rank_t dst) const {
   return src != dst && directory_.same_node(src, dst);
@@ -57,17 +57,14 @@ bool SmpPlugDevice::isend_rendezvous(
   auto keepalive =
       std::make_shared<std::vector<std::byte>>(std::move(owned));
   directory_.context_of(dst).deliver_rendezvous(
-      env, [this, &node, env, packed, keepalive = std::move(keepalive),
+      env, [&node, env, packed, keepalive = std::move(keepalive),
             state = std::move(state)](const mpi::Envelope&,
                                       mpi::PostedRecv target) {
-        // The copy runs as a helper task (the paper's one-Marcel-thread-
-        // per-isend), NOT inline: the match often fires on the sender's
-        // own lane (receive already posted when the announcement lands),
-        // and a tree node fanning 64 KiB to four children must not
-        // serialize four copies there.
-        executor_.post(node, marcel::ThreadCosts::kCreate,
-                       [&node, env, packed, keepalive, state,
-                        target = std::move(target)] {
+        // The copy is a temporary thread (the paper's one-Marcel-thread-
+        // per-isend) on a lane of its own: the match often fires on the
+        // sender's own lane, and a tree node fanning 64 KiB to four
+        // children must not serialize four copies there.
+        marcel::Executor::run_here(node, marcel::ThreadCosts::kCreate, [&] {
           const mpi::MpiStatus status = mpi::place_recv(target, env, packed);
           node.clock().advance(static_cast<double>(status.bytes) *
                                sim::kHostCopyUsPerByte);

@@ -3,7 +3,6 @@
 #pragma once
 
 #include "core/directory.hpp"
-#include "marcel/executor.hpp"
 #include "mpi/adi.hpp"
 
 namespace madmpi::core {
@@ -16,7 +15,7 @@ namespace madmpi::core {
 /// polling thread needed because both parties share the node.
 class SmpPlugDevice final : public mpi::Device {
  public:
-  SmpPlugDevice(RankDirectory& directory, marcel::Executor& executor);
+  explicit SmpPlugDevice(RankDirectory& directory);
 
   const char* name() const override { return "smp_plug"; }
 
@@ -28,8 +27,8 @@ class SmpPlugDevice final : public mpi::Device {
               byte_span packed, mpi::TransferMode mode) override;
 
   /// Nonblocking rendezvous: the announcement lands on the calling
-  /// thread (keeping per-source delivery order); the match posts the
-  /// single-copy handoff as a helper task, which completes both requests.
+  /// thread (keeping per-source delivery order); the match runs the
+  /// single-copy handoff as a temporary thread completing both requests.
   bool isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                         byte_span packed, std::vector<std::byte> owned,
                         std::shared_ptr<mpi::RequestState> state) override;
@@ -41,7 +40,6 @@ class SmpPlugDevice final : public mpi::Device {
 
  private:
   RankDirectory& directory_;
-  marcel::Executor& executor_;
 };
 
 }  // namespace madmpi::core

@@ -3,12 +3,13 @@
 // (ThreadCosts, paper §3.3) is charged to the node's virtual clock.
 //
 // Polling threads never send (paper §4.2.3), so the paper pushes each
-// rendezvous reply and each MPI_Isend from a temporary Marcel thread.
-// post() is that step, in virtual time exactly a spawned thread, but run
-// on a reused worker. Tasks may block (a rendezvous awaiting its ack), so
-// post() never queues behind a busy worker: it wakes an idle one or starts
-// a new one. drain() waits for every task, including tasks posted by
-// tasks; join() then retires the workers, so no helper outlives its owner.
+// rendezvous reply and each MPI_Isend from a temporary Marcel thread. Its
+// creator pays `cost` and the task runs on a fresh lane born at that stamp
+// (run_as_thread). A task that never blocks runs so at once on the calling
+// thread (run_here); one that may block (a send awaiting its ack) is
+// post()ed to a reused worker, never queued behind a busy one. drain()
+// waits for every posted task, including tasks posted by tasks; join()
+// then retires the workers, so no helper outlives its owner.
 //
 // loop() runs a task that returns only when its source shuts down (a
 // poller, the watchdog sweep) on a new worker of its own. drain() does not
@@ -18,8 +19,8 @@
 // it last, and loop() never takes it. glibc binds a thread to a malloc
 // arena at its first allocation, preferring the arena of the thread that
 // exited last, so over back-to-back sessions that worker, which runs the
-// rendezvous data pushes, keeps one arena instead of leaving their
-// allocations cached in the arenas of earlier pollers and ranks.
+// posted tasks, keeps one arena instead of leaving their allocations
+// cached in the arenas of earlier pollers and ranks.
 #pragma once
 
 #include <condition_variable>
@@ -44,6 +45,19 @@ struct ThreadCosts {
   static constexpr usec_t kWake = 2.5;       // unblock + schedule a thread
   static constexpr usec_t kSemSignal = 0.5;  // semaphore V operation
 };
+
+/// Run `fn` as a newly spawned Marcel thread: under `lanes` (unused so
+/// far), its lane on `node` (if any) born at `birth`; the caller's lane
+/// map is restored after. The one way a task gets its lane.
+template <typename Fn>
+void run_as_thread(sim::VirtualClock::LaneMap& lanes, sim::Node* node,
+                   usec_t birth, Fn&& fn) {
+  sim::VirtualClock::LaneMap* previous =
+      sim::VirtualClock::exchange_lane_map(&lanes);
+  if (node != nullptr) node->clock().bind_lane(birth);
+  fn();
+  sim::VirtualClock::exchange_lane_map(previous);
+}
 
 class Executor {
  public:
@@ -81,6 +95,14 @@ class Executor {
     worker->wake.notify_one();
   }
 
+  /// post() for a task that never blocks: the same charge and birth, but
+  /// `fn` runs at once on the calling thread; no worker is involved.
+  template <typename Fn>
+  static void run_here(sim::Node& node, usec_t cost, Fn&& fn) {
+    sim::VirtualClock::LaneMap lanes;
+    run_as_thread(lanes, &node, node.clock().advance(cost), fn);
+  }
+
   /// Run `fn` on a new worker until it returns. With a `node`, charge
   /// `cost` and bind the loop's lane as post() does; without, bind none.
   /// The future is ready once `fn` returned and its lanes expired.
@@ -98,11 +120,10 @@ class Executor {
                                   returned = std::move(returned)]() mutable {
       {
         sim::VirtualClock::LaneMap lanes;
-        sim::VirtualClock::exchange_lane_map(&lanes);
-        if (node != nullptr) node->clock().bind_lane(birth);
-        fn();
-        fn = nullptr;  // captured state dies before the owner wakes
-        sim::VirtualClock::exchange_lane_map(nullptr);
+        run_as_thread(lanes, node, birth, [&fn] {
+          fn();
+          fn = nullptr;  // captured state dies before the owner wakes
+        });
       }
       returned.set_value();
     });
@@ -175,12 +196,10 @@ class Executor {
         worker.wake.wait(lock, [&] { return worker.task || worker.retire; });
         if (!worker.task) return;  // retired by join()
       }
-      sim::VirtualClock::LaneMap* previous =
-          sim::VirtualClock::exchange_lane_map(lanes.get());
-      worker.node->clock().bind_lane(worker.birth);
-      worker.task();
-      worker.task = nullptr;  // captured state dies before drain() returns
-      sim::VirtualClock::exchange_lane_map(previous);
+      run_as_thread(*lanes, worker.node, worker.birth, [&worker] {
+        worker.task();
+        worker.task = nullptr;  // captured state dies before drain() returns
+      });
       lanes.reset();  // the task's lanes expire with it
       std::lock_guard<std::mutex> lock(mutex_);
       worker.busy = false;

@@ -302,8 +302,8 @@ void RankContext::consume_unexpected(UnexpectedMessage message,
   node_.clock().advance(static_cast<double>(message.payload.size()) *
                         sim::kHostCopyUsPerByte);
   // Credits first, completion second: once finish_recv() completes the
-  // request the application may reach finalize(), whose executor drain
-  // covers only credit-return helpers posted before it starts.
+  // request the application may reach finalize() and close the channels,
+  // so the credit return must have left by then.
   if (message.on_consumed) message.on_consumed();
   finish_recv(posted, message.env, message.payload.span());
 }
@@ -401,9 +401,8 @@ void RankContext::deliver_eager(const Envelope& env, byte_span payload,
     sim::trace(node_.clock().now(), node_.id(), sim::TraceCategory::kMatch,
                payload.size(), "posted");
     // Same ordering as the unexpected-drain path: the device's credit
-    // return must be registered before the receive is observably complete,
-    // or a poller-thread consume can spawn its credit packet after the
-    // application already entered finalize() (see shutdown() phase 0).
+    // return leaves before the receive is observably complete, so no
+    // credit packet races the channel close of finalize().
     if (on_consumed) on_consumed();
     finish_recv(posted, env, payload);
     return;

@@ -181,6 +181,43 @@ TEST(MarcelExecutor, TaskLaneExpiresWhenTaskEnds) {
   EXPECT_EQ(node.clock().lanes().size(), before);
 }
 
+TEST(MarcelExecutor, RunHereBirthsTheTaskAsPostDoesOnTheCallingThread) {
+  sim::Node node(0, "n", 2);
+  Executor executor;
+  // The caller runs under a lane map of its own, as a fiber slice does.
+  sim::VirtualClock::LaneMap caller_lanes;
+  sim::VirtualClock::LaneMap* outer =
+      sim::VirtualClock::exchange_lane_map(&caller_lanes);
+  node.clock().advance(40.0);
+  const usec_t caller = node.clock().now();
+  // Another lane far ahead: the task is born from its caller's lane, not
+  // from the clock's high-water mark.
+  std::thread([&node] { node.clock().advance(1000.0); }).join();
+  ASSERT_GT(node.clock().high_water(), caller + 100.0);
+  const std::size_t lanes_before = node.clock().lanes().size();
+  std::thread::id ran_on;
+  usec_t born = -1.0;
+  std::size_t lanes_during = 0;
+  sim::VirtualClock::LaneMap* map_during = nullptr;
+  Executor::run_here(node, 3.0, [&] {
+    ran_on = std::this_thread::get_id();
+    born = node.clock().now();
+    lanes_during = node.clock().lanes().size();
+    map_during = sim::VirtualClock::exchange_lane_map(nullptr);
+    sim::VirtualClock::exchange_lane_map(map_during);
+    node.clock().advance(50.0);  // the task's own lane, not the caller's
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_DOUBLE_EQ(born, caller + 3.0);
+  EXPECT_DOUBLE_EQ(node.clock().now(), caller + 3.0);  // caller paid cost
+  EXPECT_EQ(lanes_during, lanes_before + 1);
+  EXPECT_NE(map_during, &caller_lanes);
+  EXPECT_EQ(node.clock().lanes().size(), lanes_before);  // task lane gone
+  // The caller's lane map is back in place.
+  EXPECT_EQ(sim::VirtualClock::exchange_lane_map(outer), &caller_lanes);
+  EXPECT_EQ(executor.workers_started(), 1u);  // only the pre-started one
+}
+
 TEST(MarcelExecutor, SequentialTasksReuseOneWorker) {
   sim::Node node(0, "n", 2);
   Executor executor;

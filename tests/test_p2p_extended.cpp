@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -417,42 +418,49 @@ TEST(MarcelExecutorSession, EveryLibraryThreadIsARankOrAWorker) {
   }
 }
 
-TEST(MarcelExecutorSession, SteadyRendezvousStartsNoWorker) {
-  auto session = two_nodes(sim::Protocol::kSisci);
-  constexpr int kCount = 64 * 1024;  // 256 KiB: rendezvous
-  auto round_trips = [&session](int reps) {
-    session->run([reps](Comm comm) {
-      std::vector<int> buffer(kCount, comm.rank());
-      for (int i = 0; i < reps; ++i) {
+TEST(MarcelExecutorSession, RendezvousRunsItsHelpersInPlace) {
+  // A rendezvous ack and data push run on the thread that handles the
+  // packet, not on an executor worker: with the pre-started worker held
+  // busy, steady rendezvous traffic starts none, on either engine.
+  constexpr int kCount = 16 * 1024;  // 64 KiB: rendezvous
+  constexpr int kRoundTrips = 50;
+  const char* engine = std::getenv("MADMPI_ENGINE");
+  const std::string saved_engine = engine != nullptr ? engine : "";
+  for (const char* name : {"threaded", "sharded"}) {
+    SCOPED_TRACE(name);
+    ::setenv("MADMPI_ENGINE", name, 1);
+    auto session = two_nodes(sim::Protocol::kSisci);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    session->executor().post(session->node_of(0), 0.0,
+                             [released] { released.wait(); });
+    const std::size_t started = session->executor().workers_started();
+    session->run([](Comm comm) {
+      const int peer = 1 - comm.rank();
+      std::vector<int> out(kCount, comm.rank());
+      std::vector<int> in(kCount, -1);
+      for (int i = 0; i < kRoundTrips; ++i) {
         if (comm.rank() == 0) {
-          comm.send(buffer.data(), kCount, Datatype::int32(), 1, 0);
-          comm.recv(buffer.data(), kCount, Datatype::int32(), 1, 0);
+          comm.send(out.data(), kCount, Datatype::int32(), peer, i);
+          comm.recv(in.data(), kCount, Datatype::int32(), peer, i);
         } else {
-          comm.recv(buffer.data(), kCount, Datatype::int32(), 0, 0);
-          comm.send(buffer.data(), kCount, Datatype::int32(), 0, 0);
+          comm.recv(in.data(), kCount, Datatype::int32(), peer, i);
+          comm.send(out.data(), kCount, Datatype::int32(), peer, i);
         }
+        ASSERT_EQ(in.front(), peer);
+        ASSERT_EQ(in.back(), peer);
       }
     });
-  };
-  // Warm-up. A round trip runs four helpers (a reply and a data push per
-  // message) one after another, but a finished helper descheduled before
-  // it rejoins the pool can overlap the next one; pre-start a pool wider
-  // than any such overlap so the count below measures reuse, not luck.
-  constexpr int kPool = 8;
-  std::atomic<int> started{0};
-  sim::Node& node = session->node_of(0);
-  for (int i = 0; i < kPool; ++i) {
-    session->executor().post(node, 0.0, [&started] {
-      ++started;
-      while (started.load() < kPool) std::this_thread::yield();
-    });
+    EXPECT_EQ(session->ch_mad()->rendezvous_sent(), 2u * kRoundTrips);
+    EXPECT_EQ(session->executor().workers_started(), started);
+    release.set_value();
+    session->finalize();
   }
-  session->executor().drain();
-  round_trips(10);
-  const std::size_t warm = session->executor().workers_started();
-  EXPECT_GE(warm, static_cast<std::size_t>(kPool));
-  round_trips(100);
-  EXPECT_EQ(session->executor().workers_started(), warm);
+  if (engine != nullptr) {
+    ::setenv("MADMPI_ENGINE", saved_engine.c_str(), 1);
+  } else {
+    ::unsetenv("MADMPI_ENGINE");
+  }
 }
 
 TEST(PackBuf, PackUnpackRoundTrip) {
