@@ -102,49 +102,54 @@ void NativeDevice::transmit(net::Endpoint& endpoint, node_id_t dst,
   endpoint.send_message(dst, control.span(), blocks);
 }
 
-Status NativeDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
-                          byte_span packed, mpi::TransferMode mode) {
-  sim::Node& src_node = directory_.node_of(src);
-  sim::Node& dst_node = directory_.node_of(dst);
-  net::Endpoint* endpoint = transport_->endpoint(src_node.id());
-  MADMPI_CHECK(endpoint != nullptr);
-
+NativeDevice::WireHeader NativeDevice::charged_header(
+    rank_t src, rank_t dst, const mpi::Envelope& env, std::size_t bytes) {
+  // Implementation-specific software cost: fixed part plus any
+  // non-pipelined staging copies.
+  directory_.node_of(src).clock().advance(
+      profile_.sw_send_us +
+      static_cast<double>(bytes) * profile_.extra_copy_send_per_byte);
   WireHeader header;
   header.src_global = src;
   header.dst_global = dst;
   header.envelope = env;
+  return header;
+}
 
-  // Implementation-specific software cost: fixed part plus any
-  // non-pipelined staging copies.
-  src_node.clock().advance(profile_.sw_send_us +
-                           static_cast<double>(packed.size()) *
-                               profile_.extra_copy_send_per_byte);
-
-  if (mode == mpi::TransferMode::kEager) {
-    header.kind = WireKind::kEager;
-    transmit(*endpoint, dst_node.id(), header, packed, /*zero_copy=*/false);
+Status NativeDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
+                          byte_span packed, mpi::TransferMode mode) {
+  if (mode == mpi::TransferMode::kRendezvous) {
+    auto done = std::make_shared<mpi::RequestState>(directory_.node_of(src));
+    isend_rendezvous(src, dst, env, packed, {}, done);
+    done->wait();
     return Status::ok();
   }
-
-  NodeState& state = state_of(src_node.id());
-  PendingSend pending;
-  pending.data = packed;
-  pending.done = std::make_shared<mpi::RequestState>(src_node);
-  std::uint64_t handle = 0;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    handle = state.next_handle++;
-    state.pending_sends[handle] = &pending;
-  }
-  header.kind = WireKind::kRndvRequest;
-  header.handle = handle;
-  transmit(*endpoint, dst_node.id(), header, {}, false);
-  pending.done->wait();
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.pending_sends.erase(handle);
-  }
+  WireHeader header = charged_header(src, dst, env, packed.size());
+  header.kind = WireKind::kEager;
+  transmit(*transport_->endpoint(directory_.node_of(src).id()),
+           directory_.node_of(dst).id(), header, packed, /*zero_copy=*/false);
   return Status::ok();
+}
+
+void NativeDevice::isend_rendezvous(
+    rank_t src, rank_t dst, const mpi::Envelope& env, byte_span packed,
+    std::vector<std::byte> owned,
+    std::shared_ptr<mpi::RequestState> completion) {
+  WireHeader header = charged_header(src, dst, env, packed.size());
+  header.kind = WireKind::kRndvRequest;
+  const node_id_t src_node = directory_.node_of(src).id();
+  NodeState& state = state_of(src_node);
+  auto pending = std::make_unique<PendingSend>();
+  pending->data = packed;
+  pending->owned = std::move(owned);
+  pending->completion = std::move(completion);
+  {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    header.handle = state.next_handle++;
+    state.pending_sends[header.handle] = std::move(pending);
+  }
+  transmit(*transport_->endpoint(src_node), directory_.node_of(dst).id(),
+           header, {}, false);
 }
 
 void NativeDevice::start(marcel::Executor& executor) {
@@ -236,12 +241,13 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
       }
 
       case WireKind::kRndvAck: {
-        PendingSend* pending = nullptr;
+        std::unique_ptr<PendingSend> pending;
         {
           std::lock_guard<std::mutex> lock(state.mutex);
           auto it = state.pending_sends.find(header.handle);
           MADMPI_CHECK(it != state.pending_sends.end());
-          pending = it->second;
+          pending = std::move(it->second);
+          state.pending_sends.erase(it);
         }
         const node_id_t peer = incoming->source();
         WireHeader data = header;
@@ -250,7 +256,9 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
                                    [&] {
           transmit(endpoint, peer, data, pending->data,
                    profile_.rndv_zero_copy);
-          mpi::RequestState::complete(pending->done, {});
+          mpi::RequestState::complete(
+              std::move(pending->completion),
+              mpi::MpiStatus::of_send(header.envelope, ErrorCode::kOk));
         });
         break;
       }

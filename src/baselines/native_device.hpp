@@ -84,6 +84,14 @@ class NativeDevice final : public core::ManagedDevice {
   Status send(rank_t src, rank_t dst, const mpi::Envelope& env,
               byte_span packed, mpi::TransferMode mode) override;
 
+  /// Nonblocking rendezvous: charge the send-side software cost, register
+  /// the send and inject its REQUEST on the calling thread; the poller's
+  /// data push completes `completion`. The blocking rendezvous send is
+  /// this plus a wait.
+  void isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
+                        byte_span packed, std::vector<std::byte> owned,
+                        std::shared_ptr<mpi::RequestState> completion) override;
+
   void start(marcel::Executor& executor) override;
   void shutdown() override;
 
@@ -95,9 +103,12 @@ class NativeDevice final : public core::ManagedDevice {
 
  private:
   struct WireHeader;
+  /// A rendezvous send awaiting its ack. `owned`, when non-empty, is the
+  /// staging buffer backing `data`; the push completes `completion`.
   struct PendingSend {
     byte_span data;
-    std::shared_ptr<mpi::RequestState> done;
+    std::vector<std::byte> owned;
+    std::shared_ptr<mpi::RequestState> completion;
   };
   struct Rhandle {
     mpi::PostedRecv posted;
@@ -108,10 +119,14 @@ class NativeDevice final : public core::ManagedDevice {
     std::mutex send_mutex;  // serializes transmit() (see there)
     std::mutex mutex;
     std::uint64_t next_handle = 1;
-    std::map<std::uint64_t, PendingSend*> pending_sends;
+    std::map<std::uint64_t, std::unique_ptr<PendingSend>> pending_sends;
     std::map<std::uint64_t, Rhandle> rhandles;
   };
 
+  /// The header of one `src` -> `dst` message of `bytes` payload bytes,
+  /// after charging the sender the implementation's software cost.
+  WireHeader charged_header(rank_t src, rank_t dst, const mpi::Envelope& env,
+                            std::size_t bytes);
   void poll_loop(NodeState& state, net::Endpoint& endpoint, int peers);
   void transmit(net::Endpoint& endpoint, node_id_t dst,
                 const WireHeader& header, byte_span payload,

@@ -342,7 +342,7 @@ Status ChMadDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   return Status(error, "rendezvous send to rank " + std::to_string(dst));
 }
 
-bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
+void ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
                                    const mpi::Envelope& env, byte_span packed,
                                    std::vector<std::byte> owned,
                                    std::shared_ptr<mpi::RequestState> state) {
@@ -352,7 +352,6 @@ bool ChMadDevice::isend_rendezvous(rank_t src, rank_t dst,
     mpi::RequestState::complete(state,
                                 mpi::MpiStatus::of_send(env, status.code()));
   }
-  return true;
 }
 
 Status ChMadDevice::start_rendezvous(

@@ -96,7 +96,7 @@ class ChMadDevice final : public ManagedDevice {
   /// thread (keeping per-source frame order intact for the matching
   /// layer), and the data push completes `state` from the polling
   /// machinery instead of unparking a waiting sender.
-  bool isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
+  void isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                         byte_span packed, std::vector<std::byte> owned,
                         std::shared_ptr<mpi::RequestState> state) override;
 

@@ -35,14 +35,13 @@ class ChSelfDevice final : public mpi::Device {
   /// A self "rendezvous" (MPI_Issend to oneself) delivers eagerly like
   /// every other self transfer and completes inline — parking a thread
   /// would only add cost, and ordering is trivially program order.
-  bool isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
+  void isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                         byte_span packed, std::vector<std::byte> owned,
                         std::shared_ptr<mpi::RequestState> state) override {
     (void)owned;  // payload already delivered below; staging dies here
     Status result = send(src, dst, env, packed, mpi::TransferMode::kEager);
     mpi::RequestState::complete(state,
                                 mpi::MpiStatus::of_send(env, result.code()));
-    return true;
   }
 
   static constexpr usec_t kSelfOverheadUs = 0.4;

@@ -174,9 +174,6 @@ Session::~Session() { finalize(); }
 void Session::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  // Helper tasks first, while the watchdog still runs: it cancels a helper
-  // parked on a dead route (a rendezvous awaiting an ack that never comes).
-  executor_.drain();
   // Stop the watchdog before the device: its sweeps walk device state.
   if (watchdog_) {
     watchdog_->stop();

@@ -81,9 +81,9 @@ class Session final : public mpi::Runtime {
     return directory_.context_of(global);
   }
   mpi::Device& device_for(rank_t src, rank_t dst) override;
-  /// The one executor every device and communicator shares: blocking
-  /// helper tasks, the pollers and the watchdog sweep.
-  marcel::Executor& executor() override { return executor_; }
+  /// The one executor the devices and the watchdog share: the pollers
+  /// and the watchdog sweep run as its loops.
+  marcel::Executor& executor() { return executor_; }
   int derive_context_id(int parent_context, std::int64_t key) override;
   /// Failure detector for the FT collectives: directional route health
   /// between the hosting nodes (same-node peers share memory and never
@@ -105,9 +105,8 @@ class Session final : public mpi::Runtime {
     return mpi::Comm::world(this, rank, /*world_context=*/0);
   }
 
-  /// Drain the helper tasks, stop the watchdog sweep and the pollers,
-  /// close channels, then join every executor worker. Implicit in the
-  /// destructor.
+  /// Stop the watchdog sweep and the pollers, close channels, then join
+  /// every executor worker. Implicit in the destructor.
   void finalize();
 
   // --- introspection --------------------------------------------------------
@@ -196,10 +195,7 @@ class Session final : public mpi::Runtime {
 
   bool finalized_ = false;
 
-  // Declared last, so destroyed first: its tasks and loops use the
-  // devices. Constructed last too; its pre-started worker is still the
-  // session's first thread, because the devices start their pollers and
-  // the watchdog its sweep in the constructor body.
+  // Declared last, so destroyed first: its loops use the devices.
   marcel::Executor executor_;
 };
 

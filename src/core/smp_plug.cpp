@@ -45,7 +45,7 @@ Status SmpPlugDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   return Status::ok();
 }
 
-bool SmpPlugDevice::isend_rendezvous(
+void SmpPlugDevice::isend_rendezvous(
     rank_t src, rank_t dst, const mpi::Envelope& env, byte_span packed,
     std::vector<std::byte> owned,
     std::shared_ptr<mpi::RequestState> state) {
@@ -73,7 +73,6 @@ bool SmpPlugDevice::isend_rendezvous(
               state, mpi::MpiStatus::of_send(env, ErrorCode::kOk));
         });
       });
-  return true;
 }
 
 }  // namespace madmpi::core

@@ -29,7 +29,7 @@ class SmpPlugDevice final : public mpi::Device {
   /// Nonblocking rendezvous: the announcement lands on the calling
   /// thread (keeping per-source delivery order); the match runs the
   /// single-copy handoff as a temporary thread completing both requests.
-  bool isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
+  void isend_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                         byte_span packed, std::vector<std::byte> owned,
                         std::shared_ptr<mpi::RequestState> state) override;
 

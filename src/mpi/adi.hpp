@@ -63,23 +63,14 @@ class Device {
   /// thread could otherwise inject its request after a later eager frame
   /// from the same rank, and the receiver would match them in arrival
   /// order) — then completes `state` from its own progress machinery once
-  /// the data push finishes. `packed` must stay valid until `state`
-  /// completes; `owned`, when non-empty, is the staging buffer backing
-  /// `packed` and transfers ownership to the device. Returns false when
-  /// the device has no asynchronous rendezvous — the generic layer then
-  /// falls back to parking a blocking send on a helper task.
-  virtual bool isend_rendezvous(rank_t src, rank_t dst, const Envelope& env,
+  /// the data push finishes, or at once when the request cannot leave.
+  /// `packed` must stay valid until `state` completes; `owned`, when
+  /// non-empty, is the staging buffer backing `packed` and transfers
+  /// ownership to the device.
+  virtual void isend_rendezvous(rank_t src, rank_t dst, const Envelope& env,
                                 byte_span packed,
                                 std::vector<std::byte> owned,
-                                std::shared_ptr<RequestState> state) {
-    (void)src;
-    (void)dst;
-    (void)env;
-    (void)packed;
-    (void)owned;
-    (void)state;
-    return false;
-  }
+                                std::shared_ptr<RequestState> state) = 0;
 
   /// Best-effort cancellation of an in-flight send from `src` to `dst`
   /// whose envelope matches `env` (MPI_Cancel on a send request). True

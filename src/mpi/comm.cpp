@@ -254,35 +254,26 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
     pool->in_flight += needed;
   }
 
-  // Park a copy in the "attached buffer" and deliver from a helper task;
-  // the caller returns immediately.
-  auto parked =
-      std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
+  // Park a copy in the "attached buffer" and send it from a temporary
+  // thread run in place: its frames leave before any later frame of this
+  // rank (MPI non-overtaking), and a rendezvous completes from the
+  // device's poller, so the caller never waits for the receiver.
+  std::vector<std::byte> parked(view.begin(), view.end());
   count_real_copy(view.size());
   const Envelope env = make_envelope(dest, tag, view.size(), false);
   Device& device = device_to(dest);
   const rank_t src_global = global_rank_of(rank_);
   const rank_t dst_global = global_rank_of(dest);
-  // Admit on the caller's thread (bsend must never block: may_block
-  // false, so a dry credit window demotes to rendezvous).
+  // bsend must never block: may_block false, so a dry credit window
+  // demotes to rendezvous.
   const TransferMode mode =
       admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
-  Comm self = *this;
-  shared_->runtime->executor().post(
-      my_node(),
-      marcel::ThreadCosts::kCreate +
-          static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
-      [&device, src_global, dst_global, env, parked, pool, needed, mode,
-       self]() mutable {
-    // A buffered send has no request to carry the error; log and drop, as
-    // real implementations do for undeliverable bsends.
-    const Status status =
-        device.send(src_global, dst_global, env,
-                    byte_span{parked->data(), parked->size()}, mode);
-    if (!status.is_ok()) {
-      self.release_admission(dst_global, env, mode);
+  // A buffered send has no request to carry the error; log and drop, as
+  // real implementations do for undeliverable bsends.
+  auto release = [pool, needed, env](ErrorCode error) {
+    if (error != ErrorCode::kOk) {
       MADMPI_LOG_WARN("mpi", "bsend to rank %d failed: %s",
-                      static_cast<int>(env.dst), status.message().c_str());
+                      static_cast<int>(env.dst), error_code_name(error));
     }
     {
       std::lock_guard<std::mutex> lock(pool->mutex);
@@ -290,6 +281,27 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
       pool->drained.notify_all();
     }
     marcel::engine_notify();
+  };
+  marcel::Executor::run_here(
+      my_node(),
+      marcel::ThreadCosts::kCreate +
+          static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
+      [&] {
+    if (mode == TransferMode::kEager) {
+      const Status status = device.send(
+          src_global, dst_global, env,
+          byte_span{parked.data(), parked.size()}, mode);
+      if (!status.is_ok()) release_admission(dst_global, env, mode);
+      release(status.code());
+      return;
+    }
+    // The device keeps the parked copy until the data push completes.
+    auto state = std::make_shared<RequestState>(my_node());
+    state->set_on_complete(
+        [release](const MpiStatus& done) { release(done.error); });
+    const byte_span wire{parked.data(), parked.size()};
+    device.isend_rendezvous(src_global, dst_global, env, wire,
+                            std::move(parked), std::move(state));
   });
 }
 
@@ -343,43 +355,6 @@ MpiStatus Comm::recv(void* buf, int count, const Datatype& type,
   return status;
 }
 
-namespace {
-
-/// The rendezvous fallback for devices without an asynchronous path: one
-/// helper task per send, like the paper's Marcel thread (§4.2.3). User
-/// payloads are staged so the caller's buffer is free immediately,
-/// charged as a host copy. Callers that pin the buffer until the request
-/// completes (nonblocking-collective schedules) pass stage=false and lend
-/// it to the task, skipping the copy and its charge: a tree node
-/// forwarding 64 KiB to four children would otherwise serialize four
-/// staging copies on its lane before the last child's data departs.
-void post_rendezvous_send(marcel::Executor& executor, sim::Node& node,
-                          Device& device, rank_t src, rank_t dst,
-                          Envelope env, byte_span packed,
-                          std::shared_ptr<RequestState> state,
-                          bool stage = true) {
-  std::shared_ptr<std::vector<std::byte>> payload;
-  byte_span wire = packed;
-  usec_t spawn_cost = marcel::ThreadCosts::kCreate;
-  if (stage) {
-    payload = std::make_shared<std::vector<std::byte>>(packed.begin(),
-                                                       packed.end());
-    count_real_copy(packed.size());
-    wire = byte_span{payload->data(), payload->size()};
-    spawn_cost +=
-        static_cast<double>(packed.size()) * sim::kHostCopyUsPerByte;
-  }
-  executor.post(node, spawn_cost,
-                [&device, src, dst, env, wire, payload = std::move(payload),
-                 state = std::move(state)] {
-    const Status result =
-        device.send(src, dst, env, wire, TransferMode::kRendezvous);
-    RequestState::complete(state, MpiStatus::of_send(env, result.code()));
-  });
-}
-
-}  // namespace
-
 Request Comm::isend(const void* buf, int count, const Datatype& type,
                     rank_t dest, int tag) {
   MADMPI_CHECK(dest >= 0 && dest < size());
@@ -415,21 +390,17 @@ void Comm::staged_rendezvous(Device& device, rank_t dst_global,
     return device.try_cancel_send(src, dst_global, env);
   });
   // Stage the payload so the caller's buffer is free on return (charged as
-  // a host copy; ch_mad then lends this copy to the wire, so it is the only
-  // one); the device's asynchronous path injects the REQUEST on this
+  // a host copy, the only one a blocking send does not make: the device
+  // lends this copy to the wire); the device injects the REQUEST on this
   // thread, behind any eager frames this rank already sent (MPI
-  // non-overtaking). A helper-task send is the fallback only.
+  // non-overtaking).
   std::vector<std::byte> owned(packed.begin(), packed.end());
   count_real_copy(packed.size());
   my_node().clock().advance(static_cast<double>(packed.size()) *
                             sim::kHostCopyUsPerByte);
   const byte_span wire{owned.data(), owned.size()};
-  if (!device.isend_rendezvous(global_rank_of(rank_), dst_global, env, wire,
-                               std::move(owned), state)) {
-    post_rendezvous_send(shared_->runtime->executor(), my_node(), device,
-                         global_rank_of(rank_), dst_global, env, packed,
-                         state, /*stage=*/true);
-  }
+  device.isend_rendezvous(global_rank_of(rank_), dst_global, env, wire,
+                          std::move(owned), state);
 }
 
 Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
@@ -438,8 +409,8 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
   // (it can run from a completion hook): eager completes inline, anything
   // else goes asynchronous (may_block false everywhere). The schedule
   // keeps its payload buffer alive until every tracked sub-operation
-  // completes, so the rendezvous borrows it
-  // (stage=false) instead of paying a staging copy per tree hop.
+  // completes, so the rendezvous borrows it instead of paying a staging
+  // copy per tree hop.
   Envelope env = make_envelope(dest, tag, bytes, false);
   env.context = shared_->context + 1;
   Device& device = device_to(dest);
@@ -453,14 +424,9 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
         device.send(global_rank_of(rank_), dst_global, env, packed, mode);
     if (!result.is_ok()) release_admission(dst_global, env, mode);
     RequestState::complete(state, MpiStatus::of_send(env, result.code()));
-  } else if (!device.isend_rendezvous(global_rank_of(rank_), dst_global,
-                                      env, packed, {}, state)) {
-    // No staging either way: the schedule pins the buffer until every
-    // tracked sub-operation completes, so the device (or the fallback
-    // task) borrows it directly.
-    post_rendezvous_send(shared_->runtime->executor(), my_node(), device,
-                         global_rank_of(rank_), dst_global, env, packed,
-                         state, /*stage=*/false);
+  } else {
+    device.isend_rendezvous(global_rank_of(rank_), dst_global, env, packed,
+                            {}, state);
   }
   return Request(std::move(state));
 }

@@ -103,8 +103,9 @@ class Comm {
   MpiStatus recv(void* buf, int count, const Datatype& type, rank_t source,
                  int tag);
 
-  /// MPI_Isend: eager sizes complete inline; rendezvous sizes go
-  /// asynchronous, their data pushed by a helper task (paper §4.2.3).
+  /// MPI_Isend: eager sizes complete inline; rendezvous sizes inject their
+  /// request in place and complete when the device's poller pushes the
+  /// data (paper §4.2.3).
   Request isend(const void* buf, int count, const Datatype& type, rank_t dest,
                 int tag);
 

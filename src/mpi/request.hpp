@@ -1,5 +1,5 @@
 // MPI request objects. A request is completed exactly once — by a polling
-// thread, a sender thread or a helper task — and waited on by the rank's
+// thread, a sender thread or the watchdog — and waited on by the rank's
 // control thread. Completion records a release stamp with the status, so
 // a waiter's clock never runs behind its completer's.
 #pragma once

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "marcel/executor.hpp"
 #include "mpi/adi.hpp"
 #include "mpi/coll_offload.hpp"
 #include "mpi/coll_types.hpp"
@@ -48,9 +47,6 @@ class Runtime {
   /// dispatch: ch_self for self, smp_plug within a node, ch_mad across
   /// nodes — paper §4.1).
   virtual Device& device_for(rank_t src, rank_t dst) = 0;
-
-  /// Runs helper tasks (buffered sends, the rendezvous-send fallback).
-  virtual marcel::Executor& executor() = 0;
 
   /// Deterministic collective context-id derivation: all ranks of a
   /// communicator calling with the same (parent_context, key) receive the

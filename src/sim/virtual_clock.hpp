@@ -1,7 +1,8 @@
 // Per-node virtual clocks with per-thread lanes.
 //
-// Ranks, polling threads and temporary protocol threads are real OS
-// threads, but time is simulated. A naive single clock per node breaks
+// Ranks and polling threads are real OS threads (ranks may be fibers),
+// and temporary protocol threads run in place on them, but time is
+// simulated. A naive single clock per node breaks
 // causality under concurrency: a polling thread that synchronizes to a
 // late arrival would inflate the departure timestamps of *independent*
 // work other threads do on the same node (and the inflation depends on
@@ -10,8 +11,8 @@
 // So each (thread, clock) pair owns a *lane*: the thread's causal time on
 // that node. advance() and sync_to() act on the caller's lane; causal
 // edges between threads are expressed explicitly — message arrival
-// timestamps, semaphore release stamps, and bind_lane() at thread or
-// helper-task birth.
+// timestamps, semaphore release stamps, and bind_lane() at the birth of a
+// thread or a temporary Marcel thread.
 // The clock itself keeps a monotone high-water mark over all lanes, which
 // is what external observers (tests, stats) read.
 //
@@ -78,8 +79,8 @@ class VirtualClock {
  public:
   /// One execution context's lanes across every clock it has touched. OS
   /// threads get an implicit one; the fiber engine owns one per fiber and
-  /// installs it around each run slice; the executor installs a fresh one
-  /// per helper task.
+  /// installs it around each run slice; marcel::run_as_thread installs a
+  /// fresh one per temporary Marcel thread and per executor loop.
   class LaneMap {
    public:
     LaneMap() = default;
@@ -98,7 +99,7 @@ class VirtualClock {
   /// Install `next` as the calling thread's active lane map (nullptr
   /// restores the thread's implicit map). Returns the previous override so
   /// callers can nest. Used by the fiber engine around run slices and by
-  /// the helper-task executor around each task.
+  /// marcel::run_as_thread around each task.
   static LaneMap* exchange_lane_map(LaneMap* next) {
     LaneMap*& slot = active_override();
     LaneMap* prev = slot;

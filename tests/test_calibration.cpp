@@ -4,9 +4,12 @@
 // refactor cannot silently drift the cost models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ios>
+#include <memory>
 #include <string>
 
+#include "baselines/native_device.hpp"
 #include "core/pingpong.hpp"
 #include "core/session.hpp"
 
@@ -124,6 +127,51 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::string(sim::protocol_name(info.param.protocol)) + "_" +
              std::to_string(info.param.bytes >> 10) + "KiB";
+    });
+
+// The same pin for the native comparators' devices at 1 MiB: the values
+// behind their 1 MiB rows of fig6_tcp (ch_p4, which sends it eager),
+// fig7_sci and fig8_bip. Their rendezvous is ch_mad's handshake rebuilt
+// in the baseline device, so it gets the same bit-for-bit guard.
+struct BaselinePin {
+  const char* profile;
+  sim::Protocol protocol;
+  double one_way_us;
+};
+
+const BaselinePin kBaselinePins[] = {
+    {"ScaMPI", sim::Protocol::kSisci, 0x1.e009c8e8f3606p+13},     // 15361.22
+    {"SCI-MPICH", sim::Protocol::kSisci, 0x1.48a955812c466p+14},  // 21034.33
+    {"ch_p4", sim::Protocol::kTcp, 0x1.847c4766fa597p+16},        // 99452.28
+    {"MPI-GM", sim::Protocol::kBip, 0x1.1358c0ef037e7p+14},       // 17622.19
+    {"MPICH-PM", sim::Protocol::kBip, 0x1.d6b0c7a557849p+12},     // 7531.05
+};
+
+class BaselinePinTest : public ::testing::TestWithParam<BaselinePin> {};
+
+TEST_P(BaselinePinTest, OneWayTimeAt1MiBIsBitIdentical) {
+  const BaselinePin& pin = GetParam();
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, pin.protocol);
+  options.internode_factory =
+      [profile = pin.profile](Session& session)
+      -> std::unique_ptr<core::ManagedDevice> {
+    return std::make_unique<baselines::NativeDevice>(
+        baselines::profile_by_name(profile), session.fabric(),
+        session.cluster(), session.directory());
+  };
+  Session session(std::move(options));
+  const auto result = core::mpi_pingpong(session, 1u << 20, 1);
+  EXPECT_EQ(result.one_way_us, pin.one_way_us)
+      << std::hexfloat << result.one_way_us << " vs " << pin.one_way_us;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, BaselinePinTest, ::testing::ValuesIn(kBaselinePins),
+    [](const auto& info) {
+      std::string name = info.param.profile;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
 
 }  // namespace

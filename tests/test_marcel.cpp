@@ -1,11 +1,9 @@
 // Tests for the Marcel-like thread layer: request hand-offs, poll server,
-// and the executor's helper tasks and loops.
+// and the executor's in-place tasks and loops.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <functional>
-#include <future>
 #include <thread>
 
 #include "marcel/executor.hpp"
@@ -131,59 +129,8 @@ TEST(PollServer, MultiplePollersRunConcurrently) {
   EXPECT_EQ(peak.load(), 3);
 }
 
-// Spin until `done()` holds, giving up after a generous wall-clock bound so
-// a broken executor fails the test instead of hanging it.
-template <typename Pred>
-bool eventually(Pred done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
-
-TEST(MarcelExecutor, TaskLaneStartsAtCreatorLanePlusCost) {
+TEST(MarcelExecutor, RunHereBirthsATaskLaneOnTheCallingThread) {
   sim::Node node(0, "n", 2);
-  Executor executor;
-  node.clock().advance(40.0);
-  const usec_t creator = node.clock().now();
-  // Another lane far ahead: a task must start from its creator's lane, not
-  // adopt the clock's high-water mark.
-  std::thread([&node] { node.clock().advance(1000.0); }).join();
-  ASSERT_GT(node.clock().high_water(), creator + 100.0);
-  usec_t born = -1.0;
-  usec_t parent_at_post = -1.0;
-  usec_t child_born = -1.0;
-  executor.post(node, 3.0, [&] {
-    born = node.clock().now();
-    parent_at_post = node.clock().advance(10.0);
-    executor.post(node, 2.0, [&] { child_born = node.clock().now(); });
-  });
-  executor.drain();
-  EXPECT_DOUBLE_EQ(node.clock().now(), creator + 3.0);  // creator paid
-  EXPECT_DOUBLE_EQ(born, creator + 3.0);
-  EXPECT_DOUBLE_EQ(child_born, parent_at_post + 2.0);
-}
-
-TEST(MarcelExecutor, TaskLaneExpiresWhenTaskEnds) {
-  sim::Node node(0, "n", 2);
-  Executor executor;
-  node.clock().advance(1.0);
-  const std::size_t before = node.clock().lanes().size();
-  std::atomic<std::size_t> during{0};
-  executor.post(node, 0.0, [&] { during = node.clock().lanes().size(); });
-  executor.drain();
-  EXPECT_EQ(during.load(), before + 1);
-  // The worker lives on, but the finished task's lane is gone, as an
-  // exited thread's would be.
-  EXPECT_EQ(node.clock().lanes().size(), before);
-}
-
-TEST(MarcelExecutor, RunHereBirthsTheTaskAsPostDoesOnTheCallingThread) {
-  sim::Node node(0, "n", 2);
-  Executor executor;
   // The caller runs under a lane map of its own, as a fiber slice does.
   sim::VirtualClock::LaneMap caller_lanes;
   sim::VirtualClock::LaneMap* outer =
@@ -215,70 +162,6 @@ TEST(MarcelExecutor, RunHereBirthsTheTaskAsPostDoesOnTheCallingThread) {
   EXPECT_EQ(node.clock().lanes().size(), lanes_before);  // task lane gone
   // The caller's lane map is back in place.
   EXPECT_EQ(sim::VirtualClock::exchange_lane_map(outer), &caller_lanes);
-  EXPECT_EQ(executor.workers_started(), 1u);  // only the pre-started one
-}
-
-TEST(MarcelExecutor, SequentialTasksReuseOneWorker) {
-  sim::Node node(0, "n", 2);
-  Executor executor;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    executor.post(node, ThreadCosts::kCreate, [&] { ++ran; });
-    executor.drain();
-  }
-  EXPECT_EQ(ran.load(), 16);
-  EXPECT_EQ(executor.workers_started(), 1u);  // the one it starts with
-}
-
-TEST(MarcelExecutor, BlockedTaskDoesNotDelayTheNext) {
-  sim::Node node(0, "n", 2);
-  std::atomic<bool> release{false};
-  std::atomic<bool> second_ran{false};
-  Executor executor;  // joined first: its tasks use the flags above
-  executor.post(node, 0.0, [&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  executor.post(node, 0.0, [&] { second_ran = true; });
-  EXPECT_TRUE(eventually([&] { return second_ran.load(); }));
-  EXPECT_EQ(executor.workers_started(), 2u);
-  release = true;
-}
-
-TEST(MarcelExecutor, DrainWaitsForTasksPostedByTasks) {
-  sim::Node node(0, "n", 2);
-  Executor executor;
-  std::atomic<int> finished{0};
-  // A chain of three tasks, each posting the next; only the last one is
-  // slow, so a drain that waited just for the tasks present at its entry
-  // would return before it.
-  std::function<void(int)> link = [&](int depth) {
-    if (depth > 0) {
-      executor.post(node, 1.0, [&link, depth] { link(depth - 1); });
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    ++finished;
-  };
-  executor.post(node, 1.0, [&link] { link(2); });
-  executor.drain();
-  EXPECT_EQ(finished.load(), 3);
-}
-
-TEST(MarcelExecutor, DrainReturnsWhileALoopRuns) {
-  sim::Node node(0, "n", 2);
-  std::atomic<bool> release{false};
-  Executor executor;  // joined first: its loop uses the flag above
-  std::future<void> returned = executor.loop([&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> ran{0};
-  executor.post(node, 0.0, [&] { ++ran; });
-  executor.drain();  // waits for the task, not for the loop
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(returned.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-  release = true;
-  returned.wait();
 }
 
 TEST(MarcelExecutor, JoinReturnsOnlyAfterTheLoopReturned) {
@@ -300,55 +183,6 @@ TEST(MarcelExecutor, JoinReturnsOnlyAfterTheLoopReturned) {
   release = true;
   joiner.join();
   EXPECT_TRUE(loop_returned.load());
-}
-
-TEST(MarcelExecutor, LoopNeverTakesThePreStartedWorker) {
-  sim::Node node(0, "n", 2);
-  std::atomic<bool> release{false};
-  Executor executor;
-  std::thread::id first;
-  executor.post(node, 0.0, [&] { first = std::this_thread::get_id(); });
-  executor.drain();
-  // The pre-started worker is idle now, and the loop still starts its own.
-  std::atomic<std::thread::id> looping{};
-  std::future<void> returned = executor.loop([&] {
-    looping = std::this_thread::get_id();
-    while (!release.load()) std::this_thread::yield();
-  });
-  ASSERT_TRUE(eventually([&] { return looping.load() != std::thread::id{}; }));
-  EXPECT_NE(looping.load(), first);
-  EXPECT_EQ(executor.workers_started(), 2u);
-  // A task posted while the loop runs finds that worker idle.
-  std::thread::id task;
-  executor.post(node, 0.0, [&] { task = std::this_thread::get_id(); });
-  executor.drain();
-  EXPECT_EQ(task, first);
-  EXPECT_EQ(executor.workers_started(), 2u);
-  release = true;
-  returned.wait();
-}
-
-TEST(MarcelExecutor, OutsidePostRacesDrainAndJoin) {
-  // post() wakes its worker after releasing the executor mutex. A worker
-  // that finishes one task and re-checks for work before sleeping can take
-  // the next task without that wake-up, finish it, and let drain() and
-  // join() on another thread retire it while post() is still to notify.
-  // The worker must outlive that notify.
-  sim::Node node(0, "n", 2);
-  for (int i = 0; i < 2000; ++i) {
-    std::atomic<int> ran{0};
-    Executor executor;  // joined before `ran` dies
-    std::thread poster([&] {
-      executor.post(node, 0.0, [&] { ++ran; });
-      while (ran.load() == 0) std::this_thread::yield();
-      executor.post(node, 0.0, [&] { ++ran; });
-    });
-    while (ran.load() == 0) std::this_thread::yield();
-    executor.join();  // drain(), then retire the workers
-    poster.join();
-    executor.drain();
-    ASSERT_EQ(ran.load(), 2);
-  }
 }
 
 }  // namespace

@@ -315,29 +315,27 @@ TEST(P2P, RendezvousTruncationDeliversPrefixWithErrorStatus) {
 // ragged tail lands raw at extent * k. The placement and status.bytes are
 // the same whichever device carries the message, eager or rendezvous.
 
-enum class RaggedDevice { kChMad, kSmpPlug, kBaseline };
-enum class RaggedSend { kSend, kSsend, kIssend };
+/// The device carrying rank 0 -> rank 1 traffic in the device-parameterised
+/// tests: ch_mad over SCI, smp_plug within one node, or the ScaMPI baseline.
+enum class P2PDevice { kChMad, kSmpPlug, kBaseline };
 
-struct RaggedTailParam {
-  RaggedDevice device;
-  RaggedSend send;
-};
+const char* device_name(P2PDevice device) {
+  static const char* const kDevices[] = {"ch_mad", "smp_plug", "ScaMPI"};
+  return kDevices[static_cast<int>(device)];
+}
 
-class P2PRaggedTail : public ::testing::TestWithParam<RaggedTailParam> {};
-
-TEST_P(P2PRaggedTail, SameBytesEagerAndRendezvous) {
-  const auto& param = GetParam();
+Session::Options device_options(P2PDevice device) {
   Session::Options options;
-  switch (param.device) {
-    case RaggedDevice::kChMad:
+  switch (device) {
+    case P2PDevice::kChMad:
       options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
       break;
-    case RaggedDevice::kSmpPlug:
+    case P2PDevice::kSmpPlug:
       options.cluster =
           sim::ClusterSpec::homogeneous(1, sim::Protocol::kTcp, 2);
       options.cluster.networks.clear();
       break;
-    case RaggedDevice::kBaseline:
+    case P2PDevice::kBaseline:
       options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
       options.internode_factory =
           [](Session& s) -> std::unique_ptr<core::ManagedDevice> {
@@ -347,7 +345,21 @@ TEST_P(P2PRaggedTail, SameBytesEagerAndRendezvous) {
       };
       break;
   }
-  Session session(std::move(options));
+  return options;
+}
+
+enum class RaggedSend { kSend, kSsend, kIssend };
+
+struct RaggedTailParam {
+  P2PDevice device;
+  RaggedSend send;
+};
+
+class P2PRaggedTail : public ::testing::TestWithParam<RaggedTailParam> {};
+
+TEST_P(P2PRaggedTail, SameBytesEagerAndRendezvous) {
+  const auto& param = GetParam();
+  Session session(device_options(param.device));
 
   constexpr int kElements = 1000;
   constexpr std::size_t kBytes = 8 * kElements + 2;  // below every switch
@@ -394,32 +406,74 @@ TEST_P(P2PRaggedTail, SameBytesEagerAndRendezvous) {
           << 12 * kElements << ")";
     }
   });
-  if (param.device == RaggedDevice::kChMad) {
+  if (param.device == P2PDevice::kChMad) {
     EXPECT_EQ(session.ch_mad()->rendezvous_sent() != 0,
               param.send != RaggedSend::kSend);
   }
 }
 
 std::string ragged_tail_name(const RaggedTailParam& param) {
-  static const char* const kDevices[] = {"ch_mad", "smp_plug", "ScaMPI"};
   static const char* const kSends[] = {"send", "ssend", "issend"};
-  return std::string(kDevices[static_cast<int>(param.device)]) + "_" +
+  return std::string(device_name(param.device)) + "_" +
          kSends[static_cast<int>(param.send)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Devices, P2PRaggedTail,
     ::testing::Values(
-        RaggedTailParam{RaggedDevice::kChMad, RaggedSend::kSend},
-        RaggedTailParam{RaggedDevice::kChMad, RaggedSend::kSsend},
-        RaggedTailParam{RaggedDevice::kChMad, RaggedSend::kIssend},
-        RaggedTailParam{RaggedDevice::kSmpPlug, RaggedSend::kSend},
-        RaggedTailParam{RaggedDevice::kSmpPlug, RaggedSend::kSsend},
-        RaggedTailParam{RaggedDevice::kSmpPlug, RaggedSend::kIssend},
-        RaggedTailParam{RaggedDevice::kBaseline, RaggedSend::kSend},
-        RaggedTailParam{RaggedDevice::kBaseline, RaggedSend::kSsend},
-        RaggedTailParam{RaggedDevice::kBaseline, RaggedSend::kIssend}),
+        RaggedTailParam{P2PDevice::kChMad, RaggedSend::kSend},
+        RaggedTailParam{P2PDevice::kChMad, RaggedSend::kSsend},
+        RaggedTailParam{P2PDevice::kChMad, RaggedSend::kIssend},
+        RaggedTailParam{P2PDevice::kSmpPlug, RaggedSend::kSend},
+        RaggedTailParam{P2PDevice::kSmpPlug, RaggedSend::kSsend},
+        RaggedTailParam{P2PDevice::kSmpPlug, RaggedSend::kIssend},
+        RaggedTailParam{P2PDevice::kBaseline, RaggedSend::kSend},
+        RaggedTailParam{P2PDevice::kBaseline, RaggedSend::kSsend},
+        RaggedTailParam{P2PDevice::kBaseline, RaggedSend::kIssend}),
     [](const auto& info) { return ragged_tail_name(info.param); });
+
+// ---------------------------------------------------------- non-overtaking
+//
+// MPI's non-overtaking rule: two messages from one sender to one receiver
+// with the same tag match in the order they were sent. A rendezvous isend
+// must inject its request before the caller's next eager frame leaves, on
+// every device.
+
+class P2PNonOvertaking : public ::testing::TestWithParam<P2PDevice> {};
+
+TEST_P(P2PNonOvertaking, RendezvousIsendThenEagerSendArriveInOrder) {
+  Session session(device_options(GetParam()));
+  constexpr std::size_t kBig = 128u << 10;  // rendezvous on every device
+  constexpr int kPairs = 200;
+  int misordered = 0;
+  session.run([&](Comm comm) {
+    std::vector<std::uint8_t> big(kBig);
+    if (comm.rank() == 0) {
+      for (int i = 0; i < kPairs; ++i) {
+        mpi::Request request = comm.isend(
+            big.data(), static_cast<int>(kBig), Datatype::uint8(), 1, 0);
+        const int small = i;
+        ASSERT_TRUE(comm.send(&small, 1, Datatype::int32(), 1, 0).is_ok());
+        ASSERT_EQ(request.wait().error, ErrorCode::kOk);
+      }
+    } else {
+      for (int i = 0; i < kPairs; ++i) {
+        const auto first = comm.recv(big.data(), static_cast<int>(kBig),
+                                     Datatype::uint8(), 0, 0);
+        const auto second = comm.recv(big.data(), static_cast<int>(kBig),
+                                      Datatype::uint8(), 0, 0);
+        if (first.bytes != kBig || second.bytes != sizeof(int)) ++misordered;
+      }
+    }
+  });
+  EXPECT_EQ(misordered, 0) << "of " << kPairs << " pairs";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, P2PNonOvertaking,
+    ::testing::Values(P2PDevice::kChMad, P2PDevice::kSmpPlug,
+                      P2PDevice::kBaseline),
+    [](const auto& info) { return std::string(device_name(info.param)); });
 
 // --------------------------------------------------------- property sweeps
 

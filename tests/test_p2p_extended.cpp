@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <future>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -135,6 +134,46 @@ TEST(Bsend, WithoutAttachAborts) {
   });
 }
 
+/// Rank 0 sends `pairs` pairs of a `bsend_bytes` bsend and a one-int send
+/// to rank 1, all with tag 0; rank 1 receives them in turn. Returns how
+/// many pairs arrived out of order: MPI's non-overtaking rule allows none.
+int misordered_bsend_pairs(std::size_t bsend_bytes, int pairs) {
+  auto session = two_nodes(sim::Protocol::kSisci);
+  int misordered = 0;
+  session->run([&](Comm comm) {
+    std::vector<std::byte> buffer(bsend_bytes);
+    const int count = static_cast<int>(bsend_bytes);
+    if (comm.rank() == 0) {
+      Comm::buffer_attach(static_cast<std::size_t>(pairs) *
+                          (bsend_bytes + Comm::bsend_overhead()));
+      for (int i = 0; i < pairs; ++i) {
+        comm.bsend(buffer.data(), count, Datatype::byte(), 1, 0);
+        ASSERT_TRUE(comm.send(&i, 1, Datatype::int32(), 1, 0).is_ok());
+      }
+      Comm::buffer_detach();
+    } else {
+      for (int i = 0; i < pairs; ++i) {
+        const auto first = comm.recv(buffer.data(), count, Datatype::byte(),
+                                     0, 0);
+        const auto second = comm.recv(buffer.data(), count, Datatype::byte(),
+                                      0, 0);
+        if (first.bytes != bsend_bytes || second.bytes != sizeof(int)) {
+          ++misordered;
+        }
+      }
+    }
+  });
+  return misordered;
+}
+
+TEST(Bsend, KeepsNonOvertakingOrder) {
+  EXPECT_EQ(misordered_bsend_pairs(2 * sizeof(int), 2000), 0);
+}
+
+TEST(Bsend, RendezvousKeepsNonOvertakingOrder) {
+  EXPECT_EQ(misordered_bsend_pairs(32u << 10, 200), 0);
+}
+
 TEST(MultiWait, WaitAnyReturnsFirstCompleted) {
   auto session = two_nodes(sim::Protocol::kSisci);
   session->run([](Comm comm) {
@@ -215,7 +254,7 @@ TEST(MultiWait, WaitSomeCollectsBatch) {
 
 TEST(MultiWait, TestSpinSeesHelperCompletion) {
   // Regression: a test() landing between complete()'s status store and its
-  // release used to abort the process. A helper task completes each
+  // release used to abort the process. Another thread completes each
   // request while its owner spins test().
   auto session = two_nodes(sim::Protocol::kSisci);
   Session* host = session.get();
@@ -226,13 +265,13 @@ TEST(MultiWait, TestSpinSeesHelperCompletion) {
       auto state = std::make_shared<mpi::RequestState>(node);
       mpi::MpiStatus done;
       done.tag = i;
-      host->executor().post(node, 0.0, [state, done] {
-        mpi::RequestState::complete(state, done);
-      });
+      std::thread completer(
+          [state, done] { mpi::RequestState::complete(state, done); });
       Request request(state);
       mpi::MpiStatus status;
       while (!request.test(&status)) {
       }
+      completer.join();
       ASSERT_EQ(status.tag, i);
     }
   });
@@ -242,8 +281,9 @@ TEST(MultiWait, WaiterDropsItsHandleAsSoonAsWaitReturns) {
   // complete() wakes the waiter after releasing the request mutex, so the
   // waiter can return from wait() and drop its handle while the completer
   // is still inside complete(). The completer's by-value reference must
-  // keep the state alive through that notify: each helper hands its only
-  // reference over, and the waiter's is gone the moment wait() returns.
+  // keep the state alive through that notify: each completer thread hands
+  // its only reference over, and the waiter's is gone the moment wait()
+  // returns.
   auto session = two_nodes(sim::Protocol::kSisci);
   Session* host = session.get();
   session->run([host](Comm comm) {
@@ -253,10 +293,11 @@ TEST(MultiWait, WaiterDropsItsHandleAsSoonAsWaitReturns) {
       auto state = std::make_shared<mpi::RequestState>(node);
       mpi::MpiStatus done;
       done.tag = i;
-      host->executor().post(node, 0.0, [state, done]() mutable {
+      std::thread completer([state, done]() mutable {
         mpi::RequestState::complete(std::move(state), done);
       });
       const mpi::MpiStatus status = Request(std::move(state)).wait();
+      completer.join();
       ASSERT_EQ(status.tag, i);
     }
   });
@@ -306,7 +347,7 @@ TEST(MarcelExecutorSession, FinalizeLeavesNoHelperThreadBehind) {
         .wait();
     recv.wait();
     EXPECT_EQ(in.back(), peer);
-    // Buffered send: a drain helper.
+    // Buffered send: delivered in place.
     if (comm.rank() == 0) {
       Comm::buffer_attach(out.size() * sizeof(int) + Comm::bsend_overhead());
       comm.bsend(out.data(), static_cast<int>(out.size()), Datatype::int32(),
@@ -390,18 +431,13 @@ TEST(MarcelExecutorSession, EveryLibraryThreadIsARankOrAWorker) {
     }
     comm.barrier();
     if (comm.rank() == 0) {
-      // A late helper may start a worker while we count: count again
-      // until workers_started() holds still across the count.
-      for (int attempt = 0; attempt < 100; ++attempt) {
-        started = session.executor().workers_started();
-        live = live_threads();
-        if (session.executor().workers_started() == started) break;
-      }
+      started = session.executor().workers_started();
+      live = live_threads();
     }
     comm.barrier();
   });
-  // The pre-started worker, four pollers and the sweep at least.
-  EXPECT_GE(started, 6u);
+  // Four pollers and the sweep, and nothing for the rendezvous.
+  EXPECT_EQ(started, 5u);
   EXPECT_EQ(live, before + ranks + started);
   session.finalize();
   const auto deadline =
@@ -420,8 +456,8 @@ TEST(MarcelExecutorSession, EveryLibraryThreadIsARankOrAWorker) {
 
 TEST(MarcelExecutorSession, RendezvousRunsItsHelpersInPlace) {
   // A rendezvous ack and data push run on the thread that handles the
-  // packet, not on an executor worker: with the pre-started worker held
-  // busy, steady rendezvous traffic starts none, on either engine.
+  // packet, not on an executor worker: steady rendezvous traffic starts
+  // none, on either engine.
   constexpr int kCount = 16 * 1024;  // 64 KiB: rendezvous
   constexpr int kRoundTrips = 50;
   const char* engine = std::getenv("MADMPI_ENGINE");
@@ -430,10 +466,6 @@ TEST(MarcelExecutorSession, RendezvousRunsItsHelpersInPlace) {
     SCOPED_TRACE(name);
     ::setenv("MADMPI_ENGINE", name, 1);
     auto session = two_nodes(sim::Protocol::kSisci);
-    std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
-    session->executor().post(session->node_of(0), 0.0,
-                             [released] { released.wait(); });
     const std::size_t started = session->executor().workers_started();
     session->run([](Comm comm) {
       const int peer = 1 - comm.rank();
@@ -453,7 +485,6 @@ TEST(MarcelExecutorSession, RendezvousRunsItsHelpersInPlace) {
     });
     EXPECT_EQ(session->ch_mad()->rendezvous_sent(), 2u * kRoundTrips);
     EXPECT_EQ(session->executor().workers_started(), started);
-    release.set_value();
     session->finalize();
   }
   if (engine != nullptr) {

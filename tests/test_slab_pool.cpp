@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/native_device.hpp"
 #include "common/datapath_stats.hpp"
 #include "common/slab_pool.hpp"
 #include "core/ch_mad.hpp"
@@ -523,33 +524,61 @@ TEST(ZeroCopyDatapath, SteadyStateRendezvousOverTcpCopiesNothing) {
   expect_copy_free_rendezvous(sim::Protocol::kTcp, 1u << 20);
 }
 
-TEST(ZeroCopyDatapath, IsendCountsItsOneStagingCopy) {
-  // isend stages the payload once so the caller's buffer is free on
-  // return; that copy is what the wire borrows, so it is the only one.
-  core::Session session(two_nodes(sim::Protocol::kSisci));
-  constexpr std::size_t kBytes = 1u << 20;
+/// Bytes copied, sender and receiver together, while rank 0 sends `bytes`
+/// to rank 1 by a blocking send or by an isend it then waits on.
+std::uint64_t bytes_copied_sending(core::Session& session, std::size_t bytes,
+                                   bool isend) {
   std::uint64_t copied = 0;
   session.run([&](mpi::Comm comm) {
     const auto type = mpi::Datatype::uint8();
+    const int count = static_cast<int>(bytes);
     comm.barrier();
     if (comm.rank() == 0) {
-      const auto out = pattern(0, 0, kBytes);
+      const auto out = pattern(0, 0, bytes);
       const auto before = DatapathStats::global().snapshot();
-      mpi::Request request =
-          comm.isend(out.data(), static_cast<int>(kBytes), type, 1, 0);
-      EXPECT_EQ(request.wait().error, ErrorCode::kOk);
+      if (isend) {
+        EXPECT_EQ(comm.isend(out.data(), count, type, 1, 0).wait().error,
+                  ErrorCode::kOk);
+      } else {
+        EXPECT_TRUE(comm.send(out.data(), count, type, 1, 0).is_ok());
+      }
       comm.barrier();
       copied = (DatapathStats::global().snapshot() - before).bytes_copied;
     } else {
-      std::vector<std::uint8_t> in(kBytes);
-      EXPECT_EQ(comm.recv(in.data(), static_cast<int>(kBytes), type, 0, 0)
-                    .error,
+      std::vector<std::uint8_t> in(bytes);
+      EXPECT_EQ(comm.recv(in.data(), count, type, 0, 0).error,
                 ErrorCode::kOk);
-      EXPECT_EQ(in, pattern(0, 0, kBytes));
+      EXPECT_EQ(in, pattern(0, 0, bytes));
       comm.barrier();
     }
   });
-  EXPECT_EQ(copied, kBytes);
+  return copied;
+}
+
+/// isend stages the payload once so the caller's buffer is free on return;
+/// the device lends that copy to the wire, so a 1 MiB isend copies exactly
+/// 1 MiB more than a blocking send on the same device. `baseline` names a
+/// native device to carry the traffic instead of ch_mad.
+void expect_isend_stages_once(const char* baseline) {
+  SCOPED_TRACE(baseline != nullptr ? baseline : "ch_mad");
+  core::Session::Options options = two_nodes(sim::Protocol::kSisci);
+  if (baseline != nullptr) {
+    options.internode_factory =
+        [baseline](core::Session& s) -> std::unique_ptr<core::ManagedDevice> {
+      return std::make_unique<baselines::NativeDevice>(
+          baselines::profile_by_name(baseline), s.fabric(), s.cluster(),
+          s.directory());
+    };
+  }
+  core::Session session(std::move(options));
+  constexpr std::size_t kBytes = 1u << 20;
+  const std::uint64_t blocking = bytes_copied_sending(session, kBytes, false);
+  EXPECT_EQ(bytes_copied_sending(session, kBytes, true), blocking + kBytes);
+}
+
+TEST(ZeroCopyDatapath, IsendCountsItsOneStagingCopy) {
+  expect_isend_stages_once(nullptr);
+  expect_isend_stages_once("ScaMPI");
 }
 
 TEST(ZeroCopyDatapath, SenderReusesItsBufferAsSoonAsSendReturns) {
