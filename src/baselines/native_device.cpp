@@ -159,9 +159,13 @@ void NativeDevice::start(marcel::Executor& executor) {
     net::Endpoint* endpoint = transport_->endpoint(node_id);
     const int peers = static_cast<int>(transport_->members().size()) - 1;
     NodeState* state_ptr = state.get();
-    state->polled = executor.loop([this, state_ptr, endpoint, peers] {
-      poll_loop(*state_ptr, *endpoint, peers);
-    });
+    // Homed on its node (a fiber on that node's shard under a sharded
+    // session), with no creation charge: its lane is born at first touch.
+    state->polled = executor.loop(
+        [this, state_ptr, endpoint, peers] {
+          poll_loop(*state_ptr, *endpoint, peers);
+        },
+        state->node);
   }
 }
 

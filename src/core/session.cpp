@@ -1,5 +1,6 @@
 #include "core/session.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -53,6 +54,24 @@ Session::Session(Options options) {
     }
     internode_ = std::make_unique<ChMadDevice>(
         directory_, madeleine_->open_default_channels(), config);
+  }
+  // MADMPI_ENGINE=sharded: one fiber pool for the session's life. Rank i
+  // runs on shard i % shards, and each node's pollers on the shard of its
+  // first rank (a rank-less node's on shard node % shards).
+  if (marcel::engine_kind_from_env() == marcel::EngineKind::kSharded) {
+    const std::size_t shards =
+        std::min(marcel::engine_shards_from_env(),
+                 static_cast<std::size_t>(std::max(1, world_size())));
+    pool_ = std::make_unique<marcel::FiberPool>(
+        shards, marcel::engine_stack_bytes_from_env());
+    std::vector<std::size_t> node_shards;
+    std::size_t first_rank = 0;
+    for (std::size_t n = 0; n < cluster().nodes.size(); ++n) {
+      const auto ranks = static_cast<std::size_t>(cluster().nodes[n].ranks);
+      node_shards.push_back((ranks > 0 ? first_rank : n) % shards);
+      first_rank += ranks;
+    }
+    executor_.use_pool(pool_.get(), std::move(node_shards));
   }
   if (internode_) internode_->start(executor_);
 
@@ -182,6 +201,7 @@ void Session::finalize() {
   if (internode_) internode_->shutdown();
   madeleine_->close_all();
   executor_.join();
+  pool_.reset();  // every fiber has returned: stop the shard workers
 }
 
 Session::RouteState Session::direct_route_state(node_id_t from, node_id_t to) {
@@ -310,8 +330,8 @@ void Session::run(const std::function<void(mpi::Comm)>& rank_main) {
     body = &tuned_body;
   }
   const std::function<void(mpi::Comm)>& main_fn = *body;
-  if (marcel::engine_kind_from_env() == marcel::EngineKind::kSharded) {
-    // Scale-out engine: rank fibers on a sharded worker pool. Capture each
+  if (pool_) {
+    // Scale-out engine: rank fibers on the session's pool. Capture each
     // rank's causal birth time serially before any fiber runs, so lane
     // creation order (and with it the seeded replay) is independent of
     // which shard starts first.
@@ -321,14 +341,11 @@ void Session::run(const std::function<void(mpi::Comm)>& rank_main) {
       births[rank] =
           node_of(static_cast<rank_t>(rank)).clock().high_water();
     }
-    marcel::run_fiber_pool(
-        ranks, marcel::engine_shards_from_env(),
-        marcel::engine_stack_bytes_from_env(),
-        [this, &main_fn, &births](std::size_t rank) {
-          const auto r = static_cast<rank_t>(rank);
-          node_of(r).clock().bind_lane(births[rank]);
-          main_fn(comm_world(r));
-        });
+    pool_->run(ranks, [this, &main_fn, &births](std::size_t rank) {
+      const auto r = static_cast<rank_t>(rank);
+      node_of(r).clock().bind_lane(births[rank]);
+      main_fn(comm_world(r));
+    });
     return;
   }
   std::vector<std::thread> threads;

@@ -82,7 +82,8 @@ class Session final : public mpi::Runtime {
   }
   mpi::Device& device_for(rank_t src, rank_t dst) override;
   /// The one executor the devices and the watchdog share: the pollers
-  /// and the watchdog sweep run as its loops.
+  /// and the watchdog sweep run as its loops (the pollers as fibers under
+  /// the sharded engine).
   marcel::Executor& executor() { return executor_; }
   int derive_context_id(int parent_context, std::int64_t key) override;
   /// Failure detector for the FT collectives: directional route health
@@ -97,7 +98,8 @@ class Session final : public mpi::Runtime {
 
   // --- execution ----------------------------------------------------------
   /// Run `rank_main` once per rank, each on its own thread bound to its
-  /// node. Returns when every rank returned. May be called repeatedly.
+  /// node, or as a fiber of the session's pool under the sharded engine.
+  /// Returns when every rank returned. May be called repeatedly.
   void run(const std::function<void(mpi::Comm)>& rank_main);
 
   /// World communicator handle for one rank (for driving ranks manually).
@@ -194,6 +196,10 @@ class Session final : public mpi::Runtime {
   bool coll_tuned_ = false;
 
   bool finalized_ = false;
+
+  // The sharded engine's fiber pool (MADMPI_ENGINE=sharded, read at
+  // construction): rank fibers and pollers. Null under the threaded engine.
+  std::unique_ptr<marcel::FiberPool> pool_;
 
   // Declared last, so destroyed first: its loops use the devices.
   marcel::Executor executor_;

@@ -1,10 +1,12 @@
 #include "marcel/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -125,6 +127,8 @@ struct Fiber {
   std::size_t stack_size = 0;
   State state = State::kRunnable;
   std::function<void()> body;
+  // Run by the worker once the fiber finished and was freed.
+  std::function<void()> done;
   // Set while parked; evaluated by the shard worker each scan round. Must
   // take its own locks and never touch virtual-clock lanes.
   std::function<bool()> ready;
@@ -146,11 +150,6 @@ struct Fiber {
 #if MADMPI_ENGINE_ASAN
   void* asan_fake = nullptr;
 #endif
-};
-
-struct Shard {
-  std::vector<Fiber*> fibers;
-  std::size_t alive = 0;
 };
 
 // Per-worker-thread scheduler state. Fibers are pinned to one shard, so a
@@ -291,55 +290,23 @@ void resume_fiber(Fiber& fiber) {
   t_current_fiber = nullptr;
 }
 
-void worker_main(Shard& shard, std::size_t shard_index) {
+std::unique_ptr<Fiber> make_fiber(std::size_t stack_bytes,
+                                  std::function<void()> body,
+                                  std::function<void()> done) {
+  auto fiber = std::make_unique<Fiber>();
+  fiber->stack_size = stack_bytes;
+  // Default-init (not make_unique's value-init): zero-filling would touch
+  // every page of every stack up front, committing count * stack_bytes of
+  // real memory before any fiber runs. Left untouched, pages commit lazily
+  // as stacks actually grow, which is what makes 1024 ranks affordable.
+  fiber->stack.reset(new std::byte[stack_bytes]);
+  fiber->body = std::move(body);
+  fiber->done = std::move(done);
 #if MADMPI_ENGINE_TSAN
-  t_worker_tsan = __tsan_get_current_fiber();
+  fiber->tsan_fiber = __tsan_create_fiber(0);
 #endif
-  Notifier& wake = notifier();
-  std::uint64_t round = 0;
-  while (shard.alive > 0) {
-    ++round;
-    const std::uint64_t epoch_before =
-        wake.epoch.load(std::memory_order_acquire);
-    // Re-read the controller each round: sweeps install per-seed
-    // controllers between runs, and the fiber-wake rotation must follow.
-    auto* sched = sim::ScheduleController::current();
-    bool progressed = false;
-    const std::size_t count = shard.fibers.size();
-    const std::size_t origin =
-        sched != nullptr ? sched->fiber_wake_start(shard_index, round, count)
-                         : 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      Fiber* fiber = shard.fibers[(origin + i) % count];
-      if (fiber->state == Fiber::State::kDone) continue;
-      if (fiber->state == Fiber::State::kParked) {
-        if (!fiber->ready()) continue;
-        fiber->ready = nullptr;
-        fiber->state = Fiber::State::kRunnable;
-      }
-      resume_fiber(*fiber);
-      progressed = true;
-      if (fiber->state == Fiber::State::kDone) {
-        --shard.alive;
-#if MADMPI_ENGINE_TSAN
-        __tsan_destroy_fiber(fiber->tsan_fiber);
-        fiber->tsan_fiber = nullptr;
-#endif
-      }
-    }
-    if (progressed || shard.alive == 0) continue;
-    // Every fiber is parked with a false predicate: sleep until a
-    // completion path bumps the epoch (or a short timeout re-polls, which
-    // bounds any notify race without affecting correctness).
-    wake.sleepers.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::unique_lock<std::mutex> lock(wake.mutex);
-      wake.cv.wait_for(lock, std::chrono::microseconds(200), [&] {
-        return wake.epoch.load(std::memory_order_acquire) != epoch_before;
-      });
-    }
-    wake.sleepers.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  init_fiber_context(*fiber);
+  return fiber;
 }
 
 }  // namespace
@@ -436,44 +403,150 @@ void engine_notify() {
   }
 }
 
-void run_fiber_pool(std::size_t count, std::size_t shards,
-                    std::size_t stack_bytes,
-                    const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  MADMPI_CHECK_MSG(!on_fiber(), "nested fiber pools are not supported");
-  shards = std::min(std::max<std::size_t>(1, shards), count);
-  stack_bytes = std::max<std::size_t>(stack_bytes, 64 * 1024);
-
+struct FiberPool::Shard {
+  // Adopted fibers, in adoption order: touched by the shard's worker only.
   std::vector<std::unique_ptr<Fiber>> fibers;
-  fibers.reserve(count);
-  std::vector<Shard> pool(shards);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto fiber = std::make_unique<Fiber>();
-    fiber->stack_size = stack_bytes;
-    // Default-init (not make_unique's value-init): zero-filling would touch
-    // every page of every stack up front, committing count * stack_bytes of
-    // real memory before any fiber runs. Left untouched, pages commit lazily
-    // as stacks actually grow, which is what makes 1024 ranks affordable.
-    fiber->stack.reset(new std::byte[stack_bytes]);
-    fiber->body = [&body, i] { body(i); };
-#if MADMPI_ENGINE_TSAN
-    fiber->tsan_fiber = __tsan_create_fiber(0);
-#endif
-    init_fiber_context(*fiber);
-    Shard& shard = pool[i % shards];
-    shard.fibers.push_back(fiber.get());
-    ++shard.alive;
-    fibers.push_back(std::move(fiber));
-  }
+  // Spawned batches not adopted yet, oldest first, and the stop request;
+  // under `mutex`.
+  std::mutex mutex;
+  std::deque<std::vector<std::unique_ptr<Fiber>>> spawned;
+  bool stopping = false;
+};
 
+FiberPool::FiberPool(std::size_t shards, std::size_t stack_bytes)
+    : stack_bytes_(std::max<std::size_t>(stack_bytes, 64 * 1024)) {
+  MADMPI_CHECK_MSG(!on_fiber(), "nested fiber pools are not supported");
+  shards_.resize(std::max<std::size_t>(1, shards));
+  for (auto& shard : shards_) shard = std::make_unique<Shard>();
   g_active_pools.fetch_add(1, std::memory_order_acq_rel);
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    workers.emplace_back([&pool, s] { worker_main(pool[s], s); });
+  workers_.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    workers_.emplace_back([this, s] { worker_main(*shards_[s], s); });
   }
-  for (auto& worker : workers) worker.join();
+}
+
+FiberPool::~FiberPool() {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    shard->stopping = true;
+  }
+  engine_notify();
+  for (auto& worker : workers_) worker.join();
   g_active_pools.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void FiberPool::spawn(std::vector<Task> batch) {
+  std::vector<std::vector<std::unique_ptr<Fiber>>> per_shard(shards_.size());
+  for (Task& task : batch) {
+    per_shard[task.shard % shards_.size()].push_back(make_fiber(
+        stack_bytes_, std::move(task.body), std::move(task.done)));
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (per_shard[s].empty()) continue;
+    std::lock_guard<std::mutex> lock(shards_[s]->mutex);
+    shards_[s]->spawned.push_back(std::move(per_shard[s]));
+  }
+  engine_notify();
+}
+
+void FiberPool::run(std::size_t count,
+                    const std::function<void(std::size_t)>& body) {
+  MADMPI_CHECK_MSG(!on_fiber(), "FiberPool::run() called from a fiber");
+  if (count == 0) return;
+  std::mutex mutex;
+  std::condition_variable finished;
+  std::size_t left = count;
+  std::vector<Task> batch;
+  batch.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back({i, [&body, i] { body(i); },
+                     [&] {
+                       // Notify under the lock: the waiter owns `finished`.
+                       std::lock_guard<std::mutex> lock(mutex);
+                       if (--left == 0) finished.notify_all();
+                     }});
+  }
+  spawn(std::move(batch));
+  std::unique_lock<std::mutex> lock(mutex);
+  finished.wait(lock, [&] { return left == 0; });
+}
+
+void FiberPool::worker_main(Shard& shard, std::size_t index) {
+#if MADMPI_ENGINE_TSAN
+  t_worker_tsan = __tsan_get_current_fiber();
+#endif
+  Notifier& wake = notifier();
+  // The kFiberWake round number: it advances only on rounds that resumed
+  // a fiber, so idle re-polls and adoption rounds never shift the seeded
+  // scan origin.
+  std::uint64_t round = 1;
+  for (;;) {
+    const std::uint64_t epoch_before =
+        wake.epoch.load(std::memory_order_acquire);
+    // Re-read the controller each round: sweeps install per-seed
+    // controllers between runs, and the fiber-wake rotation must follow.
+    auto* sched = sim::ScheduleController::current();
+    bool progressed = false;
+    bool finished = false;
+    const std::size_t count = shard.fibers.size();
+    const std::size_t origin =
+        sched != nullptr ? sched->fiber_wake_start(index, round, count) : 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      Fiber* fiber = shard.fibers[(origin + i) % count].get();
+      if (fiber->state == Fiber::State::kParked) {
+        if (!fiber->ready()) continue;
+        fiber->ready = nullptr;
+        fiber->state = Fiber::State::kRunnable;
+      }
+      resume_fiber(*fiber);
+      progressed = true;
+      finished |= fiber->state == Fiber::State::kDone;
+    }
+    if (finished) {
+      // Reap in adoption order: free each finished fiber (its stack and
+      // lanes), then tell its spawner.
+      std::vector<std::function<void()>> done;
+      std::erase_if(shard.fibers, [&done](std::unique_ptr<Fiber>& fiber) {
+        if (fiber->state != Fiber::State::kDone) return false;
+#if MADMPI_ENGINE_TSAN
+        __tsan_destroy_fiber(fiber->tsan_fiber);
+#endif
+        if (fiber->done) done.push_back(std::move(fiber->done));
+        fiber.reset();
+        return true;
+      });
+      for (auto& callback : done) callback();
+    }
+    if (progressed) {
+      ++round;
+      continue;
+    }
+    // Nothing ran: adopt the oldest spawned batch, whole. One batch per
+    // quiet round, so a batch spawned early (the pollers) has run before
+    // the next one (the ranks) joins it, however late this worker started.
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      if (!shard.spawned.empty()) {
+        for (auto& fiber : shard.spawned.front()) {
+          shard.fibers.push_back(std::move(fiber));
+        }
+        shard.spawned.pop_front();
+        continue;
+      }
+      if (shard.stopping && shard.fibers.empty()) return;
+    }
+    // Every fiber is parked with a false predicate: sleep until a
+    // completion path bumps the epoch (or a short timeout re-polls, which
+    // bounds any notify race without affecting correctness).
+    wake.sleepers.fetch_add(1, std::memory_order_acq_rel);
+    {
+      std::unique_lock<std::mutex> lock(wake.mutex);
+      wake.cv.wait_for(lock, std::chrono::microseconds(200), [&] {
+        return wake.epoch.load(std::memory_order_acquire) != epoch_before;
+      });
+    }
+    wake.sleepers.fetch_sub(1, std::memory_order_acq_rel);
+  }
 }
 
 }  // namespace madmpi::marcel

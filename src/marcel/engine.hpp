@@ -7,10 +7,12 @@
 // one OS thread per rank — faithful at 8 ranks, fatal at 1024. This module
 // adds the Marcel-faithful alternative, gated behind MADMPI_ENGINE=sharded:
 //
-//  - Each rank body runs on a stackful *fiber* (x86-64 assembly context
-//    switch, ucontext elsewhere), pinned to one of MADMPI_SHARDS worker
-//    threads (per-shard run queues, no work stealing — a fiber's
-//    schedule depends only on its own shard).
+//  - Each rank body, and each network poller, runs on a stackful *fiber*
+//    (x86-64 assembly context switch, ucontext elsewhere), pinned to one
+//    of MADMPI_SHARDS worker threads (per-shard run queues, no work
+//    stealing — a fiber's schedule depends only on its own shard). The
+//    session's FiberPool lives as long as the session, so a poller-to-rank
+//    hand-off is a fiber switch, as between Marcel threads (paper §3.3).
 //  - Fibers run to completion or until they *park*: every blocking point
 //    (semaphore P, posted-recv wait, credit dry, rendezvous ack, probe)
 //    re-expresses itself as park_until(predicate). The shard worker scans
@@ -36,14 +38,17 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 namespace madmpi::marcel {
 
-/// Which Session::run execution engine a run uses.
+/// Which execution engine a Session uses (read when it is built).
 enum class EngineKind {
   kThreaded,  // one OS thread per rank (the historical default)
-  kSharded,   // rank fibers on a sharded worker pool
+  kSharded,   // rank and poller fibers on the session's shard pool
 };
 
 /// Reads MADMPI_ENGINE ("threaded" | "sharded"; default threaded).
@@ -117,13 +122,51 @@ void engine_wait(std::unique_lock<std::mutex>& lock,
   }
 }
 
-/// The sharded fiber pool: runs `count` bodies as fibers over `shards`
-/// worker threads (body(i) for i in [0, count), fiber i pinned to shard
-/// i % shards) and returns when every fiber has finished. Fibers are
-/// created serially before any worker starts, so creation-order side
-/// effects (lane birth stamps) are deterministic.
-void run_fiber_pool(std::size_t count, std::size_t shards,
-                    std::size_t stack_bytes,
-                    const std::function<void(std::size_t)>& body);
+/// The sharded fiber pool: `shards` worker threads, each resuming the
+/// fibers pinned to it (no work stealing: a fiber's schedule depends only
+/// on its own shard). A sharded session owns one for its whole life; its
+/// rank bodies and its pollers are all fibers of it.
+///
+/// Fibers arrive in batches (spawn). A shard adopts one spawned batch,
+/// whole, on each round where none of its fibers ran, oldest first. The
+/// kFiberWake scan origin advances only on rounds that resumed a fiber.
+/// So idle re-polls and spawn timing leave the schedule alone, and one
+/// shard replays exactly under a fixed seed.
+class FiberPool {
+ public:
+  /// One fiber to spawn: `body` runs on shard `shard` modulo the shard
+  /// count; `done` (optional) runs on the worker once the fiber finished
+  /// and its stack and lanes are gone.
+  struct Task {
+    std::size_t shard = 0;
+    std::function<void()> body;
+    std::function<void()> done;
+  };
+
+  /// Start `shards` workers (at least one); fibers get `stack_bytes`
+  /// stacks (at least 64 KiB).
+  FiberPool(std::size_t shards, std::size_t stack_bytes);
+  /// Waits for every fiber to finish, then stops and joins the workers.
+  ~FiberPool();
+  FiberPool(const FiberPool&) = delete;
+  FiberPool& operator=(const FiberPool&) = delete;
+
+  /// Spawn `batch` and return at once. Fibers are created here, on the
+  /// caller, in batch order.
+  void spawn(std::vector<Task> batch);
+
+  /// Run body(i) for i in [0, count) as one batch, fiber i on shard i
+  /// modulo the shard count, and return once every one of them finished.
+  /// Never call it from a fiber.
+  void run(std::size_t count, const std::function<void(std::size_t)>& body);
+
+ private:
+  struct Shard;
+  void worker_main(Shard& shard, std::size_t index);
+
+  std::size_t stack_bytes_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::thread> workers_;
+};
 
 }  // namespace madmpi::marcel

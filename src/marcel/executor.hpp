@@ -11,19 +11,26 @@
 // that pushes the data.
 //
 // loop() runs a task that returns only when its source shuts down (a
-// poller, the watchdog sweep) on a new worker of its own. Its future is
-// ready once the task returned; join() joins every worker.
+// poller, the watchdog sweep). A poller has a home node: under a sharded
+// session (use_pool) it runs as a fiber on the shard of its node's first
+// rank, scheduled beside the rank fibers as Marcel schedules its pollers
+// beside the application's threads (paper §3.3). Everything else, and
+// every loop of the threaded engine, gets a worker thread of its own. The
+// future is ready once the task returned; join() joins every worker.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "marcel/engine.hpp"
 #include "sim/node.hpp"
 
 namespace madmpi::marcel {
@@ -65,21 +72,47 @@ class Executor {
     run_as_thread(lanes, &node, node.clock().advance(cost), fn);
   }
 
-  /// Run `fn` on a new worker until it returns. With a `node`, charge
-  /// `cost` and bind the loop's lane as run_here() does; without, bind
-  /// none. The future is ready once `fn` returned and its lanes expired.
-  std::future<void> loop(std::function<void()> fn, sim::Node* node = nullptr,
-                         usec_t cost = 0.0) {
-    const usec_t birth = node != nullptr ? node->clock().advance(cost) : 0.0;
+  /// Run every loop with a home node as a fiber of `pool`, on shard
+  /// `node_shards[node id]`. The pool must outlive those loops.
+  void use_pool(FiberPool* pool, std::vector<std::size_t> node_shards) {
+    pool_ = pool;
+    node_shards_ = std::move(node_shards);
+  }
+
+  /// Run `fn` until it returns: as a fiber on `home`'s shard when a pool
+  /// is in use, else on a new worker. With a `create_cost`, charge it to
+  /// the creator's lane on `home` and bind the loop's lane there, as
+  /// run_here() does; without, bind none. The future is ready once `fn`
+  /// returned and its lanes expired.
+  std::future<void> loop(std::function<void()> fn, sim::Node* home = nullptr,
+                         std::optional<usec_t> create_cost = std::nullopt) {
+    sim::Node* birth_node = create_cost.has_value() ? home : nullptr;
+    const usec_t birth =
+        birth_node != nullptr ? birth_node->clock().advance(*create_cost)
+                              : 0.0;
     std::promise<void> returned;
     std::future<void> future = returned.get_future();
+    if (pool_ != nullptr && home != nullptr) {
+      // The fiber owns its lane map: bind straight into it.
+      auto done = std::make_shared<std::promise<void>>(std::move(returned));
+      pool_->spawn({{node_shards_.at(static_cast<std::size_t>(home->id())),
+                     [birth_node, birth, fn = std::move(fn)]() mutable {
+                       if (birth_node != nullptr) {
+                         birth_node->clock().bind_lane(birth);
+                       }
+                       fn();
+                       fn = nullptr;
+                     },
+                     [done] { done->set_value(); }}});
+      return future;
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     ++workers_started_;
-    workers_.emplace_back([node, birth, fn = std::move(fn),
+    workers_.emplace_back([birth_node, birth, fn = std::move(fn),
                            returned = std::move(returned)]() mutable {
       {
         sim::VirtualClock::LaneMap lanes;
-        run_as_thread(lanes, node, birth, [&fn] {
+        run_as_thread(lanes, birth_node, birth, [&fn] {
           fn();
           fn = nullptr;  // captured state dies before the owner wakes
         });
@@ -102,13 +135,16 @@ class Executor {
     }
   }
 
-  /// Workers started so far (tests: steady-state traffic starts none).
+  /// Worker threads started so far; fiber loops start none (tests:
+  /// steady-state traffic starts none either).
   std::size_t workers_started() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return workers_started_;
   }
 
  private:
+  FiberPool* pool_ = nullptr;
+  std::vector<std::size_t> node_shards_;
   mutable std::mutex mutex_;
   std::vector<std::thread> workers_;
   std::size_t workers_started_ = 0;

@@ -3,10 +3,13 @@
 // The poll server runs one persistent poller per registered source (ch_mad
 // registers one per Madeleine channel, §4.2.3) as a loop on the session's
 // executor, started like a Marcel thread: its creator pays the thread
-// creation cost and the poller's lane is born there. Each active poller is
-// declared on the node so concurrent pollers interfere: handling a message
-// on channel X is delayed by the other channels' polling costs — exactly
-// the effect the paper measures in Figure 9 (SCI alone vs SCI+TCP).
+// creation cost and the poller's lane is born there. Under the sharded
+// engine the loop is a fiber on its node's shard, and its blocking take
+// parks (net::Endpoint); under the threaded engine it is an OS thread.
+// Each active poller is declared on the node so concurrent pollers
+// interfere: handling a message on channel X is delayed by the other
+// channels' polling costs — exactly the effect the paper measures in
+// Figure 9 (SCI alone vs SCI+TCP).
 #pragma once
 
 #include <atomic>

@@ -254,12 +254,12 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
     pool->in_flight += needed;
   }
 
-  // Park a copy in the "attached buffer" and send it from a temporary
-  // thread run in place: its frames leave before any later frame of this
-  // rank (MPI non-overtaking), and a rendezvous completes from the
-  // device's poller, so the caller never waits for the receiver.
-  std::vector<std::byte> parked(view.begin(), view.end());
-  count_real_copy(view.size());
+  // Send from a temporary thread run in place: its frames leave before
+  // any later frame of this rank (MPI non-overtaking), and a rendezvous
+  // completes from the device's poller, so the caller never waits for the
+  // receiver. The thread's charge includes the copy into the attached
+  // buffer; on the host only a rendezvous parks one, because an eager send
+  // has staged its payload by the time it returns.
   const Envelope env = make_envelope(dest, tag, view.size(), false);
   Device& device = device_to(dest);
   const rank_t src_global = global_rank_of(rank_);
@@ -288,14 +288,15 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
           static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
       [&] {
     if (mode == TransferMode::kEager) {
-      const Status status = device.send(
-          src_global, dst_global, env,
-          byte_span{parked.data(), parked.size()}, mode);
+      const Status status =
+          device.send(src_global, dst_global, env, view, mode);
       if (!status.is_ok()) release_admission(dst_global, env, mode);
       release(status.code());
       return;
     }
     // The device keeps the parked copy until the data push completes.
+    std::vector<std::byte> parked(view.begin(), view.end());
+    count_real_copy(view.size());
     auto state = std::make_shared<RequestState>(my_node());
     state->set_on_complete(
         [release](const MpiStatus& done) { release(done.error); });

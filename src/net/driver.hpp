@@ -191,10 +191,13 @@ class Endpoint {
   }
 
   /// Shut down the receive side: blocked waits wake and observe EOF.
-  void close() { port_.close(); }
+  void close();
 
  private:
   void pump();  // drain the port into per-source queues (mutex held)
+  /// The reader's blocking take from the port: parks on a fiber, blocks
+  /// an OS thread. Empty once the port is closed and drained.
+  std::optional<sim::Frame> take_frame();
   void degrade_peer(node_id_t peer, sim::LinkHealth health);
 
   sim::Node& node_;

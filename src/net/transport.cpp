@@ -1,8 +1,8 @@
 #include <algorithm>
-#include <thread>
 
 #include "common/datapath_stats.hpp"
 #include "common/log.hpp"
+#include "marcel/engine.hpp"
 #include "net/driver.hpp"
 #include "sim/sched.hpp"
 #include "sim/trace.hpp"
@@ -164,9 +164,12 @@ Status Endpoint::send_message(node_id_t dst, ChunkList control,
       abort.last_of_message = true;
       abort.depart_time = node_.clock().now();
       path->deliver_direct(std::move(abort));
+      marcel::engine_notify();
       return status;
     }
   }
+  // A poller fiber parked on the destination port re-checks it now.
+  marcel::engine_notify();
   return Status::ok();
 }
 
@@ -245,20 +248,35 @@ std::optional<IncomingMessage> Endpoint::poll_message() {
   return IncomingMessage(this, std::move(control));
 }
 
+std::optional<sim::Frame> Endpoint::take_frame() {
+  if (marcel::on_fiber()) {
+    // A poller fiber must not block its shard worker: park until the port
+    // has a frame or closed. Only this endpoint's reader takes from it.
+    marcel::park_until([this] { return port_.has_frame() || port_.closed(); });
+  }
+  return port_.take_blocking();
+}
+
+void Endpoint::close() {
+  port_.close();
+  marcel::engine_notify();
+}
+
 std::optional<IncomingMessage> Endpoint::next_message_blocking() {
   for (;;) {
     if (auto message = poll_message()) return message;
-    // No startable message buffered: block on the port for the next frame,
-    // stash it, and retry. The yield narrows the window in which a
-    // virtually-earlier frame from another peer is still in flight in real
-    // time, keeping arrival-order handling (and thus timing) stable.
-    auto frame = port_.take_blocking();
+    // No startable message buffered: wait on the port for the next frame,
+    // stash it, and retry. The yield lets a virtually-earlier frame from
+    // another peer, still in flight in real time, land before the retry
+    // picks the earliest arrival; on a fiber it lets the shard's other
+    // fibers run first.
+    auto frame = take_frame();
     if (!frame.has_value()) return std::nullopt;  // shut down
     {
       std::lock_guard<std::mutex> lock(mutex_);
       per_source_[frame->src_node].push_back(std::move(*frame));
     }
-    std::this_thread::yield();
+    marcel::cooperative_yield();
   }
 }
 
@@ -276,7 +294,7 @@ std::optional<sim::Frame> Endpoint::wait_frame_from(node_id_t src) {
         return frame;
       }
     }
-    auto frame = port_.take_blocking();
+    auto frame = take_frame();
     if (!frame.has_value()) return std::nullopt;
     std::lock_guard<std::mutex> lock(mutex_);
     per_source_[frame->src_node].push_back(std::move(*frame));

@@ -740,8 +740,9 @@ void run_ft_collectives(Oracle& oracle) {
 /// interleaves shard scan origins) and credit conservation over every
 /// directed node pair at quiesce.
 void run_scaleout(Oracle& oracle) {
-  // The engine knob is read per Session::run(): pin the sharded engine for
-  // this scenario only, restoring whatever the sweep runner had set.
+  // The engine knob is read when a Session is built: pin the sharded
+  // engine for this scenario only, restoring whatever the sweep runner had
+  // set.
   struct EngineEnv {
     EngineEnv() {
       if (const char* old = std::getenv("MADMPI_ENGINE")) {

@@ -390,14 +390,61 @@ TEST(MarcelExecutorSession, FinalizeLeavesNoHelperThreadBehind) {
   EXPECT_LE(live_threads(), before);
 }
 
+/// Threads a session starts, counted from inside its run: the executor's
+/// worker threads, and the process's live threads less `before`. The
+/// cluster is two nodes on SCI and TCP: two pollers each, plus the
+/// watchdog sweep.
+struct ThreadCensus {
+  std::size_t started = 0;
+  std::size_t live = 0;
+  std::size_t after_finalize = 0;
+};
+
+ThreadCensus census_of_session(std::size_t before) {
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
+  sim::NetworkSpec tcp;
+  tcp.protocol = sim::Protocol::kTcp;
+  for (const auto& node : options.cluster.nodes) {
+    tcp.members.push_back(node.name);
+  }
+  options.cluster.networks.push_back(std::move(tcp));
+  Session session(std::move(options));
+  EXPECT_NE(session.watchdog(), nullptr);
+  ThreadCensus census;
+  session.run([&](Comm comm) {
+    std::vector<int> buffer(64 * 1024, comm.rank());  // rendezvous
+    if (comm.rank() == 0) {
+      comm.send(buffer.data(), 64 * 1024, Datatype::int32(), 1, 0);
+    } else {
+      comm.recv(buffer.data(), 64 * 1024, Datatype::int32(), 0, 0);
+    }
+    comm.barrier();
+    if (comm.rank() == 0) {
+      census.started = session.executor().workers_started();
+      census.live = live_threads();
+    }
+    comm.barrier();
+  });
+  session.finalize();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live_threads() != before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  census.after_finalize = live_threads();
+  return census;
+}
+
 TEST(MarcelExecutorSession, EveryLibraryThreadIsARankOrAWorker) {
   if (!std::filesystem::exists("/proc/self/task")) {
     GTEST_SKIP() << "needs /proc/self/task";
   }
-  // The threaded engine: one OS thread per rank.
   const char* engine = std::getenv("MADMPI_ENGINE");
   const std::string saved_engine = engine != nullptr ? engine : "";
-  ::setenv("MADMPI_ENGINE", "threaded", 1);
+  const char* shards = std::getenv("MADMPI_SHARDS");
+  const std::string saved_shards = shards != nullptr ? shards : "";
   // As above: let a sanitizer start its own thread first, then take the
   // lowest count over a short settle.
   std::thread([] {}).join();
@@ -408,49 +455,36 @@ TEST(MarcelExecutorSession, EveryLibraryThreadIsARankOrAWorker) {
     before = std::min(before, live_threads());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Two nodes on SCI and TCP: two pollers each, plus the watchdog sweep.
-  Session::Options options;
-  options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci);
-  sim::NetworkSpec tcp;
-  tcp.protocol = sim::Protocol::kTcp;
-  for (const auto& node : options.cluster.nodes) {
-    tcp.members.push_back(node.name);
+  {
+    // The threaded engine: one OS thread per rank, and one worker per
+    // poller plus the sweep; nothing for the rendezvous.
+    SCOPED_TRACE("threaded");
+    ::setenv("MADMPI_ENGINE", "threaded", 1);
+    const ThreadCensus census = census_of_session(before);
+    EXPECT_EQ(census.started, 5u);
+    EXPECT_EQ(census.live, before + 2 + census.started);
+    EXPECT_EQ(census.after_finalize, before);
   }
-  options.cluster.networks.push_back(std::move(tcp));
-  Session session(std::move(options));
-  ASSERT_NE(session.watchdog(), nullptr);
-  const auto ranks = static_cast<std::size_t>(session.world_size());
-  std::size_t started = 0;
-  std::size_t live = 0;
-  session.run([&](Comm comm) {
-    std::vector<int> buffer(64 * 1024, comm.rank());  // rendezvous
-    if (comm.rank() == 0) {
-      comm.send(buffer.data(), 64 * 1024, Datatype::int32(), 1, 0);
-    } else {
-      comm.recv(buffer.data(), 64 * 1024, Datatype::int32(), 0, 0);
-    }
-    comm.barrier();
-    if (comm.rank() == 0) {
-      started = session.executor().workers_started();
-      live = live_threads();
-    }
-    comm.barrier();
-  });
-  // Four pollers and the sweep, and nothing for the rendezvous.
-  EXPECT_EQ(started, 5u);
-  EXPECT_EQ(live, before + ranks + started);
-  session.finalize();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (live_threads() != before &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    // One shard: the ranks and the four pollers are fibers of the one
+    // shard worker, and the watchdog sweep is the only worker thread.
+    SCOPED_TRACE("sharded, one shard");
+    ::setenv("MADMPI_ENGINE", "sharded", 1);
+    ::setenv("MADMPI_SHARDS", "1", 1);
+    const ThreadCensus census = census_of_session(before);
+    EXPECT_EQ(census.started, 1u);
+    EXPECT_EQ(census.live, before + 1 + census.started);
+    EXPECT_EQ(census.after_finalize, before);
   }
-  EXPECT_EQ(live_threads(), before);
   if (engine != nullptr) {
     ::setenv("MADMPI_ENGINE", saved_engine.c_str(), 1);
   } else {
     ::unsetenv("MADMPI_ENGINE");
+  }
+  if (shards != nullptr) {
+    ::setenv("MADMPI_SHARDS", saved_shards.c_str(), 1);
+  } else {
+    ::unsetenv("MADMPI_SHARDS");
   }
 }
 

@@ -1,8 +1,9 @@
 // Rank-scaling stress tier for the sharded run-to-completion engine:
 // 256- and 1024-rank sessions on one machine (p2p ring, allreduce, an FT
-// bcast under a seeded outage), a replay test asserting two sharded runs
+// bcast under a seeded outage), replay tests asserting two one-shard runs
 // with the same schedule seed produce bit-identical VirtualClock stamps
-// and message orders, and the teardown-drain regression for poll-wakeup
+// and message orders, on one node and across nodes, and the
+// teardown-drain regression for poll-wakeup
 // accounting. The big tests pin MADMPI_ENGINE=sharded themselves — a
 // thread-per-rank 1024-way session is exactly what the fiber engine
 // exists to avoid — so both ctest registrations exercise the same engine.
@@ -29,8 +30,8 @@ using mpi::Comm;
 using mpi::Datatype;
 
 /// Set an environment variable for one scope, restoring the previous value
-/// (or absence) on exit. The engine knobs are read per Session::run(), so
-/// in-process setenv is enough to steer individual tests.
+/// (or absence) on exit. The engine knobs are read when a Session is
+/// built, so in-process setenv is enough to steer individual tests.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -148,33 +149,42 @@ TEST(Scaleout, FtBcast256UnderSeededOutage) {
   }
 }
 
-/// One run's observable schedule: per-rank wildcard delivery order plus
-/// the per-rank fiber-lane clock reading at the end of the body, and the
-/// node's folded high-water mark. Compared bitwise across replays.
+/// One run's observable schedule: per-rank wildcard delivery order and
+/// the virtual time each of those receives returned at, the per-rank
+/// fiber-lane clock reading and node high-water mark at the end of the
+/// body, and on one node the high-water mark after the run. Compared
+/// bitwise across replays.
 struct ScheduleFingerprint {
   std::vector<std::vector<std::pair<int, int>>> order;  // (source, tag)
+  std::vector<std::vector<double>> recv_stamps;
   std::vector<double> stamps;
-  double high_water = 0.0;
+  std::vector<double> high_water;
 
   bool operator==(const ScheduleFingerprint& other) const {
-    return order == other.order && stamps == other.stamps &&
-           high_water == other.high_water;
+    return order == other.order && recv_stamps == other.recv_stamps &&
+           stamps == other.stamps && high_water == other.high_water;
   }
 };
 
-ScheduleFingerprint run_replay_workload(std::uint64_t seed) {
+/// Every rank isends to four ring offsets and takes its four messages by
+/// wildcard receives, then joins an allreduce and, with `alltoall`, an
+/// alltoall. Each run installs a fresh schedule controller for `seed`.
+ScheduleFingerprint run_replay_workload(std::uint64_t seed,
+                                        sim::ClusterSpec cluster,
+                                        bool alltoall) {
   // Fresh controller per run so choice streams start from the same state.
   sim::ScheduleController::install(seed);
-  constexpr int kRanks = 64;
   constexpr int kRounds = 4;
   constexpr int kOffsets[kRounds] = {1, 3, 7, 11};
-  ScheduleFingerprint print;
-  print.order.resize(kRanks);
-  print.stamps.resize(kRanks, 0.0);
   Session::Options options;
-  options.cluster =
-      sim::ClusterSpec::homogeneous(1, sim::Protocol::kTcp, kRanks);
+  options.cluster = std::move(cluster);
   Session session(std::move(options));
+  const auto ranks = static_cast<std::size_t>(session.world_size());
+  ScheduleFingerprint print;
+  print.order.resize(ranks);
+  print.recv_stamps.resize(ranks);
+  print.stamps.resize(ranks, 0.0);
+  print.high_water.resize(ranks, 0.0);
   session.run([&](Comm comm) {
     const int n = comm.size();
     const int me = comm.rank();
@@ -195,38 +205,83 @@ ScheduleFingerprint run_replay_workload(std::uint64_t seed) {
       ASSERT_EQ(status.error, ErrorCode::kOk);
       EXPECT_EQ(value, status.source);
       print.order[me].emplace_back(status.source, status.tag);
+      print.recv_stamps[me].push_back(comm.wtime_us());
     }
     for (auto& request : sends) request.wait();
     std::int64_t mine = me;
     std::int64_t total = -1;
     comm.allreduce(&mine, &total, 1, Datatype::int64(), mpi::Op::sum());
     EXPECT_EQ(total, static_cast<std::int64_t>(n) * (n - 1) / 2);
+    if (alltoall) {
+      std::vector<std::int32_t> out(static_cast<std::size_t>(n) * 64);
+      std::vector<std::int32_t> in(out.size(), -1);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = me * 100000 + static_cast<std::int32_t>(i);
+      }
+      ASSERT_TRUE(comm.alltoall(out.data(), 64, Datatype::int32(), in.data(),
+                                64, Datatype::int32())
+                      .is_ok());
+      for (int peer = 0; peer < n; ++peer) {
+        EXPECT_EQ(in[static_cast<std::size_t>(peer) * 64],
+                  peer * 100000 + me * 64);
+      }
+    }
     // Fibers run on their node's clock via private lanes: this reads the
     // calling fiber's own causal time, a direct schedule observable.
     print.stamps[me] = session.node_of(me).clock().now();
+    print.high_water[me] = session.node_of(me).clock().high_water();
   });
-  print.high_water = session.fabric().node(0).clock().high_water();
+  // Across nodes, pollers may still handle credit returns after the last
+  // rank returned, concurrently with this read; on one node none runs.
+  if (session.cluster().nodes.size() == 1) {
+    print.high_water.push_back(session.fabric().node(0).clock().high_water());
+  }
   sim::ScheduleController::uninstall();
   return print;
 }
 
-TEST(Scaleout, ShardedReplayIsBitIdentical) {
-  // The determinism contract: MADMPI_SHARDS=1 on a single-node (smp-only)
-  // topology leaves the fibers as the only actors touching rank state, so
-  // a fixed MADMPI_SCHED_SEED must replay the exact schedule — identical
-  // wildcard delivery orders and bit-identical VirtualClock stamps.
-  ScopedEnv engine("MADMPI_ENGINE", "sharded");
-  ScopedEnv shards("MADMPI_SHARDS", "1");
-  ScopedEnv env_seed("MADMPI_SCHED_SEED", "0");  // explicit install below
-  const ScheduleFingerprint first = run_replay_workload(2026);
-  const ScheduleFingerprint second = run_replay_workload(2026);
+void expect_bit_identical_replay(const sim::ClusterSpec& cluster,
+                                 bool alltoall) {
+  const ScheduleFingerprint first =
+      run_replay_workload(2026, cluster, alltoall);
+  const ScheduleFingerprint second =
+      run_replay_workload(2026, cluster, alltoall);
   EXPECT_TRUE(first == second)
       << "same seed, different schedule: replay is broken";
-  for (int r = 0; r < 64; ++r) {
+  for (std::size_t r = 0; r < first.order.size(); ++r) {
     ASSERT_EQ(first.order[r].size(), 4u);
     ASSERT_GT(first.stamps[r], 0.0);
   }
   EXPECT_EQ(first.high_water, second.high_water);
+}
+
+TEST(Scaleout, ShardedReplayIsBitIdentical) {
+  // The determinism contract: MADMPI_SHARDS=1 leaves the shard worker as
+  // the only thread touching rank state, so a fixed MADMPI_SCHED_SEED must
+  // replay the exact schedule — identical wildcard delivery orders and
+  // bit-identical VirtualClock stamps. Here on one node (smp only).
+  ScopedEnv engine("MADMPI_ENGINE", "sharded");
+  ScopedEnv shards("MADMPI_SHARDS", "1");
+  ScopedEnv env_seed("MADMPI_SCHED_SEED", "0");  // explicit install below
+  expect_bit_identical_replay(
+      sim::ClusterSpec::homogeneous(1, sim::Protocol::kTcp, 64),
+      /*alltoall=*/false);
+}
+
+TEST(Scaleout, ShardedMultiNodeReplayIsBitIdentical) {
+  // The same contract across nodes: the pollers of both networks are
+  // fibers of the one shard too, so frames are handled in an order the
+  // seed fixes. Four nodes on SCI and TCP, four ranks each.
+  ScopedEnv engine("MADMPI_ENGINE", "sharded");
+  ScopedEnv shards("MADMPI_SHARDS", "1");
+  ScopedEnv env_seed("MADMPI_SCHED_SEED", "0");  // explicit install below
+  sim::ClusterSpec cluster =
+      sim::ClusterSpec::homogeneous(4, sim::Protocol::kSisci, 4);
+  sim::NetworkSpec tcp;
+  tcp.protocol = sim::Protocol::kTcp;
+  for (const auto& node : cluster.nodes) tcp.members.push_back(node.name);
+  cluster.networks.push_back(std::move(tcp));
+  expect_bit_identical_replay(cluster, /*alltoall=*/true);
 }
 
 TEST(Scaleout, TeardownDrainKeepsWakeupCountsQuiet) {

@@ -524,10 +524,12 @@ TEST(ZeroCopyDatapath, SteadyStateRendezvousOverTcpCopiesNothing) {
   expect_copy_free_rendezvous(sim::Protocol::kTcp, 1u << 20);
 }
 
+enum class SendKind { kSend, kIsend, kBsend };
+
 /// Bytes copied, sender and receiver together, while rank 0 sends `bytes`
-/// to rank 1 by a blocking send or by an isend it then waits on.
+/// to rank 1 by a blocking send, an isend it then waits on, or a bsend.
 std::uint64_t bytes_copied_sending(core::Session& session, std::size_t bytes,
-                                   bool isend) {
+                                   SendKind kind) {
   std::uint64_t copied = 0;
   session.run([&](mpi::Comm comm) {
     const auto type = mpi::Datatype::uint8();
@@ -535,15 +537,25 @@ std::uint64_t bytes_copied_sending(core::Session& session, std::size_t bytes,
     comm.barrier();
     if (comm.rank() == 0) {
       const auto out = pattern(0, 0, bytes);
+      if (kind == SendKind::kBsend) {
+        mpi::Comm::buffer_attach(bytes + mpi::Comm::bsend_overhead());
+      }
       const auto before = DatapathStats::global().snapshot();
-      if (isend) {
-        EXPECT_EQ(comm.isend(out.data(), count, type, 1, 0).wait().error,
-                  ErrorCode::kOk);
-      } else {
-        EXPECT_TRUE(comm.send(out.data(), count, type, 1, 0).is_ok());
+      switch (kind) {
+        case SendKind::kSend:
+          EXPECT_TRUE(comm.send(out.data(), count, type, 1, 0).is_ok());
+          break;
+        case SendKind::kIsend:
+          EXPECT_EQ(comm.isend(out.data(), count, type, 1, 0).wait().error,
+                    ErrorCode::kOk);
+          break;
+        case SendKind::kBsend:
+          comm.bsend(out.data(), count, type, 1, 0);
+          break;
       }
       comm.barrier();
       copied = (DatapathStats::global().snapshot() - before).bytes_copied;
+      if (kind == SendKind::kBsend) mpi::Comm::buffer_detach();
     } else {
       std::vector<std::uint8_t> in(bytes);
       EXPECT_EQ(comm.recv(in.data(), count, type, 0, 0).error,
@@ -572,13 +584,26 @@ void expect_isend_stages_once(const char* baseline) {
   }
   core::Session session(std::move(options));
   constexpr std::size_t kBytes = 1u << 20;
-  const std::uint64_t blocking = bytes_copied_sending(session, kBytes, false);
-  EXPECT_EQ(bytes_copied_sending(session, kBytes, true), blocking + kBytes);
+  const std::uint64_t blocking =
+      bytes_copied_sending(session, kBytes, SendKind::kSend);
+  EXPECT_EQ(bytes_copied_sending(session, kBytes, SendKind::kIsend),
+            blocking + kBytes);
 }
 
 TEST(ZeroCopyDatapath, IsendCountsItsOneStagingCopy) {
   expect_isend_stages_once(nullptr);
   expect_isend_stages_once("ScaMPI");
+}
+
+TEST(ZeroCopyDatapath, EagerBsendCopiesWhatSendCopies) {
+  // An eager bsend is sent in place, so it parks no host copy of its own:
+  // its attached-buffer copy exists in virtual time only.
+  core::Session session(two_nodes(sim::Protocol::kSisci));
+  constexpr std::size_t kBytes = 1024;
+  const std::uint64_t blocking =
+      bytes_copied_sending(session, kBytes, SendKind::kSend);
+  EXPECT_EQ(blocking, kBytes);
+  EXPECT_EQ(bytes_copied_sending(session, kBytes, SendKind::kBsend), blocking);
 }
 
 TEST(ZeroCopyDatapath, SenderReusesItsBufferAsSoonAsSendReturns) {
