@@ -511,6 +511,12 @@ Status Comm::run_schedule(const Schedule& schedule, const std::byte* in,
              << 32) | (shared_->next_offload_seq(rank_) & 0xffffffffu)
           : 0;
   sim::VirtualClock& clock = my_node().clock();
+  // Under FT capture the tags are remapped to the epoch, each receive
+  // carries the agreement deadline, and a hop the detector already proves
+  // dead is recorded instead of posted.
+  const bool capture = ft::capture_active();
+  const usec_t ft_timeout =
+      capture ? collective_config().agree_timeout_us : 0.0;
   std::vector<std::shared_ptr<RequestState>> posted;
   std::vector<rank_t> dests;
   try {
@@ -521,11 +527,16 @@ Status Comm::run_schedule(const Schedule& schedule, const std::byte* in,
       const Step* fanout = nullptr;  // the round's sends share one payload
       for (const Step& step : round) {
         if (step.kind == StepKind::kRecv) {
+          if (capture && rank_unreachable(step.peer, rank_)) {
+            ft::record(ErrorCode::kProcFailed);
+            continue;
+          }
           std::byte* at =
               (step.region == Region::kOut ? out : scratch.data()) +
               step.offset;
-          auto state = coll_post_recv(at, step.bytes, step.peer, step.tag);
-          if (state) posted.push_back(std::move(state));
+          posted.push_back(coll_post_recv(
+              at, step.bytes, step.peer,
+              capture ? ft::remap_tag(step.tag) : step.tag, ft_timeout));
         } else if (step.kind == StepKind::kSend) {
           MADMPI_CHECK(fanout == nullptr || (fanout->offset == step.offset &&
                                              fanout->bytes == step.bytes &&
@@ -665,8 +676,8 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
           std::byte* at =
               (step.region == Region::kOut ? out : scratch_.data()) +
               step.offset;
-          track(Request(comm_.coll_post_recv(at, step.bytes, step.peer, tag_,
-                                             /*hooked=*/true)));
+          track(Request(
+              comm_.coll_post_recv(at, step.bytes, step.peer, tag_, 0.0)));
         } else if (step.kind == StepKind::kSend) {
           track(comm_.coll_isend(in + step.offset, step.bytes, step.peer,
                                  tag_));
@@ -731,31 +742,30 @@ class IcollSchedule : public std::enable_shared_from_this<IcollSchedule> {
 
 // --- Nonblocking entry points ---------------------------------------------
 
-namespace {
-
-/// An already-decided request (single rank, FT fallback, entry error).
-Request completed_request(sim::Node& node, ErrorCode error) {
-  auto state = std::make_shared<RequestState>(node);
-  MpiStatus status;
-  status.error = error;
-  RequestState::complete(state, status);
-  return Request(std::move(state));
+template <class Blocking>
+std::optional<Request> Comm::icoll_decided(Blocking&& blocking) {
+  auto decided = [this](ErrorCode error) {
+    auto state = std::make_shared<RequestState>(my_node());
+    MpiStatus status;
+    status.error = error;
+    RequestState::complete(state, status);
+    return Request(std::move(state));
+  };
+  if (Status entry = ft_entry_check(); !entry.is_ok()) {
+    raise_error(entry);
+    return decided(entry.code());
+  }
+  // FT mode's survivable algorithm and agreement have no hooked drive.
+  if (size() == 1 || ft_should_wrap()) return decided(blocking().code());
+  return std::nullopt;
 }
-
-}  // namespace
 
 Request Comm::ibcast(void* buf, int count, const Datatype& type,
                      rank_t root) {
   MADMPI_CHECK(root >= 0 && root < size());
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    raise_error(entry);
-    return completed_request(my_node(), entry.code());
-  }
-  if (size() == 1) return completed_request(my_node(), ErrorCode::kOk);
-  if (ft_should_wrap()) {
-    // FT mode degrades to the blocking survivable collective at initiation
-    // time, mirroring the blocking collectives' explicit FT fallback.
-    return completed_request(my_node(), bcast(buf, count, type, root).code());
+  if (auto decided =
+          icoll_decided([&] { return bcast(buf, count, type, root); })) {
+    return *decided;
   }
   const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
   // Same resolution as the blocking bcast; the NIC offload is a blocking
@@ -785,18 +795,10 @@ Request Comm::ibcast(void* buf, int count, const Datatype& type,
 
 Request Comm::iallreduce(const void* send_buf, void* recv_buf, int count,
                          const Datatype& type, const Op& op) {
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    raise_error(entry);
-    return completed_request(my_node(), entry.code());
-  }
-  if (size() == 1) {
-    std::memcpy(recv_buf, send_buf,
-                type.size() * static_cast<std::size_t>(count));
-    return completed_request(my_node(), ErrorCode::kOk);
-  }
-  if (ft_should_wrap()) {
-    return completed_request(
-        my_node(), allreduce(send_buf, recv_buf, count, type, op).code());
+  if (auto decided = icoll_decided([&] {
+        return allreduce(send_buf, recv_buf, count, type, op);
+      })) {
+    return *decided;
   }
   MADMPI_CHECK_MSG(type.is_contiguous(),
                    "iallreduce requires a contiguous datatype");
@@ -813,13 +815,8 @@ Request Comm::iallreduce(const void* send_buf, void* recv_buf, int count,
 }
 
 Request Comm::ibarrier() {
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    raise_error(entry);
-    return completed_request(my_node(), entry.code());
-  }
-  if (size() == 1) return completed_request(my_node(), ErrorCode::kOk);
-  if (ft_should_wrap()) {
-    return completed_request(my_node(), barrier().code());
+  if (auto decided = icoll_decided([&] { return barrier(); })) {
+    return *decided;
   }
   return std::make_shared<IcollSchedule>(
              *this, barrier_schedule(BarrierAlgorithm::kDissemination,

@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mpi/adi.hpp"
@@ -51,7 +51,8 @@ struct CollectiveConfig {
   bool fault_tolerant = ft_collectives_default();
   /// Safety-valve deadline for FT-internal receives, in virtual
   /// microseconds: the bound after which a receive the failure detector
-  /// cannot prove dead is abandoned during a sustained global stall.
+  /// cannot prove dead is abandoned during a sustained global stall
+  /// (0 = no deadline).
   usec_t agree_timeout_us = ft_agree_timeout_default();
 };
 
@@ -237,9 +238,9 @@ class Comm {
   // completes the underlying transfers (a ch_mad poller, an smp sender, a
   // fiber resume) — never from a hidden blocking call. MPI_Test on the
   // request yields the shard, so spin-loops make progress on the sharded
-  // engine. In FT mode the operation degrades to the blocking survivable
-  // algorithm at initiation time (completing the request inline),
-  // mirroring the blocking collectives' explicit FT fallback.
+  // engine. In FT mode the operation degrades to the blocking form, whose
+  // guard runs the survivable algorithm and the agreement, at initiation
+  // time (completing the request inline).
   Request ibcast(void* buf, int count, const Datatype& type, rank_t root);
   Request iallreduce(const void* send_buf, void* recv_buf, int count,
                      const Datatype& type, const Op& op);
@@ -317,7 +318,14 @@ class Comm {
   Comm(std::shared_ptr<Shared> shared, rank_t rank)
       : shared_(std::move(shared)), rank_(rank) {}
 
-  /// Internal p2p on the collective context (tags private to algorithms).
+  /// The one send on the collective context: envelope (tag remapped under
+  /// FT capture; the FT ranges pass through), flow-control admission and
+  /// the device send, whose admission is released again on failure.
+  Status coll_try_send(const void* buf, std::size_t bytes, rank_t dest,
+                       int tag);
+  /// coll_try_send with the algorithms' failure policy: under FT capture a
+  /// hop the detector already proves dead is skipped, and any failure is
+  /// recorded; outside capture a failure throws CollAbort.
   void coll_send(const void* buf, std::size_t bytes, rank_t dest, int tag);
   /// Fan the same payload out to every listed child concurrently and wait
   /// for all (a blocking tree node would otherwise serialize one full
@@ -325,15 +333,12 @@ class Comm {
   /// under FT capture, where the per-hop verdict logic lives.
   void coll_send_multi(const std::vector<rank_t>& children, const void* buf,
                        std::size_t bytes, int tag);
-  /// Post a receive on the collective context. Under FT capture the tag is
-  /// remapped to the epoch, the receive carries the agreement deadline,
-  /// and a hop the detector already proves dead is skipped and recorded —
-  /// the result is then null. `hooked` posts from a completion hook, whose
-  /// thread's capture state belongs to whoever completed the previous
-  /// round: none of the FT handling applies.
+  /// The one receive post on the collective context. `ft_timeout_us` > 0
+  /// gives the receive an FT deadline that far past its post. A wildcard
+  /// `source` (kAnySource) names no sender for the watchdog to check.
   std::shared_ptr<RequestState> coll_post_recv(void* buf, std::size_t bytes,
                                                rank_t source, int tag,
-                                               bool hooked = false);
+                                               usec_t ft_timeout_us);
 
   /// Nonblocking send on the collective context (comm.cpp, beside the
   /// isend machinery it shares). Never blocks the caller — eager completes
@@ -400,18 +405,24 @@ class Comm {
   /// Whether a public collective should take the FT path (FT configured,
   /// more than one rank, and not already inside a captured FT body).
   bool ft_should_wrap() const;
-  /// Generic FT wrapper: run `body` in capture mode (p2p failures are
-  /// recorded, not thrown), then agree uniformly on the outcome.
-  Status ft_collective(const std::function<Status()>& body);
-  Status ft_bcast(void* buf, int count, const Datatype& type, rank_t root);
-  Status ft_allreduce(const void* send_buf, void* recv_buf, int count,
-                      const Datatype& type, const Op& op);
+  /// The guard of every blocking collective (collectives.cpp), the only
+  /// place that knows about FT mode: raise an entry error (revoked
+  /// communicator); outside FT mode run `body` as is; in FT mode run it
+  /// once in capture mode (p2p failures are recorded, not thrown), then
+  /// agree uniformly on the outcome and raise an agreed failure.
+  template <class Body>
+  Status ft_guard(Body&& body);
+  /// The nonblocking entry points' prologue (coll_schedule.cpp): the
+  /// request decided at initiation, or none when the schedule should run.
+  /// An entry error completes it with that error; a single rank or FT
+  /// mode runs `blocking`, the blocking form, and completes it with that
+  /// outcome.
+  template <class Blocking>
+  std::optional<Request> icoll_decided(Blocking&& blocking);
   /// The survivable binomial multicast: wildcard witness receives,
   /// subtree adoption on dead edges, relay through a live adopted member.
+  /// bcast runs it in place of its binomial tree under FT capture.
   void ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root);
-  /// Best-effort send on the collective context: returns success instead
-  /// of throwing/recording (FT re-route and agreement traffic).
-  bool ft_try_send(const void* buf, std::size_t bytes, rank_t dest, int tag);
   /// N-round flooding agreement (FloodSet over the epoch-tagged
   /// collective context).
   FtOutcome ft_agree_internal(int epoch, std::uint32_t err_bits,

@@ -176,37 +176,6 @@ bool Comm::ft_should_wrap() const {
          collective_config().fault_tolerant;
 }
 
-bool Comm::ft_try_send(const void* buf, std::size_t bytes, rank_t dest,
-                       int tag) {
-  // Consult the detector first: beyond skipping a doomed device call,
-  // this avoids ever starting a rendezvous handshake with a peer that
-  // provably cannot answer.
-  if (rank_unreachable(rank_, dest)) return false;
-  Envelope env = make_envelope(dest, tag, bytes, false);
-  env.context = shared_->context + 1;
-  Device& device = device_to(dest);
-  const rank_t dst_global = global_rank_of(dest);
-  const TransferMode mode =
-      admit_or_demote(device, dst_global, env, false, /*may_block=*/true);
-  const Status status =
-      device.send(global_rank_of(rank_), dst_global, env,
-                  byte_span{static_cast<const std::byte*>(buf), bytes},
-                  mode);
-  if (!status.is_ok()) {
-    release_admission(dst_global, env, mode);
-    return false;
-  }
-  // Re-check after the send: eager frames are fire-and-forget, so a link
-  // killed *while the frame was departing* eats it without any error
-  // status. If the detector reports the edge dead now, the frame may have
-  // departed after the kill instant — report failure conservatively and
-  // let the caller re-route. A duplicate delivery (the frame actually
-  // made it) is harmless: bcast adoption is idempotent under the mode
-  // byte, and stragglers are quarantined by the epoch tag.
-  if (rank_unreachable(rank_, dest)) return false;
-  return true;
-}
-
 void Comm::ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root) {
   const int n = size();
   const int vrank = (rank_ - root + n) % n;
@@ -215,6 +184,20 @@ void Comm::ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root) {
   auto to_rank = [&](int v) { return static_cast<rank_t>((v + root) % n); };
 
   std::vector<std::byte> frame(kBcastHeader + bytes);
+  // A hop counts as sent only while the detector shows its edge live both
+  // before the send (never start a rendezvous handshake with a peer that
+  // provably cannot answer) and after it: eager frames are fire-and-
+  // forget, so a link killed *while the frame was departing* eats it
+  // without any error status. Reporting such a send failed lets the
+  // sender re-route; a duplicate delivery (the frame actually made it) is
+  // harmless, since adoption is idempotent under the mode byte and
+  // stragglers are quarantined by the epoch tag.
+  auto send_frame = [&](int v) {
+    const rank_t dest = to_rank(v);
+    return !rank_unreachable(rank_, dest) &&
+           coll_try_send(frame.data(), frame.size(), dest, tag).is_ok() &&
+           !rank_unreachable(rank_, dest);
+  };
 
   int mask = 1;
   if (vrank != 0) {
@@ -226,20 +209,9 @@ void Comm::ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root) {
     // dead root->me *link* does not doom this receive while a relay route
     // lives. Only the deadline bounds the wait (a truly dead root stalls
     // the whole session, which is exactly what arms the deadline sweep).
-    auto state = std::make_shared<RequestState>(my_node());
-    PostedRecv posted;
-    posted.context = shared_->context + 1;
-    posted.source = kAnySource;
-    posted.tag = tag;
-    posted.buffer = frame.data();
-    posted.type = Datatype::byte();
-    posted.count = static_cast<int>(frame.size());
-    posted.capacity_bytes = frame.size();
-    posted.request = state;
-    posted.posted_at = my_node().clock().now();
-    posted.ft_deadline_us = posted.posted_at + timeout;
-    my_context().post_recv(std::move(posted));
-    const MpiStatus status = state->wait();
+    const MpiStatus status =
+        coll_post_recv(frame.data(), frame.size(), kAnySource, tag, timeout)
+            ->wait();
     if (status.error != ErrorCode::kOk) {
       // No data reached this rank: the only recv-side verdict of the
       // tree (send-side failures are either covered by adoption or
@@ -255,7 +227,7 @@ void Comm::ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root) {
       put_u32le(frame.data() + 4, 0);
       // Relay failure is not our verdict: the target is either dead
       // (nothing to report) or will report itself via its deadline.
-      ft_try_send(frame.data(), frame.size(), to_rank(target_v), tag);
+      send_frame(target_v);
     }
     if (mode != kModeData) return;  // adopted: subtree already served
   } else {
@@ -271,9 +243,7 @@ void Comm::ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root) {
     const int child_v = vrank + mask;
     frame[0] = static_cast<std::byte>(kModeData);
     put_u32le(frame.data() + 4, 0);
-    if (ft_try_send(frame.data(), frame.size(), to_rank(child_v), tag)) {
-      continue;
-    }
+    if (send_frame(child_v)) continue;
     // Dead edge: adopt the child's subtree — every descendant is served
     // directly with kModeLeaf (their own children are also descendants,
     // so nothing further forwards) — and the first member reached is
@@ -287,10 +257,7 @@ void Comm::ft_bcast_tree(std::byte* wire, std::size_t bytes, rank_t root) {
                                                    : kModeLeaf);
       put_u32le(frame.data() + 4,
                 with_relay ? static_cast<std::uint32_t>(child_v) : 0);
-      if (ft_try_send(frame.data(), frame.size(), to_rank(member_v), tag) &&
-          with_relay) {
-        relay_placed = true;
-      }
+      if (send_frame(member_v) && with_relay) relay_placed = true;
     }
     // No verdict recorded here: a live unserved rank reports itself
     // (witness cancel or deadline), and a dead one has nothing to say —
@@ -359,21 +326,8 @@ Comm::FtOutcome Comm::ft_agree_internal(
       }
       auto& buf = in_frames[static_cast<std::size_t>(p)];
       buf.assign(frame_bytes, std::byte{0});
-      auto wait_state = std::make_shared<RequestState>(my_node());
-      PostedRecv posted;
-      posted.context = shared_->context + 1;
-      posted.source = static_cast<rank_t>(p);
-      posted.tag = tag;
-      posted.buffer = buf.data();
-      posted.type = Datatype::byte();
-      posted.count = static_cast<int>(frame_bytes);
-      posted.capacity_bytes = frame_bytes;
-      posted.request = wait_state;
-      posted.source_global = global_rank_of(p);
-      posted.posted_at = my_node().clock().now();
-      posted.ft_deadline_us = posted.posted_at + timeout;
-      my_context().post_recv(std::move(posted));
-      waits[static_cast<std::size_t>(p)] = std::move(wait_state);
+      waits[static_cast<std::size_t>(p)] = coll_post_recv(
+          buf.data(), frame_bytes, static_cast<rank_t>(p), tag, timeout);
     }
 
     put_u32le(out_frame.data(), state.err_bits);
@@ -386,11 +340,13 @@ Comm::FtOutcome Comm::ft_agree_internal(
     }
     // Send to every peer, excluded ones included: exclusion is a local
     // guess, the frame is tiny, and an extra delivery only speeds
-    // convergence on the other side.
+    // convergence on the other side. A send the detector proves doomed is
+    // skipped; any other failure shows on the peer's side as a missing
+    // frame.
     for (int p = 0; p < n; ++p) {
-      if (p == rank_) continue;
-      ft_try_send(out_frame.data(), frame_bytes, static_cast<rank_t>(p),
-                  tag);
+      if (p == rank_ || rank_unreachable(rank_, p)) continue;
+      coll_try_send(out_frame.data(), frame_bytes, static_cast<rank_t>(p),
+                    tag);
     }
 
     bool peers_prev_clean = true;
@@ -434,74 +390,6 @@ Comm::FtOutcome Comm::ft_agree_internal(
     prev_round_clean = this_round_clean;
   }
   return state;
-}
-
-Status Comm::ft_collective(const std::function<Status()>& body) {
-  const int epoch = shared_->next_epoch(rank_);
-  ft::begin_capture(epoch);
-  const Status inner = body();
-  ErrorCode observed = ft::end_capture();
-  if (observed == ErrorCode::kOk && !inner.is_ok()) observed = inner.code();
-
-  const FtOutcome agreed = ft_agree_internal(
-      epoch, observed == ErrorCode::kOk ? 0u : 1u, 0xffffffffu, {});
-  if (agreed.err_bits != 0) {
-    return raise_error(
-        Status(ErrorCode::kProcFailed,
-               "collective failed on at least one rank (agreed)"));
-  }
-  return Status::ok();
-}
-
-Status Comm::ft_bcast(void* buf, int count, const Datatype& type,
-                      rank_t root) {
-  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  std::vector<std::byte> staging;
-  std::byte* wire = nullptr;
-  if (type.is_contiguous()) {
-    wire = static_cast<std::byte*>(buf);
-  } else {
-    staging.resize(bytes);
-    wire = staging.data();
-    if (rank_ == root) type.pack(buf, count, wire);
-  }
-
-  const int epoch = shared_->next_epoch(rank_);
-  ft::begin_capture(epoch);
-  ft_bcast_tree(wire, bytes, root);
-  const ErrorCode observed = ft::end_capture();
-
-  const FtOutcome agreed = ft_agree_internal(
-      epoch, observed == ErrorCode::kOk ? 0u : 1u, 0xffffffffu, {});
-  if (agreed.err_bits != 0) {
-    return raise_error(Status(ErrorCode::kProcFailed,
-                              "bcast failed on at least one rank (agreed)"));
-  }
-  if (!type.is_contiguous() && rank_ != root) {
-    type.unpack(wire, count, buf);
-  }
-  return Status::ok();
-}
-
-Status Comm::ft_allreduce(const void* send_buf, void* recv_buf, int count,
-                          const Datatype& type, const Op& op) {
-  const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
-  const int epoch = shared_->next_epoch(rank_);
-  ft::begin_capture(epoch);
-  // Binomial reduce to 0 (captured: a dead hop records, never unwinds),
-  // then the survivable tree redistributes the result.
-  reduce(send_buf, recv_buf, count, type, op, 0);
-  ft_bcast_tree(static_cast<std::byte*>(recv_buf), bytes, 0);
-  const ErrorCode observed = ft::end_capture();
-
-  const FtOutcome agreed = ft_agree_internal(
-      epoch, observed == ErrorCode::kOk ? 0u : 1u, 0xffffffffu, {});
-  if (agreed.err_bits != 0) {
-    return raise_error(
-        Status(ErrorCode::kProcFailed,
-               "allreduce failed on at least one rank (agreed)"));
-  }
-  return Status::ok();
 }
 
 // --- ULFM recovery API -------------------------------------------------

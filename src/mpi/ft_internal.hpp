@@ -1,5 +1,6 @@
-// Internal: thread-local capture state of the fault-tolerant collectives.
-// Included by collectives.cpp and ft_collectives.cpp only.
+// Internal: per-rank capture state of the fault-tolerant collectives.
+// Included by collectives.cpp, coll_schedule.cpp and ft_collectives.cpp
+// only.
 //
 // While a rank runs a collective body in capture mode, the collective p2p
 // helpers record the first failure and *continue* instead of unwinding —
@@ -14,7 +15,7 @@
 
 namespace madmpi::mpi::ft {
 
-/// True while the current rank thread runs a captured collective body.
+/// True while the current rank runs a captured collective body.
 bool capture_active();
 /// Enter capture mode for the collective epoch `epoch`.
 void begin_capture(int epoch);

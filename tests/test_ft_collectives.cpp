@@ -104,6 +104,38 @@ TEST(FtBcast, SingleLinkOutageReroutesThroughLivePeers) {
   }
 }
 
+// The same outage with a strided type: the payload travels packed and
+// each rank unpacks it into the element slots only, so the gaps between
+// the vector's blocks keep whatever the rank had there.
+TEST(FtBcast, SingleLinkOutageUnpacksStridedType) {
+  auto session = tcp_quad();
+  install_plan(*session, 0, 0)->kill_at(0.0, /*src=*/0, /*dst=*/2);
+  // 16 blocks of 2 ints, 3 apart: slot j is an element iff j % 3 < 2.
+  const Datatype strided = Datatype::vector(16, 2, 3, Datatype::int32());
+  constexpr int kSlots = 48;  // the 47-int extent plus one trailing int
+  std::mutex mutex;
+  std::map<int, Status> statuses;
+  session->run([&](Comm comm) {
+    enable_ft(comm);
+    std::vector<int> data(kSlots, -1 - comm.rank());
+    if (comm.rank() == 0) std::iota(data.begin(), data.end(), 100);
+    const Status status = comm.bcast(data.data(), 1, strided, 0);
+    for (int j = 0; j < kSlots; ++j) {
+      const bool element = j < 47 && j % 3 < 2;
+      const int expected =
+          element || comm.rank() == 0 ? 100 + j : -1 - comm.rank();
+      EXPECT_EQ(data[j], expected) << "rank " << comm.rank() << " slot " << j;
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    statuses[comm.rank()] = status;
+  });
+  ASSERT_EQ(statuses.size(), 4u);
+  for (const auto& [rank, status] : statuses) {
+    EXPECT_TRUE(status.is_ok()) << "rank " << rank << ": "
+                                << status.to_string();
+  }
+}
+
 TEST(FtBcast, DeadInteriorRankSubtreeIsAdopted) {
   auto session = tcp_quad();
   // Rank 2 is the interior child serving rank 3; killing its node must
@@ -159,14 +191,50 @@ TEST(FtAllreduce, SingleLinkOutageStillSumsCorrectly) {
   });
 }
 
+// allgatherv is gatherv to rank 0, then bcast. Under FT capture that
+// bcast is the survivable tree, so with only the root->2 direction dead
+// the concatenation still reaches rank 2 (through rank 3's relay) and the
+// whole operation succeeds everywhere. The blocks are eager-sized: a
+// rendezvous gather hop from rank 2 would need the dead direction for
+// its handshake.
+TEST(FtAllgatherv, SingleLinkOutageReroutesItsBcast) {
+  auto session = tcp_quad();
+  install_plan(*session, 0, 0)->kill_at(0.0, /*src=*/0, /*dst=*/2);
+  std::mutex mutex;
+  std::map<int, Status> statuses;
+  session->run([&](Comm comm) {
+    enable_ft(comm);
+    const std::vector<int> counts = {1, 2, 3, 4};
+    const std::vector<int> displs = {0, 1, 3, 6};
+    std::vector<int> send(4, 10 * comm.rank());
+    std::vector<int> recv(10, -1);
+    const Status status =
+        comm.allgatherv(send.data(), counts[comm.rank()], Datatype::int32(),
+                        recv.data(), counts, displs, Datatype::int32());
+    EXPECT_EQ(recv, (std::vector<int>{0, 10, 10, 20, 20, 20, 30, 30, 30, 30}))
+        << "rank " << comm.rank();
+    std::lock_guard<std::mutex> lock(mutex);
+    statuses[comm.rank()] = status;
+  });
+  ASSERT_EQ(statuses.size(), 4u);
+  for (const auto& [rank, status] : statuses) {
+    EXPECT_TRUE(status.is_ok()) << "rank " << rank << ": "
+                                << status.to_string();
+  }
+}
+
 // Every collective, same dead rank: each one must return the SAME error
 // class on every live rank — no hang, no divergent success/failure mix.
 // The one exception proves the tentpole: bcast re-routes around the dead
-// subtree and *succeeds* uniformly on the live ranks.
+// subtree and *succeeds* uniformly on the live ranks. The nonblocking
+// forms fall back to the blocking ones in FT mode, so they must return
+// what those return.
 TEST(FtCollectives, UniformOutcomeAcrossOperationsUnderKilledRank) {
   auto session = tcp_quad();
   kill_node(*session, 4, 1, 0.0);
-  constexpr int kOps = 7;
+  constexpr int kOps = 14;
+  constexpr int kBcast = 0, kBarrier = 1, kAllreduce = 3;
+  constexpr int kIbcast = 11, kIallreduce = 12, kIbarrier = 13;
   std::mutex mutex;
   std::map<int, std::vector<ErrorCode>> outcomes;
   session->run([&](Comm comm) {
@@ -174,6 +242,9 @@ TEST(FtCollectives, UniformOutcomeAcrossOperationsUnderKilledRank) {
     std::vector<ErrorCode> codes;
     std::vector<int> buf(16, comm.rank());
     std::vector<int> out(64, 0);
+    // Four ints per rank for the v-variants and reduce_scatter_block.
+    const std::vector<int> counts(4, 4);
+    const std::vector<int> displs = {0, 4, 8, 12};
     codes.push_back(
         comm.bcast(buf.data(), 16, Datatype::int32(), 0).code());
     codes.push_back(comm.barrier().code());
@@ -193,6 +264,29 @@ TEST(FtCollectives, UniformOutcomeAcrossOperationsUnderKilledRank) {
         comm.scan(buf.data(), out.data(), 16, Datatype::int32(),
                   mpi::Op::sum())
             .code());
+    codes.push_back(comm.allgatherv(buf.data(), 4, Datatype::int32(),
+                                    out.data(), counts, displs,
+                                    Datatype::int32())
+                        .code());
+    codes.push_back(comm.scatterv(buf.data(), counts, displs,
+                                  Datatype::int32(), out.data(), 4,
+                                  Datatype::int32(), 0)
+                        .code());
+    codes.push_back(comm.alltoallv(buf.data(), counts, displs,
+                                   Datatype::int32(), out.data(), counts,
+                                   displs, Datatype::int32())
+                        .code());
+    codes.push_back(comm.reduce_scatter_block(buf.data(), out.data(), 4,
+                                              Datatype::int32(),
+                                              mpi::Op::sum())
+                        .code());
+    codes.push_back(
+        comm.ibcast(buf.data(), 16, Datatype::int32(), 0).wait().error);
+    codes.push_back(comm.iallreduce(buf.data(), out.data(), 16,
+                                    Datatype::int32(), mpi::Op::sum())
+                        .wait()
+                        .error);
+    codes.push_back(comm.ibarrier().wait().error);
     std::lock_guard<std::mutex> lock(mutex);
     outcomes[comm.rank()] = std::move(codes);
   });
@@ -205,9 +299,16 @@ TEST(FtCollectives, UniformOutcomeAcrossOperationsUnderKilledRank) {
   // bcast from root 0 survives the dead leaf; the data-dependent
   // collectives cannot (rank 1's contribution is gone) and agree on
   // kProcFailed.
-  EXPECT_EQ(outcomes[0][0], ErrorCode::kOk);
-  for (int op = 1; op < kOps; ++op) {
-    EXPECT_EQ(outcomes[0][op], ErrorCode::kProcFailed) << "op " << op;
+  for (int op = 0; op < kOps; ++op) {
+    const bool survives = op == kBcast || op == kIbcast;
+    EXPECT_EQ(outcomes[0][op],
+              survives ? ErrorCode::kOk : ErrorCode::kProcFailed)
+        << "op " << op;
+  }
+  for (const auto& [rank, codes] : outcomes) {
+    EXPECT_EQ(codes[kIbcast], codes[kBcast]) << "rank " << rank;
+    EXPECT_EQ(codes[kIallreduce], codes[kAllreduce]) << "rank " << rank;
+    EXPECT_EQ(codes[kIbarrier], codes[kBarrier]) << "rank " << rank;
   }
 }
 
