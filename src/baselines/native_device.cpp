@@ -1,7 +1,5 @@
 #include "baselines/native_device.hpp"
 
-#include <cstring>
-
 #include "common/byte_buffer.hpp"
 #include "common/log.hpp"
 #include "sim/cost_model.hpp"
@@ -85,21 +83,18 @@ bool NativeDevice::reaches(rank_t src, rank_t dst) const {
 }
 
 void NativeDevice::transmit(net::Endpoint& endpoint, node_id_t dst,
-                            const WireHeader& header, byte_span payload,
+                            const WireHeader& header, const ChunkRef& payload,
                             bool zero_copy) {
-  ByteWriter control(sizeof header);
-  control.put(header);
-  std::vector<net::DataBlock> blocks;
-  if (!payload.empty()) {
-    net::DataBlock block;
-    block.data = payload;
-    block.zero_copy = zero_copy;
-    blocks.push_back(block);
-  }
+  ChunkWriter writer(endpoint.pool(), sizeof header);
+  writer.put(header);
+  ChunkList control;
+  control.push_back(writer.take_all());
+  const net::OutBlock block{payload, zero_copy};
   // Ranks and the poller's rendezvous replies share the endpoint: keep a
   // message's frames whole.
   std::lock_guard<std::mutex> lock(state_of(endpoint.node().id()).send_mutex);
-  endpoint.send_message(dst, control.span(), blocks);
+  endpoint.send_message(dst, std::move(control),
+                        std::span(&block, payload.empty() ? 0 : 1));
 }
 
 NativeDevice::WireHeader NativeDevice::charged_header(
@@ -126,8 +121,9 @@ Status NativeDevice::send(rank_t src, rank_t dst, const mpi::Envelope& env,
   }
   WireHeader header = charged_header(src, dst, env, packed.size());
   header.kind = WireKind::kEager;
-  transmit(*transport_->endpoint(directory_.node_of(src).id()),
-           directory_.node_of(dst).id(), header, packed, /*zero_copy=*/false);
+  net::Endpoint& endpoint = *transport_->endpoint(directory_.node_of(src).id());
+  transmit(endpoint, directory_.node_of(dst).id(), header,
+           endpoint.pool().stage(packed), /*zero_copy=*/false);
   return Status::ok();
 }
 
@@ -141,6 +137,7 @@ void NativeDevice::isend_rendezvous(
   NodeState& state = state_of(src_node);
   auto pending = std::make_unique<PendingSend>();
   pending->data = packed;
+  pending->envelope = env;
   pending->owned = std::move(owned);
   pending->completion = std::move(completion);
   {
@@ -150,6 +147,19 @@ void NativeDevice::isend_rendezvous(
   }
   transmit(*transport_->endpoint(src_node), directory_.node_of(dst).id(),
            header, {}, false);
+}
+
+void NativeDevice::finish_pushed_send(sim::Node& node, PendingSend* pending) {
+  // The last reference may drop on the receiver's poller or the data task
+  // itself. Either way the send completes on a fresh lane born at the
+  // push's stamp, the lane the data task would have completed it on.
+  sim::VirtualClock::LaneMap lanes;
+  marcel::run_as_thread(lanes, &node, pending->pushed_at, [pending] {
+    mpi::RequestState::complete(
+        std::move(pending->completion),
+        mpi::MpiStatus::of_send(pending->envelope, ErrorCode::kOk));
+    delete pending;
+  });
 }
 
 void NativeDevice::start(marcel::Executor& executor) {
@@ -204,17 +214,19 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
 
     switch (header.kind) {
       case WireKind::kEager: {
-        std::vector<std::byte> bounce(header.envelope.bytes);
-        if (!bounce.empty()) {
+        // The frame's chunk travels on as the payload: an unexpected
+        // message parks it instead of a copy.
+        ChunkRef payload;
+        if (header.envelope.bytes != 0) {
           sim::Frame frame = incoming->take_data_block();
-          MADMPI_CHECK(frame.payload.size() == bounce.size());
-          std::memcpy(bounce.data(), frame.payload.data(), bounce.size());
-          node.clock().advance(static_cast<double>(bounce.size()) *
+          MADMPI_CHECK(frame.payload.size() == header.envelope.bytes);
+          payload = frame.payload.slice(0, frame.payload.size());
+          node.clock().advance(static_cast<double>(payload.size()) *
                                profile_.extra_copy_recv_per_byte);
         }
+        const byte_span bytes = payload.span();
         directory_.context_of(header.dst_global)
-            .deliver_eager(header.envelope,
-                           byte_span{bounce.data(), bounce.size()});
+            .deliver_eager(header.envelope, bytes, {}, std::move(payload));
         break;
       }
 
@@ -245,12 +257,12 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
       }
 
       case WireKind::kRndvAck: {
-        std::unique_ptr<PendingSend> pending;
+        PendingSend* pending = nullptr;
         {
           std::lock_guard<std::mutex> lock(state.mutex);
           auto it = state.pending_sends.find(header.handle);
           MADMPI_CHECK(it != state.pending_sends.end());
-          pending = std::move(it->second);
+          pending = it->second.release();
           state.pending_sends.erase(it);
         }
         const node_id_t peer = incoming->source();
@@ -258,11 +270,16 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
         data.kind = WireKind::kRndvData;
         marcel::Executor::run_here(node, profile_.rndv_handshake_us * 0.5,
                                    [&] {
-          transmit(endpoint, peer, data, pending->data,
-                   profile_.rndv_zero_copy);
-          mpi::RequestState::complete(
-              std::move(pending->completion),
-              mpi::MpiStatus::of_send(header.envelope, ErrorCode::kOk));
+          // Zero-copy push: the payload is lent to the wire, and its
+          // release hook completes the send.
+          sim::Node* sender = &node;
+          const ChunkRef body = ChunkRef::lend(
+              pending->data,
+              [sender, pending] { finish_pushed_send(*sender, pending); });
+          transmit(endpoint, peer, data, body, profile_.rndv_zero_copy);
+          pending->pushed_at = node.clock().now();
+          // `body` drops here: the send completes now if the receiver
+          // already placed the bytes, else when its frame drops.
         });
         break;
       }

@@ -104,11 +104,15 @@ class NativeDevice final : public core::ManagedDevice {
  private:
   struct WireHeader;
   /// A rendezvous send awaiting its ack. `owned`, when non-empty, is the
-  /// staging buffer backing `data`; the push completes `completion`.
+  /// staging buffer backing `data`. The ack lends `data` to the wire and
+  /// hands the entry to the lent chunk's release hook, which completes
+  /// `completion` at `pushed_at` and frees it.
   struct PendingSend {
     byte_span data;
     std::vector<std::byte> owned;
     std::shared_ptr<mpi::RequestState> completion;
+    mpi::Envelope envelope;
+    usec_t pushed_at = 0.0;  // the data task's lane after the push
   };
   struct Rhandle {
     mpi::PostedRecv posted;
@@ -128,9 +132,13 @@ class NativeDevice final : public core::ManagedDevice {
   WireHeader charged_header(rank_t src, rank_t dst, const mpi::Envelope& env,
                             std::size_t bytes);
   void poll_loop(NodeState& state, net::Endpoint& endpoint, int peers);
+  /// Send one message: `header` built in the endpoint pool's chunk
+  /// writer, then `payload`, when not empty, as one separate block.
   void transmit(net::Endpoint& endpoint, node_id_t dst,
-                const WireHeader& header, byte_span payload,
+                const WireHeader& header, const ChunkRef& payload,
                 bool zero_copy);
+  /// The data push's release hook: completes the send and frees the entry.
+  static void finish_pushed_send(sim::Node& node, PendingSend* pending);
   NodeState& state_of(node_id_t node);
 
   NativeProfile profile_;

@@ -1,14 +1,12 @@
 #include "core/ch_mad.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 
 #include "common/datapath_stats.hpp"
 #include "common/log.hpp"
 #include "core/switchpoint.hpp"
-#include "marcel/engine.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/sched.hpp"
 #include "sim/trace.hpp"
@@ -34,7 +32,6 @@ ChMadDevice::ChMadDevice(RankDirectory& directory,
   } else {
     credit_window_ = default_credit_window(switch_point_);
   }
-  credit_policy_ = config.credit_policy;
   if (!forward_channels_router_.channels().empty()) {
     forward_router_.emplace(router_);
   }
@@ -466,8 +463,7 @@ Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
   return status;
 }
 
-bool ChMadDevice::admit_eager(rank_t src, rank_t dst, std::uint64_t bytes,
-                              bool may_block) {
+bool ChMadDevice::admit_eager(rank_t src, rank_t dst, std::uint64_t bytes) {
   if (credit_window_ == 0) return true;
   const std::size_t charge = static_cast<std::size_t>(bytes) +
                              mpi::RankContext::kUnexpectedEntryOverhead;
@@ -476,54 +472,14 @@ bool ChMadDevice::admit_eager(rank_t src, rank_t dst, std::uint64_t bytes,
   const node_id_t dst_node = directory_.node_of(dst).id();
   if (src_node == dst_node) return true;  // not this device's traffic
   NodeState& state = state_of(src_node);
-  std::unique_lock<std::mutex> lock(state.mutex);
+  std::lock_guard<std::mutex> lock(state.mutex);
   CreditAccount& account = account_of(state, dst_node);
-  bool waited = false;
-  for (;;) {
-    if (account.available >= charge) {
-      account.available -= charge;
-      if (waited) {
-        // Causal edge: the send could not proceed before the receiver's
-        // drain refilled the window.
-        state.node->clock().sync_to(account.last_refill);
-      }
-      return true;
-    }
-    if (!may_block || credit_policy_ == CreditPolicy::kDemote) {
-      eager_demoted_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    // kBlock: park until credits flow back. A peer that became
-    // unreachable will never return them — demote and let the rendezvous
-    // path surface the error.
-    if (router_.route(src_node, dst_node) == nullptr &&
-        (!forward_router_.has_value() ||
-         !forward_router_->connected(src_node, dst_node))) {
-      eager_demoted_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (!waited) credit_stalls_.fetch_add(1, std::memory_order_relaxed);
-    waited = true;
-    if (marcel::on_fiber()) {
-      // Sharded engine: park the sender fiber until the window refills or
-      // the route dies (re-checked under the account lock on resume). The
-      // route probe runs outside the node mutex, matching the lock order
-      // of the blocking path above.
-      lock.unlock();
-      marcel::park_until([this, &state, src_node, dst_node, charge] {
-        {
-          std::lock_guard<std::mutex> guard(state.mutex);
-          if (account_of(state, dst_node).available >= charge) return true;
-        }
-        return router_.route(src_node, dst_node) == nullptr &&
-               (!forward_router_.has_value() ||
-                !forward_router_->connected(src_node, dst_node));
-      });
-      lock.lock();
-    } else {
-      state.credit_cv.wait_for(lock, std::chrono::milliseconds(2));
-    }
+  if (account.available < charge) {
+    eager_demoted_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
+  account.available -= charge;
+  return true;
 }
 
 ChMadDevice::CreditAccount& ChMadDevice::account_of(NodeState& state,
@@ -550,8 +506,8 @@ void ChMadDevice::credit_consumed(node_id_t me, node_id_t origin,
     // credit traffic stays a sliver of data traffic. Smaller debts ride
     // for free on the next rendezvous ack towards the peer. Under schedule
     // exploration the threshold moves within [window/4, 3*window/4] per
-    // batch epoch, shifting *when* the refill races the sender's stall
-    // without ever losing a byte of credit.
+    // batch epoch, shifting *when* the refill races the sender's next
+    // admission without ever losing a byte of credit.
     std::size_t threshold = credit_window_ / 2;
     if (auto* sched = sim::ScheduleController::current()) {
       threshold = sched->credit_batch_threshold(
@@ -584,31 +540,20 @@ void ChMadDevice::apply_credit(NodeState& state,
       header.credit_origin == kInvalidNode) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    CreditAccount& account = account_of(state, header.credit_origin);
-    account.available = std::min(
-        account.available + static_cast<std::size_t>(header.credit_bytes),
-        credit_window_);
-    account.last_refill = state.node->clock().now();
-  }
-  // Woken after the unlock, so a waiter does not block on the mutex again;
-  // the NodeState lives as long as the device.
-  state.credit_cv.notify_all();
-  marcel::engine_notify();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  CreditAccount& account = account_of(state, header.credit_origin);
+  account.available = std::min(
+      account.available + static_cast<std::size_t>(header.credit_bytes),
+      credit_window_);
 }
 
 void ChMadDevice::refund_credit(node_id_t src_node, node_id_t dst_node,
                                 std::size_t charge) {
   if (credit_window_ == 0 || src_node == dst_node) return;
   NodeState& state = state_of(src_node);
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    CreditAccount& account = account_of(state, dst_node);
-    account.available = std::min(account.available + charge, credit_window_);
-  }
-  state.credit_cv.notify_all();  // after the unlock, as in apply_credit
-  marcel::engine_notify();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  CreditAccount& account = account_of(state, dst_node);
+  account.available = std::min(account.available + charge, credit_window_);
 }
 
 std::size_t ChMadDevice::take_pending_returns(NodeState& state,

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,12 +42,6 @@ namespace madmpi::core {
 
 class ChMadDevice final : public ManagedDevice {
  public:
-  /// What a sender does when its credit window towards a peer runs dry.
-  enum class CreditPolicy {
-    kDemote,  // force the transfer to rendezvous (buffers nothing remotely)
-    kBlock,   // blocking sends wait (virtual time) for credits to return
-  };
-
   struct Config {
     /// Ablation hook: force the eager/rendezvous switch point instead of
     /// the paper's election rule.
@@ -62,9 +55,9 @@ class ChMadDevice final : public ManagedDevice {
 
     /// Per-peer eager credit window in bytes. 0 derives the window from
     /// the elected switch point (default_credit_window); SIZE_MAX
-    /// disables flow control entirely.
+    /// disables flow control entirely. A sender whose window runs dry
+    /// demotes the transfer to rendezvous (buffers nothing remotely).
     std::size_t credit_window_bytes = 0;
-    CreditPolicy credit_policy = CreditPolicy::kDemote;
   };
 
   // Two overloads rather than `Config config = {}`: the Config default
@@ -81,8 +74,7 @@ class ChMadDevice final : public ManagedDevice {
   bool reaches(rank_t src, rank_t dst) const override;
   Status send(rank_t src, rank_t dst, const mpi::Envelope& env,
               byte_span packed, mpi::TransferMode mode) override;
-  bool admit_eager(rank_t src, rank_t dst, std::uint64_t bytes,
-                   bool may_block) override;
+  bool admit_eager(rank_t src, rank_t dst, std::uint64_t bytes) override;
 
   /// MPI_Cancel on a send: detach a rendezvous send still waiting for its
   /// OK_TO_SEND and complete it with kCancelled. A send whose data push
@@ -134,7 +126,8 @@ class ChMadDevice final : public ManagedDevice {
   std::uint64_t forwarded() const { return forwarded_.load(); }
   std::uint64_t failovers() const { return failovers_.load(); }
   std::uint64_t eager_demoted() const { return eager_demoted_.load(); }
-  std::uint64_t credit_stalls() const { return credit_stalls_.load(); }
+  /// Always 0: a dry window demotes, it never stalls a sender.
+  std::uint64_t credit_stalls() const { return 0; }
   std::uint64_t credit_packets() const { return credit_packets_.load(); }
   std::uint64_t rma_ops_sent() const { return rma_ops_sent_.load(); }
 
@@ -206,10 +199,6 @@ class ChMadDevice final : public ManagedDevice {
   struct CreditAccount {
     bool initialized = false;
     std::size_t available = 0;
-    /// Virtual-time stamp of the latest refill — a sender that *waited*
-    /// for credits synchronizes its lane here (the causal edge from the
-    /// receiver's drain to the unblocked send).
-    usec_t last_refill = 0.0;
   };
 
   /// Per member node: the polling server plus the rendezvous tables.
@@ -232,7 +221,6 @@ class ChMadDevice final : public ManagedDevice {
     /// Credit batches flushed per peer — the sequence number the
     /// ScheduleController's batching perturbation is keyed on.
     std::map<node_id_t, std::uint64_t> credit_epochs;
-    std::condition_variable credit_cv;
   };
 
   NodeState& state_of(node_id_t node);
@@ -323,7 +311,6 @@ class ChMadDevice final : public ManagedDevice {
   std::optional<ForwardRouter> forward_router_;
   std::size_t switch_point_;
   std::size_t credit_window_ = 0;  // 0 = flow control disabled
-  CreditPolicy credit_policy_ = CreditPolicy::kDemote;
   std::map<node_id_t, std::unique_ptr<NodeState>> states_;
   bool started_ = false;
 
@@ -332,7 +319,6 @@ class ChMadDevice final : public ManagedDevice {
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> eager_demoted_{0};
-  std::atomic<std::uint64_t> credit_stalls_{0};
   std::atomic<std::uint64_t> credit_packets_{0};
   std::atomic<std::uint64_t> rma_ops_sent_{0};
 };

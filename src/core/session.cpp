@@ -39,7 +39,6 @@ Session::Session(Options options) {
     ChMadDevice::Config config;
     config.switch_point_override = options.switch_point_override;
     config.credit_window_bytes = options.credit_window_bytes;
-    config.credit_policy = options.credit_policy;
     if (options.enable_forwarding) {
       // A second channel per network, dedicated to forwarded traffic:
       // channel isolation keeps relays from ever matching direct messages.
@@ -390,10 +389,9 @@ void Session::print_stats(std::FILE* out) {
     if (device->credit_window() != 0) {
       std::fprintf(out,
                    "flow control: window %zu B/peer, %" PRIu64
-                   " demoted, %" PRIu64 " credit stalls, %" PRIu64
-                   " credit packets\n",
+                   " demoted, %" PRIu64 " credit packets\n",
                    device->credit_window(), device->eager_demoted(),
-                   device->credit_stalls(), device->credit_packets());
+                   device->credit_packets());
     }
   }
   for (rank_t rank = 0; rank < world_size(); ++rank) {

@@ -47,12 +47,8 @@ class Session final : public mpi::Runtime {
 
     /// Per-peer eager credit window in bytes, forwarded to ch_mad.
     /// 0 derives the window from the elected switch point; SIZE_MAX
-    /// disables credit flow control.
+    /// disables credit flow control. A dry sender demotes to rendezvous.
     std::size_t credit_window_bytes = 0;
-
-    /// What a dry sender does: demote to rendezvous (default) or block
-    /// in virtual time until credits return.
-    ChMadDevice::CreditPolicy credit_policy = ChMadDevice::CreditPolicy::kDemote;
 
     /// Per-rank unexpected-store budget in bytes; eager messages that
     /// would overflow it are refused at the ADI and retried as

@@ -45,15 +45,12 @@ class Device {
   /// Flow-control admission for an eager transfer of `bytes` from `src`
   /// to `dst`. Devices with sender-side credit windows deduct a credit
   /// here; a false return tells the generic layer to demote the transfer
-  /// to rendezvous (which consumes no receive-side buffer). `may_block`
-  /// is true on blocking sends, where the device may instead wait (in
-  /// virtual time) for credits to return. Default: no flow control.
-  virtual bool admit_eager(rank_t src, rank_t dst, std::uint64_t bytes,
-                           bool may_block) {
+  /// to rendezvous (which consumes no receive-side buffer), so admission
+  /// never blocks. Default: no flow control.
+  virtual bool admit_eager(rank_t src, rank_t dst, std::uint64_t bytes) {
     (void)src;
     (void)dst;
     (void)bytes;
-    (void)may_block;
     return true;
   }
 

@@ -11,8 +11,7 @@
 //
 //   inline  (every blocking collective): the calling rank posts a round's
 //           receives, sends (one coll_send, or coll_send_multi for a
-//           fan-out, so credit back-pressure still blocks), waits, then
-//           folds. Under FT capture a hop the detector proves dead is
+//           fan-out), waits, then folds. Under FT capture a hop the detector proves dead is
 //           skipped and recorded (coll_post_recv, coll_send).
 //   hooked  (ibarrier/ibcast/iallreduce): a pending-count pump advanced
 //           from RequestState completion hooks under a per-instance tag;

@@ -152,20 +152,26 @@ Status Comm::ft_guard(Body&& body) {
 
 Status Comm::coll_try_send(const void* buf, std::size_t bytes, rank_t dest,
                            int tag) {
-  Envelope env = make_envelope(dest, ft::remap_tag(tag), bytes, false);
-  env.context = shared_->context + 1;
-  Device& device = device_to(dest);
-  const rank_t dst_global = global_rank_of(dest);
   // Collective traffic obeys the same flow control as user traffic: a
   // congested peer demotes the hop to rendezvous.
-  const TransferMode mode =
-      admit_or_demote(device, dst_global, env, false, /*may_block=*/true);
-  const Status status =
-      device.send(global_rank_of(rank_), dst_global, env,
-                  byte_span{static_cast<const std::byte*>(buf), bytes},
-                  mode);
-  if (!status.is_ok()) release_admission(dst_global, env, mode);
-  return status;
+  Envelope env = make_envelope(dest, ft::remap_tag(tag), bytes, false);
+  env.context = shared_->context + 1;
+  return send_core(dest, env,
+                   byte_span{static_cast<const std::byte*>(buf), bytes},
+                   SendKind::kBlocking);
+}
+
+Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
+                         int tag) {
+  // The schedule keeps its payload buffer alive until every tracked
+  // sub-operation completes, so the rendezvous borrows it instead of
+  // paying a staging copy per tree hop.
+  Envelope env = make_envelope(dest, tag, bytes, false);
+  env.context = shared_->context + 1;
+  auto state = std::make_shared<RequestState>(my_node());
+  send_core(dest, env, byte_span{static_cast<const std::byte*>(buf), bytes},
+            SendKind::kBorrowed, &state);
+  return Request(std::move(state));
 }
 
 void Comm::coll_send(const void* buf, std::size_t bytes, rank_t dest,

@@ -99,9 +99,8 @@ byte_span Comm::pack_for_send(const void* buf, int count,
 }
 
 TransferMode Comm::admit_or_demote(Device& device, rank_t dst_global,
-                                   const Envelope& env, bool synchronous,
-                                   bool may_block) {
-  TransferMode mode = device.select_mode(env.bytes, synchronous);
+                                   const Envelope& env) {
+  TransferMode mode = device.select_mode(env.bytes, env.synchronous);
   if (mode != TransferMode::kEager) return mode;
   const rank_t src_global = global_rank_of(rank_);
   if (src_global == dst_global) return mode;  // ch_self: always eager
@@ -109,19 +108,66 @@ TransferMode Comm::admit_or_demote(Device& device, rank_t dst_global,
   // must not consume a credit it would immediately hand back.
   RankContext& peer = shared_->runtime->context_of(dst_global);
   if (!peer.admit_eager(env.bytes)) return TransferMode::kRendezvous;
-  if (!device.admit_eager(src_global, dst_global, env.bytes, may_block)) {
+  if (!device.admit_eager(src_global, dst_global, env.bytes)) {
     peer.release_eager_admission(env.bytes);
     return TransferMode::kRendezvous;
   }
   return mode;
 }
 
-void Comm::release_admission(rank_t dst_global, const Envelope& env,
-                             TransferMode mode) {
-  if (mode != TransferMode::kEager) return;
-  if (global_rank_of(rank_) == dst_global) return;
-  shared_->runtime->context_of(dst_global).release_eager_admission(
-      env.bytes);
+Status Comm::send_core(rank_t dest, const Envelope& env, byte_span packed,
+                       SendKind kind,
+                       std::shared_ptr<RequestState>* request) {
+  auto finish = [&](const Status& status) {
+    if (request != nullptr && *request) {
+      RequestState::complete(*request, MpiStatus::of_send(env, status.code()));
+    }
+    return status;
+  };
+  // Collective hops (context + 1) pass their guard's entry check instead.
+  if (env.context == shared_->context) {
+    if (Status entry = ft_entry_check(); !entry.is_ok()) return finish(entry);
+  }
+  Device& device = device_to(dest);
+  const rank_t src_global = global_rank_of(rank_);
+  const rank_t dst_global = global_rank_of(dest);
+  const TransferMode mode = admit_or_demote(device, dst_global, env);
+  if (mode == TransferMode::kEager || kind == SendKind::kBlocking) {
+    const Status status =
+        device.send(src_global, dst_global, env, packed, mode);
+    if (!status.is_ok() && mode == TransferMode::kEager &&
+        src_global != dst_global) {
+      // The device refunds its own credits; this returns the reservation
+      // in the receiver's store.
+      shared_->runtime->context_of(dst_global).release_eager_admission(
+          env.bytes);
+    }
+    return finish(status);
+  }
+  std::shared_ptr<RequestState>& state = *request;
+  if (!state) state = std::make_shared<RequestState>(my_node());
+  std::vector<std::byte> owned;
+  if (kind != SendKind::kBorrowed) {
+    // Stage the payload so the caller's buffer is free on return; the
+    // device lends this copy to the wire.
+    owned.assign(packed.begin(), packed.end());
+    count_real_copy(packed.size());
+    packed = byte_span{owned.data(), owned.size()};
+  }
+  if (kind == SendKind::kStaged) {
+    my_node().clock().advance(static_cast<double>(packed.size()) *
+                              sim::kHostCopyUsPerByte);
+    // MPI_Cancel hook: the device detaches a rendezvous still awaiting the
+    // receiver's ack and completes the request with kCancelled.
+    state->set_cancel([&device, src_global, dst_global, env] {
+      return device.try_cancel_send(src_global, dst_global, env);
+    });
+  }
+  // The device injects the REQUEST on this thread, behind any eager frames
+  // this rank already sent (MPI non-overtaking).
+  device.isend_rendezvous(src_global, dst_global, env, packed,
+                          std::move(owned), state);
+  return Status::ok();
 }
 
 void Comm::set_errhandler(Errhandler handler) {
@@ -158,20 +204,11 @@ Status Comm::raise_error(const Status& status) {
 Status Comm::send(const void* buf, int count, const Datatype& type,
                   rank_t dest, int tag) {
   MADMPI_CHECK(dest >= 0 && dest < size());
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    return raise_error(entry);
-  }
   std::vector<std::byte> staging;
   const byte_span packed = pack_for_send(buf, count, type, staging);
-  const Envelope env = make_envelope(dest, tag, packed.size(), false);
-  Device& device = device_to(dest);
-  const rank_t dst_global = global_rank_of(dest);
-  const TransferMode mode =
-      admit_or_demote(device, dst_global, env, false, /*may_block=*/true);
-  Status status =
-      device.send(global_rank_of(rank_), dst_global, env, packed, mode);
-  if (!status.is_ok()) release_admission(dst_global, env, mode);
-  return raise_error(status);
+  return raise_error(
+      send_core(dest, make_envelope(dest, tag, packed.size(), false), packed,
+                SendKind::kBlocking));
 }
 
 Status Comm::ssend(const void* buf, int count, const Datatype& type,
@@ -179,10 +216,9 @@ Status Comm::ssend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK(dest >= 0 && dest < size());
   std::vector<std::byte> staging;
   const byte_span packed = pack_for_send(buf, count, type, staging);
-  const Envelope env = make_envelope(dest, tag, packed.size(), true);
-  Device& device = device_to(dest);
-  return raise_error(device.send(global_rank_of(rank_), global_rank_of(dest),
-                                 env, packed, TransferMode::kRendezvous));
+  return raise_error(
+      send_core(dest, make_envelope(dest, tag, packed.size(), true), packed,
+                SendKind::kBlocking));
 }
 
 namespace {
@@ -244,6 +280,13 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK_MSG(pool != nullptr && pool->capacity != 0,
                    "MPI_Bsend without an attached buffer");
 
+  // A revoked communicator parks nothing; with no request to carry the
+  // error, it goes through the error handler.
+  if (Status entry = ft_entry_check(); !entry.is_ok()) {
+    raise_error(entry);
+    return;
+  }
+
   std::vector<std::byte> staging;
   const byte_span view = pack_for_send(buf, count, type, staging);
   const std::size_t needed = view.size() + bsend_overhead();
@@ -261,13 +304,6 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   // buffer; on the host only a rendezvous parks one, because an eager send
   // has staged its payload by the time it returns.
   const Envelope env = make_envelope(dest, tag, view.size(), false);
-  Device& device = device_to(dest);
-  const rank_t src_global = global_rank_of(rank_);
-  const rank_t dst_global = global_rank_of(dest);
-  // bsend must never block: may_block false, so a dry credit window
-  // demotes to rendezvous.
-  const TransferMode mode =
-      admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
   // A buffered send has no request to carry the error; log and drop, as
   // real implementations do for undeliverable bsends.
   auto release = [pool, needed, env](ErrorCode error) {
@@ -287,23 +323,16 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
       marcel::ThreadCosts::kCreate +
           static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
       [&] {
-    if (mode == TransferMode::kEager) {
-      const Status status =
-          device.send(src_global, dst_global, env, view, mode);
-      if (!status.is_ok()) release_admission(dst_global, env, mode);
-      release(status.code());
-      return;
-    }
-    // The device keeps the parked copy until the data push completes.
-    std::vector<std::byte> parked(view.begin(), view.end());
-    count_real_copy(view.size());
-    auto state = std::make_shared<RequestState>(my_node());
-    state->set_on_complete(
-        [release](const MpiStatus& done) { release(done.error); });
-    const byte_span wire{parked.data(), parked.size()};
-    device.isend_rendezvous(src_global, dst_global, env, wire,
-                            std::move(parked), std::move(state));
-  });
+        std::shared_ptr<RequestState> rendezvous;
+        const Status status =
+            send_core(dest, env, view, SendKind::kParked, &rendezvous);
+        if (!rendezvous) {
+          release(status.code());
+          return;
+        }
+        rendezvous->set_on_complete(
+            [release](const MpiStatus& done) { release(done.error); });
+      });
 }
 
 Request Comm::irecv(void* buf, int count, const Datatype& type,
@@ -361,74 +390,9 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK(dest >= 0 && dest < size());
   std::vector<std::byte> staging;
   const byte_span packed = pack_for_send(buf, count, type, staging);
-  const Envelope env = make_envelope(dest, tag, packed.size(), false);
-  Device& device = device_to(dest);
-  const rank_t dst_global = global_rank_of(dest);
-  // Nonblocking: a dry credit window or full remote store demotes to
-  // rendezvous instead of stalling the caller (may_block false).
-  const TransferMode mode =
-      admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
-
   auto state = std::make_shared<RequestState>(my_node());
-  if (mode == TransferMode::kEager) {
-    // Locally complete as soon as the device accepted the bytes.
-    const Status result =
-        device.send(global_rank_of(rank_), dst_global, env, packed, mode);
-    if (!result.is_ok()) release_admission(dst_global, env, mode);
-    RequestState::complete(state, MpiStatus::of_send(env, result.code()));
-  } else {
-    staged_rendezvous(device, dst_global, env, packed, state);
-  }
-  return Request(std::move(state));
-}
-
-void Comm::staged_rendezvous(Device& device, rank_t dst_global,
-                             const Envelope& env, byte_span packed,
-                             const std::shared_ptr<RequestState>& state) {
-  // MPI_Cancel hook: the device detaches a rendezvous still awaiting the
-  // receiver's ack and completes the request with kCancelled.
-  state->set_cancel([&device, src = global_rank_of(rank_), dst_global, env] {
-    return device.try_cancel_send(src, dst_global, env);
-  });
-  // Stage the payload so the caller's buffer is free on return (charged as
-  // a host copy, the only one a blocking send does not make: the device
-  // lends this copy to the wire); the device injects the REQUEST on this
-  // thread, behind any eager frames this rank already sent (MPI
-  // non-overtaking).
-  std::vector<std::byte> owned(packed.begin(), packed.end());
-  count_real_copy(packed.size());
-  my_node().clock().advance(static_cast<double>(packed.size()) *
-                            sim::kHostCopyUsPerByte);
-  const byte_span wire{owned.data(), owned.size()};
-  device.isend_rendezvous(global_rank_of(rank_), dst_global, env, wire,
-                          std::move(owned), state);
-}
-
-Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
-                         int tag) {
-  // Schedule hop on the collective context. Must never block the caller
-  // (it can run from a completion hook): eager completes inline, anything
-  // else goes asynchronous (may_block false everywhere). The schedule
-  // keeps its payload buffer alive until every tracked sub-operation
-  // completes, so the rendezvous borrows it instead of paying a staging
-  // copy per tree hop.
-  Envelope env = make_envelope(dest, tag, bytes, false);
-  env.context = shared_->context + 1;
-  Device& device = device_to(dest);
-  const rank_t dst_global = global_rank_of(dest);
-  const TransferMode mode =
-      admit_or_demote(device, dst_global, env, false, /*may_block=*/false);
-  auto state = std::make_shared<RequestState>(my_node());
-  const byte_span packed{static_cast<const std::byte*>(buf), bytes};
-  if (mode == TransferMode::kEager) {
-    const Status result =
-        device.send(global_rank_of(rank_), dst_global, env, packed, mode);
-    if (!result.is_ok()) release_admission(dst_global, env, mode);
-    RequestState::complete(state, MpiStatus::of_send(env, result.code()));
-  } else {
-    device.isend_rendezvous(global_rank_of(rank_), dst_global, env, packed,
-                            {}, state);
-  }
+  send_core(dest, make_envelope(dest, tag, packed.size(), false), packed,
+            SendKind::kStaged, &state);
   return Request(std::move(state));
 }
 
@@ -437,11 +401,9 @@ Request Comm::issend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK(dest >= 0 && dest < size());
   std::vector<std::byte> staging;
   const byte_span packed = pack_for_send(buf, count, type, staging);
-  const Envelope env = make_envelope(dest, tag, packed.size(), true);
   auto state = std::make_shared<RequestState>(my_node());
-  // Same staged asynchronous rendezvous as isend.
-  staged_rendezvous(device_to(dest), global_rank_of(dest), env, packed,
-                    state);
+  send_core(dest, make_envelope(dest, tag, packed.size(), true), packed,
+            SendKind::kStaged, &state);
   return Request(std::move(state));
 }
 

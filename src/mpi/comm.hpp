@@ -318,9 +318,9 @@ class Comm {
   Comm(std::shared_ptr<Shared> shared, rank_t rank)
       : shared_(std::move(shared)), rank_(rank) {}
 
-  /// The one send on the collective context: envelope (tag remapped under
-  /// FT capture; the FT ranges pass through), flow-control admission and
-  /// the device send, whose admission is released again on failure.
+  /// The one blocking send on the collective context: envelope (tag
+  /// remapped under FT capture; the FT ranges pass through), then
+  /// send_core.
   Status coll_try_send(const void* buf, std::size_t bytes, rank_t dest,
                        int tag);
   /// coll_try_send with the algorithms' failure policy: under FT capture a
@@ -340,10 +340,9 @@ class Comm {
                                                rank_t source, int tag,
                                                usec_t ft_timeout_us);
 
-  /// Nonblocking send on the collective context (comm.cpp, beside the
-  /// isend machinery it shares). Never blocks the caller — eager completes
-  /// inline, rendezvous detaches — so it is safe to issue from completion
-  /// hooks.
+  /// Nonblocking send on the collective context. Never blocks the caller
+  /// — eager completes inline, rendezvous detaches — so it is safe to
+  /// issue from completion hooks.
   Request coll_isend(const void* buf, std::size_t bytes, rank_t dest,
                      int tag);
 
@@ -360,6 +359,29 @@ class Comm {
   Envelope make_envelope(rank_t dest, int tag, std::uint64_t bytes,
                          bool synchronous) const;
 
+  /// How send_core() finishes a send, and what a rendezvous payload is.
+  enum class SendKind {
+    kBlocking,  // return once locally complete; the payload is borrowed
+    kBorrowed,  // return at once; the caller keeps the payload valid until
+                // the request completes (collective schedules)
+    kStaged,    // return at once; a rendezvous payload is first copied,
+                // charged as a host copy, and MPI_Cancel can detach it
+    kParked,    // bsend: copied like kStaged, the copy charged by the caller
+  };
+
+  /// The one send path from every entry point to the device (paper §2.2:
+  /// the generic layer picks the mode, the device moves the bytes). A
+  /// point-to-point send on a revoked communicator fails with kRevoked
+  /// before it admits anything. Then flow-control admission picks the
+  /// mode; eager and blocking sends finish in the call, and a failed eager
+  /// send hands its store reservation back. A nonblocking rendezvous is
+  /// handed to the device and completes `*request`, made here when the
+  /// caller passed an empty one. Returns the outcome of a send that
+  /// finished in the call, and completes a given `*request` with it.
+  Status send_core(rank_t dest, const Envelope& env, byte_span packed,
+                   SendKind kind,
+                   std::shared_ptr<RequestState>* request = nullptr);
+
   /// Flow-control admission (tentpole of the robustness layer): picks the
   /// transfer mode, then asks the *receiver's* unexpected store and the
   /// device's credit window for an eager slot. Either refusal demotes the
@@ -367,18 +389,7 @@ class Comm {
   /// posts. Self-sends skip admission (ch_self must stay eager: a
   /// single-threaded rendezvous with oneself would deadlock).
   TransferMode admit_or_demote(Device& device, rank_t dst_global,
-                               const Envelope& env, bool synchronous,
-                               bool may_block);
-
-  /// Undo a successful admission whose eager send then failed (the device
-  /// refunds its own credits; this returns the store reservation).
-  void release_admission(rank_t dst_global, const Envelope& env,
-                         TransferMode mode);
-
-  /// isend/issend's rendezvous: staged, cancellable, never blocking.
-  void staged_rendezvous(Device& device, rank_t dst_global,
-                         const Envelope& env, byte_span packed,
-                         const std::shared_ptr<RequestState>& state);
+                               const Envelope& env);
 
   Device& device_to(rank_t dest) const;
   sim::Node& my_node() const;

@@ -55,15 +55,17 @@ struct BlockPlan {
   bool zero_copy = false;
 };
 
-/// One separate (non-aggregated) block of an outgoing message (legacy
-/// borrowed-span form; the zero-copy path uses OutBlock).
+/// One separate (non-aggregated) block of an outgoing message in the
+/// borrowed-span form, which only the transport tests and perfbench's net
+/// rung still use; the library sends OutBlocks.
 struct DataBlock {
   byte_span data;
   bool zero_copy = false;
 };
 
-/// One separate block already staged in a pooled chunk: the frame takes
-/// the reference, no further copies happen on the send side.
+/// One separate block already staged in a pooled chunk (or lent, see
+/// ChunkRef::lend): the frame takes the reference, no further copies
+/// happen on the send side.
 struct OutBlock {
   ChunkRef chunk;
   bool zero_copy = false;

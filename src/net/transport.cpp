@@ -38,9 +38,10 @@ bool Endpoint::has_peer(node_id_t peer) const {
 Status Endpoint::send_message(node_id_t dst, byte_span control,
                               std::span<const DataBlock> blocks,
                               DeliveryMode mode) {
-  // Legacy borrowed-span entry point (baselines, tests): wire frames must
-  // own their bytes past this call's return, so stage everything into
-  // pooled chunks once and take the zero-copy path from there.
+  // Borrowed-span entry point, kept for the transport tests and
+  // perfbench's net rung (no library code calls it): wire frames must own
+  // their bytes past this call's return, so stage everything into pooled
+  // chunks once and take the zero-copy path from there.
   ChunkList control_chunks;
   if (!control.empty()) control_chunks.push_back(pool_->stage(control));
   std::vector<OutBlock> staged;

@@ -3,6 +3,7 @@
 // revoke/shrink/agree recovery path (plus the MPIX compat facade).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -430,6 +431,37 @@ TEST(FtRevoke, RevocationInterruptsAndPropagates) {
         work.send(&value, 1, Datatype::int32(),
                   (comm.rank() + 1) % comm.size(), 0);
     EXPECT_EQ(send_status.code(), ErrorCode::kRevoked);
+    // So does every other send. A nonblocking send's request completes
+    // with the error at once; a send that went out instead would wait for
+    // a receive nobody posts, so the issend is bounded (then cancelled)
+    // and the blocking ssend only runs once the issend refused.
+    const rank_t peer = (comm.rank() + 1) % comm.size();
+    EXPECT_EQ(work.isend(&value, 1, Datatype::int32(), peer, 0).wait().error,
+              ErrorCode::kRevoked);
+    mpi::Request issend = work.issend(&value, 1, Datatype::int32(), peer, 0);
+    mpi::MpiStatus issend_status;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    bool done = issend.test(&issend_status);
+    while (!done && std::chrono::steady_clock::now() < deadline) {
+      done = issend.test(&issend_status);
+    }
+    if (!done && issend.cancel()) issend_status = issend.wait();
+    EXPECT_EQ(issend_status.error, ErrorCode::kRevoked);
+    if (issend_status.error == ErrorCode::kRevoked) {
+      EXPECT_EQ(work.ssend(&value, 1, Datatype::int32(), peer, 0).code(),
+                ErrorCode::kRevoked);
+    }
+    // A bsend has no request: the error goes through the error handler,
+    // and nothing is parked in the attached buffer.
+    ErrorCode raised = ErrorCode::kOk;
+    work.set_errhandler(mpi::Errhandler::custom(
+        [&raised](ErrorCode code, const std::string&) { raised = code; }));
+    Comm::buffer_attach(sizeof value + Comm::bsend_overhead());
+    work.bsend(&value, 1, Datatype::int32(), peer, 0);
+    Comm::buffer_detach();
+    work.set_errhandler(mpi::Errhandler::errors_return());
+    EXPECT_EQ(raised, ErrorCode::kRevoked);
     const Status coll_status =
         work.bcast(&value, 1, Datatype::int32(), 0);
     EXPECT_EQ(coll_status.code(), ErrorCode::kRevoked);
