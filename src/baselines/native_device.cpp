@@ -149,19 +149,6 @@ void NativeDevice::isend_rendezvous(
            header, {}, false);
 }
 
-void NativeDevice::finish_pushed_send(sim::Node& node, PendingSend* pending) {
-  // The last reference may drop on the receiver's poller or the data task
-  // itself. Either way the send completes on a fresh lane born at the
-  // push's stamp, the lane the data task would have completed it on.
-  sim::VirtualClock::LaneMap lanes;
-  marcel::run_as_thread(lanes, &node, pending->pushed_at, [pending] {
-    mpi::RequestState::complete(
-        std::move(pending->completion),
-        mpi::MpiStatus::of_send(pending->envelope, ErrorCode::kOk));
-    delete pending;
-  });
-}
-
 void NativeDevice::start(marcel::Executor& executor) {
   MADMPI_CHECK(!started_);
   started_ = true;
@@ -257,12 +244,12 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
       }
 
       case WireKind::kRndvAck: {
-        PendingSend* pending = nullptr;
+        std::unique_ptr<PendingSend> pending;
         {
           std::lock_guard<std::mutex> lock(state.mutex);
           auto it = state.pending_sends.find(header.handle);
           MADMPI_CHECK(it != state.pending_sends.end());
-          pending = it->second.release();
+          pending = std::move(it->second);
           state.pending_sends.erase(it);
         }
         const node_id_t peer = incoming->source();
@@ -270,16 +257,13 @@ void NativeDevice::poll_loop(NodeState& state, net::Endpoint& endpoint,
         data.kind = WireKind::kRndvData;
         marcel::Executor::run_here(node, profile_.rndv_handshake_us * 0.5,
                                    [&] {
-          // Zero-copy push: the payload is lent to the wire, and its
-          // release hook completes the send.
-          sim::Node* sender = &node;
-          const ChunkRef body = ChunkRef::lend(
-              pending->data,
-              [sender, pending] { finish_pushed_send(*sender, pending); });
-          transmit(endpoint, peer, data, body, profile_.rndv_zero_copy);
-          pending->pushed_at = node.clock().now();
-          // `body` drops here: the send completes now if the receiver
-          // already placed the bytes, else when its frame drops.
+          push_lent(node, pending->data, std::move(pending->owned),
+                    std::move(pending->completion), pending->envelope,
+                    [&](const ChunkRef& body) {
+                      transmit(endpoint, peer, data, body,
+                               profile_.rndv_zero_copy);
+                      return Status::ok();
+                    });
         });
         break;
       }

@@ -104,15 +104,13 @@ class NativeDevice final : public core::ManagedDevice {
  private:
   struct WireHeader;
   /// A rendezvous send awaiting its ack. `owned`, when non-empty, is the
-  /// staging buffer backing `data`. The ack lends `data` to the wire and
-  /// hands the entry to the lent chunk's release hook, which completes
-  /// `completion` at `pushed_at` and frees it.
+  /// staging buffer backing `data`. The ack hands all but `envelope` to
+  /// push_lent.
   struct PendingSend {
     byte_span data;
     std::vector<std::byte> owned;
     std::shared_ptr<mpi::RequestState> completion;
     mpi::Envelope envelope;
-    usec_t pushed_at = 0.0;  // the data task's lane after the push
   };
   struct Rhandle {
     mpi::PostedRecv posted;
@@ -137,8 +135,6 @@ class NativeDevice final : public core::ManagedDevice {
   void transmit(net::Endpoint& endpoint, node_id_t dst,
                 const WireHeader& header, const ChunkRef& payload,
                 bool zero_copy);
-  /// The data push's release hook: completes the send and frees the entry.
-  static void finish_pushed_send(sim::Node& node, PendingSend* pending);
   NodeState& state_of(node_id_t node);
 
   NativeProfile profile_;

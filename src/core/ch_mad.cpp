@@ -390,23 +390,11 @@ Status ChMadDevice::start_rendezvous(
   return status;
 }
 
-void ChMadDevice::finish_pending_send(PendingSend* pending) {
+void ChMadDevice::fail_pending_send(PendingSend* pending, ErrorCode error) {
   mpi::RequestState::complete(
       std::move(pending->completion),
-      mpi::MpiStatus::of_send(pending->header.envelope,
-                              pending->result.code()));
+      mpi::MpiStatus::of_send(pending->header.envelope, error));
   delete pending;
-}
-
-void ChMadDevice::finish_pushed_send(sim::Node& node, PendingSend* pending) {
-  // The last reference may drop on the receiver's poller, a gateway or the
-  // data task itself. Either way the send completes on a fresh lane born at
-  // the data task's post-push stamp, as marcel::Executor births a task: the
-  // release stamp, and the lane completion hooks run on, are the ones the
-  // data task would have used completing the send itself.
-  sim::VirtualClock::LaneMap lanes;
-  marcel::run_as_thread(lanes, &node, pending->pushed_at,
-                        [pending] { finish_pending_send(pending); });
 }
 
 Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
@@ -609,11 +597,9 @@ bool ChMadDevice::try_cancel_send(rank_t src, rank_t dst,
     }
   }
   if (victim == nullptr) return false;  // data push started: too late
-  victim->result = Status(ErrorCode::kCancelled,
-                          "send cancelled before the receiver matched it");
   sim::trace(state.node->clock().now(), state.node->id(),
              sim::TraceCategory::kComplete, env.bytes, "cancel-send");
-  finish_pending_send(victim);
+  fail_pending_send(victim, ErrorCode::kCancelled);
   return true;
 }
 
@@ -686,12 +672,7 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
       // Deterministic stamp: the sender observes the error `horizon`
       // after it parked, not whenever this wall-clock thread fired.
       state.node->clock().bind_lane(pending->started_at + horizon);
-      pending->result =
-          Status(ErrorCode::kTimedOut,
-                 "rendezvous abandoned: no route between node " +
-                     std::to_string(me) + " and node " +
-                     std::to_string(pending->peer_node));
-      finish_pending_send(pending);
+      fail_pending_send(pending, ErrorCode::kTimedOut);
       ++canceled;
     }
     for (Rhandle& rhandle : dead_rhandles) {
@@ -865,7 +846,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           return;
         }
         // Past the point of no return: a pushing send is not cancellable,
-        // and from here on the data task and its release hook own it.
+        // and from here on the data push owns it.
         pending = it->second;
         state.pending_sends.erase(it);
       }
@@ -876,17 +857,13 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         PacketHeader data = pending->header;
         data.type = PacketType::kRndvData;
         data.sync_address = header.sync_address;
-        // Zero-copy push: the payload is lent to the wire instead of staged.
-        // The hook keeps only the entry (request, stamp, optional owned
-        // buffer) and the node — no device state, which may die first.
-        ChunkRef body = ChunkRef::lend(pending->data, [node, pending] {
-          finish_pushed_send(*node, pending);
-        });
-        pending->result = send_packet(node->id(), receiver_node, data, body);
-        pending->pushed_at = node->clock().now();
-        // `body` drops here: the send completes now if the receiver already
-        // placed the bytes, else when its last wire reference drops.
+        push_lent(*node, pending->data, std::move(pending->owned),
+                  std::move(pending->completion), data.envelope,
+                  [&](const ChunkRef& body) {
+                    return send_packet(node->id(), receiver_node, data, body);
+                  });
       });
+      delete pending;
       return;
     }
 

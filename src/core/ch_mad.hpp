@@ -160,20 +160,15 @@ class ChMadDevice final : public ManagedDevice {
  private:
   /// A rendezvous send awaiting its OK_TO_SEND in `pending_sends`. The
   /// entry leaves the table when a cancel, the watchdog or the ack claims
-  /// it; the ack hands it to a data task, which lends `data` to the wire
-  /// and leaves the entry to the lent chunk's release hook.
+  /// it; the ack hands `data`, `owned` and `completion` to push_lent.
   struct PendingSend {
     byte_span data;
     PacketHeader header;
-    Status result;  // outcome of the data push, set by the data task
     node_id_t peer_node = kInvalidNode;
     usec_t started_at = 0.0;
-    /// The data task's lane after the push: the send's completion stamp.
-    usec_t pushed_at = 0.0;
-    /// Heap-allocated and owned by whichever finishing path runs (release
-    /// hook, cancel or watchdog): it completes `completion` — a blocking
-    /// sender waits on that request — and frees the entry. `owned`, when
-    /// non-empty, is the staging buffer backing `data`.
+    /// Heap-allocated and owned by whichever path claims it (ack, cancel
+    /// or watchdog). `completion` is what a blocking sender waits on;
+    /// `owned`, when non-empty, is the staging buffer backing `data`.
     std::shared_ptr<mpi::RequestState> completion;
     std::vector<std::byte> owned;
     std::uint64_t handle = 0;
@@ -278,13 +273,10 @@ class ChMadDevice final : public ManagedDevice {
   Status start_rendezvous(rank_t src, rank_t dst, const mpi::Envelope& env,
                           byte_span packed, std::vector<std::byte> owned,
                           std::shared_ptr<mpi::RequestState> completion);
-  /// Single completion discipline for a rendezvous send that left
-  /// pending_sends: complete its request with `result` on the caller's
-  /// lane and free the entry.
-  static void finish_pending_send(PendingSend* pending);
-  /// The data push's release hook: completes the send on a fresh lane
-  /// born at `pushed_at`, whichever thread dropped the last reference.
-  static void finish_pushed_send(sim::Node& node, PendingSend* pending);
+  /// A cancel's or the watchdog's end of a rendezvous send that left
+  /// pending_sends unpushed: complete its request with `error` on the
+  /// caller's lane and free the entry.
+  static void fail_pending_send(PendingSend* pending, ErrorCode error);
 
   /// Credit bookkeeping. `account_of` lazily opens an account at the full
   /// window; `credit_consumed` runs when the destination rank drains an

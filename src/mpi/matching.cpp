@@ -299,8 +299,14 @@ void RankContext::consume_unexpected(UnexpectedMessage message,
     message.on_match(message.env, std::move(posted));
     return;
   }
-  node_.clock().advance(static_cast<double>(message.payload.size()) *
-                        sim::kHostCopyUsPerByte);
+  // Virtual order picks the charge, whichever host thread won the race: a
+  // receive posted no later than the delivery would have been matched
+  // there and then, so only a message that arrived first pays the copy
+  // out of the store.
+  if (posted.posted_at > message.delivered_at) {
+    node_.clock().advance(static_cast<double>(message.payload.size()) *
+                          sim::kHostCopyUsPerByte);
+  }
   // Credits first, completion second: once finish_recv() completes the
   // request the application may reach finalize() and close the channels,
   // so the credit return must have left by then.
@@ -428,6 +434,7 @@ void RankContext::deliver_eager(const Envelope& env, byte_span payload,
       stored_.fetch_add(charge, std::memory_order_relaxed) + charge;
   raise_high_water(stored_high_water_, stored_now);
   sub_clamped(reserved_, charge);
+  message.delivered_at = node_.clock().now();
   message.available_at =
       node_.clock().advance(static_cast<double>(payload.size()) *
                             sim::kHostCopyUsPerByte);

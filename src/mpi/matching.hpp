@@ -132,6 +132,9 @@ struct UnexpectedMessage {
   /// thread's lane). A later-posted receive synchronizes to this before
   /// completing — the causal edge from delivery to matching.
   usec_t available_at = 0.0;
+  /// Eager only: the delivering thread's lane when it found no receive
+  /// posted, before it stored the payload.
+  usec_t delivered_at = 0.0;
   /// Arrival-order sequence number (same counter as PostedRecv::seq).
   std::uint64_t seq = 0;
 };

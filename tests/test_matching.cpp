@@ -8,6 +8,7 @@
 #include "common/datapath_stats.hpp"
 #include "marcel/executor.hpp"
 #include "mpi/matching.hpp"
+#include "sim/cost_model.hpp"
 
 namespace madmpi::mpi {
 namespace {
@@ -37,6 +38,7 @@ struct MatchFixture : ::testing::Test {
     posted.count = static_cast<int>(capacity);
     posted.capacity_bytes = capacity;
     posted.request = state;
+    posted.posted_at = node.clock().now();  // as Comm::irecv stamps it
     context.post_recv(std::move(posted));
     return state;
   }
@@ -269,6 +271,26 @@ TEST_F(MatchFixture, EagerCopiesChargeTheClock) {
   std::vector<char> buffer(big.size());
   post(0, 0, 0, buffer.data(), buffer.size());
   EXPECT_GT(node.clock().now(), after_store);  // copy out to the user
+}
+
+// A receive the poller missed on the host but that was posted no later
+// than the delivery in virtual time completes as if matched there: no copy
+// out of the store. Only a message that arrived first pays it.
+TEST_F(MatchFixture, StoreCopyOutFollowsVirtualOrder) {
+  const usec_t copy = 8 * sim::kHostCopyUsPerByte;
+  const usec_t delivered = node.clock().now();
+  context.deliver_eager(envelope(0, 1, 1, 8), bytes_of("abcdefgh"));
+  const usec_t stored = node.clock().now();
+  EXPECT_DOUBLE_EQ(stored, delivered + copy);
+  post_recorded(0, 1, 1, 1, /*posted_at=*/delivered);
+
+  context.deliver_eager(envelope(0, 1, 2, 8), bytes_of("abcdefgh"));
+  const usec_t late_post = node.clock().now();
+  post_recorded(0, 1, 2, 1, late_post);
+  expect_completions(
+      {{1, ErrorCode::kOk, stored + marcel::ThreadCosts::kSemSignal},
+       {2, ErrorCode::kOk,
+        late_post + copy + marcel::ThreadCosts::kSemSignal}});
 }
 
 TEST_F(MatchFixture, RequestWaitAfterTestReturnsSameStatus) {
