@@ -8,7 +8,6 @@
 // `--json <path>` writes the machine-readable series consumed by the CI
 // perf-trajectory job (docs/results/BENCH_rma.json).
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -27,8 +26,9 @@ struct RmaPoint {
 /// Epoch-amortized put cost: rank 0 streams puts into rank 1's window and
 /// closes each epoch with a fence. Puts are fire-and-forget, so every put
 /// of an epoch holds its pooled chunk(s) concurrently until the target
-/// lands it; with the slab cache deepened to cover that concurrency (see
-/// main), steady-state epochs run entirely off slab reuse. Two untimed
+/// lands it; the slab cache keeps every recycled slab, so once the first
+/// epochs reached that concurrency the steady-state epochs run entirely
+/// off slab reuse. Two untimed
 /// epochs first settle pools, channels and the first-use registration.
 RmaPoint measure_put(sim::Protocol protocol, std::size_t bytes,
                      int puts_per_epoch, int epochs) {
@@ -69,13 +69,6 @@ RmaPoint measure_put(sim::Protocol protocol, std::size_t bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A streaming one-sided epoch keeps every put's chunk alive at once, so
-  // the default 16-per-class slab cache sits exactly at the concurrency
-  // edge and thread timing decides whether a release recycles or frees.
-  // Deepen the cache (without overriding an explicit user setting) so the
-  // steady-state epochs measure the datapath, not the cap.
-  setenv("MADMPI_SLAB_MAX_CACHED", "64", /*overwrite=*/0);
-
   const std::string json_path = bench::json_path_from_args(argc, argv);
   constexpr int kReps = 32;            // eager ping-pong round trips
   constexpr int kPutsPerEpoch = 12;    // puts in flight per fence epoch

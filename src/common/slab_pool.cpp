@@ -1,6 +1,5 @@
 #include "common/slab_pool.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/datapath_stats.hpp"
@@ -83,7 +82,7 @@ struct SlabPoolCore {
       if (extras != 0) {
         std::lock_guard<std::mutex> lock(mutex);
         auto& list = free_lists[static_cast<std::size_t>(cls)];
-        while (extras-- > 0 && list.size() < options.max_cached_per_class) {
+        while (extras-- > 0) {
           ++stats.fresh_allocs;
           dp.count_slab_alloc();
           list.push_back(new Slab(capacity, cls));
@@ -101,16 +100,10 @@ struct SlabPoolCore {
   /// reference the slab held (moved out before the call so a cached slab
   /// does not keep the core alive in a cycle).
   void recycle(Slab* slab) {
-    std::unique_lock<std::mutex> lock(mutex);
+    std::lock_guard<std::mutex> lock(mutex);
     stats.outstanding_bytes -= std::min(stats.outstanding_bytes,
                                         slab->capacity());
-    auto& list = free_lists[static_cast<std::size_t>(slab->size_class_)];
-    if (list.size() < options.max_cached_per_class) {
-      list.push_back(slab);
-      return;
-    }
-    lock.unlock();
-    delete slab;
+    free_lists[static_cast<std::size_t>(slab->size_class_)].push_back(slab);
   }
 
   const SlabPool::Options options;
@@ -158,10 +151,6 @@ void Slab::release() {
 SlabPool::Options SlabPool::Options::from_env() {
   Options options;
   options.disabled = env_flag("MADMPI_SLAB_DISABLE", options.disabled);
-  if (const char* v = std::getenv("MADMPI_SLAB_MAX_CACHED")) {
-    options.max_cached_per_class =
-        static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  }
   return options;
 }
 

@@ -15,10 +15,14 @@
 // the last reference dropped. The rendezvous data push lends the sender's
 // buffer to the wire this way and completes the send from that hook.
 //
-// Env knobs (read once, at pool construction):
+// A released pooled slab always goes back to its class's free list, so a
+// class never caches more slabs than it once had outstanding at the same
+// time, plus the spares of its last refill; trim() hands the cache back to
+// the heap.
+//
+// Env knob (read once, at pool construction):
 //   MADMPI_SLAB_DISABLE=1      every acquire is a one-off heap allocation
 //                              (fallback path; pooling off, for debugging)
-//   MADMPI_SLAB_MAX_CACHED=N   free slabs cached per size class (default 16)
 // The largest pooled slab (256 KB; bigger requests fall back to one-off
 // heap allocations that are never cached) and the slabs carved per cache
 // miss (8) are Options fields only.
@@ -44,7 +48,7 @@ struct SlabPoolCore;
 
 /// One pooled (or one-off fallback, or lent) buffer. Refcounted; reaching
 /// zero returns the slab to its pool's free list (or frees it, for fallback
-/// slabs and full caches, or runs the lender's hook, for lent memory).
+/// slabs, or runs the lender's hook, for lent memory).
 /// Slabs outlive their SlabPool object: each live pooled slab keeps the
 /// pool core alive via a shared_ptr.
 class Slab {
@@ -195,7 +199,6 @@ class SlabPool {
  public:
   struct Options {
     bool disabled = false;
-    std::size_t max_cached_per_class = 16;
     std::size_t max_slab_bytes = 256 * 1024;
     /// Slabs carved per cache miss (1 handed out, the rest cached): keeps
     /// concurrency spikes off the heap after the class's first touch.

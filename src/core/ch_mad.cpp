@@ -64,12 +64,16 @@ ChMadDevice::NodeState& ChMadDevice::state_of(node_id_t node) {
 
 bool ChMadDevice::reaches(rank_t src, rank_t dst) const {
   if (src == dst) return false;
-  sim::Node& src_node = directory_.node_of(src);
-  sim::Node& dst_node = directory_.node_of(dst);
-  if (src_node.id() == dst_node.id()) return false;
-  if (router_.route(src_node.id(), dst_node.id()) != nullptr) return true;
-  return forward_router_.has_value() &&
-         forward_router_->connected(src_node.id(), dst_node.id());
+  const node_id_t a = directory_.node_of(src).id();
+  const node_id_t b = directory_.node_of(dst).id();
+  if (a == b) return false;
+  // The topology as built, not the links' health: a pair whose every
+  // route has died still reaches ch_mad, and its send's one route
+  // election in transmit_packet returns kUnreachable.
+  if (forward_router_.has_value()) {
+    return forward_router_->connected_as_built(a, b);
+  }
+  return router_.shares_network(a, b);
 }
 
 void ChMadDevice::start(marcel::Executor& executor) {
@@ -767,12 +771,9 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
           directory_.node_of(header.src_global).id();
       mpi::EagerConsumed release;
       if (credit_window_ != 0 && origin_node != me) {
-        const std::size_t charge =
-            static_cast<std::size_t>(header.envelope.bytes) +
-            mpi::RankContext::kUnexpectedEntryOverhead;
-        release = [this, me, origin_node, charge] {
-          credit_consumed(me, origin_node, charge);
-        };
+        release = {this, me, origin_node,
+                   static_cast<std::size_t>(header.envelope.bytes) +
+                       mpi::RankContext::kUnexpectedEntryOverhead};
       }
       directory_.context_of(header.dst_global)
           .deliver_eager(header.envelope, view.bytes, std::move(release),

@@ -40,7 +40,7 @@
 
 namespace madmpi::core {
 
-class ChMadDevice final : public ManagedDevice {
+class ChMadDevice final : public ManagedDevice, private mpi::CreditSink {
  public:
   struct Config {
     /// Ablation hook: force the eager/rendezvous switch point instead of
@@ -284,7 +284,8 @@ class ChMadDevice final : public ManagedDevice {
   /// packet; `apply_credit` handles an inbound refill; `refund_credit`
   /// undoes an admission whose eager send failed.
   CreditAccount& account_of(NodeState& state, node_id_t peer);
-  void credit_consumed(node_id_t me, node_id_t origin, std::size_t charge);
+  void credit_consumed(node_id_t me, node_id_t origin,
+                       std::size_t charge) override;
   void apply_credit(NodeState& state, const PacketHeader& header);
   void refund_credit(node_id_t src_node, node_id_t dst_node,
                      std::size_t charge);

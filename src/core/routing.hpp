@@ -38,6 +38,15 @@ class ChannelRouter {
     return best;
   }
 
+  /// True when some channel has both nodes as members: the topology the
+  /// router was built on, whatever the links' health since.
+  bool shares_network(node_id_t a, node_id_t b) const {
+    for (mad::Channel* channel : channels_) {
+      if (channel->has_member(a) && channel->has_member(b)) return true;
+    }
+    return false;
+  }
+
   const std::vector<mad::Channel*>& channels() const { return channels_; }
 
   /// Distinct protocols across the routed channels (switch-point election
@@ -65,6 +74,7 @@ class ForwardRouter {
  public:
   explicit ForwardRouter(const ChannelRouter& direct) : direct_(&direct) {
     build();
+    build_islands();
   }
 
   /// The next node on the best path src -> dst; kInvalidNode when
@@ -84,8 +94,14 @@ class ForwardRouter {
     build();
   }
 
-  bool connected(node_id_t src, node_id_t dst) const {
-    return next_hop(src, dst) != kInvalidNode;
+  /// True when a path joined src and dst in the channel graph the router
+  /// was built on. Unlike next_hop(), later link deaths do not change it,
+  /// and it takes no lock.
+  bool connected_as_built(node_id_t src, node_id_t dst) const {
+    const auto a = static_cast<std::size_t>(src);
+    const auto b = static_cast<std::size_t>(dst);
+    return a < island_.size() && b < island_.size() &&
+           island_[a] != kInvalidNode && island_[a] == island_[b];
   }
 
   /// Number of hops src -> dst (1 = direct); 0 for src == dst, -1 when
@@ -141,7 +157,31 @@ class ForwardRouter {
     }
   }
 
+  // Labels each channel member with its island, the nodes some chain of
+  // channels joins (union-find over channel memberships).
+  void build_islands() {
+    auto root = [this](node_id_t n) {
+      while (island_[static_cast<std::size_t>(n)] != n) {
+        n = island_[static_cast<std::size_t>(n)];
+      }
+      return n;
+    };
+    for (mad::Channel* channel : direct_->channels()) {
+      for (node_id_t member : channel->members()) {
+        const auto at = static_cast<std::size_t>(member);
+        if (at >= island_.size()) island_.resize(at + 1, kInvalidNode);
+        if (island_[at] == kInvalidNode) island_[at] = member;
+        island_[static_cast<std::size_t>(root(member))] =
+            root(channel->members().front());
+      }
+    }
+    for (node_id_t& label : island_) {
+      if (label != kInvalidNode) label = root(label);
+    }
+  }
+
   const ChannelRouter* direct_;
+  std::vector<node_id_t> island_;  // node -> island root, kInvalidNode off-net
   mutable std::mutex mutex_;
   std::map<std::pair<node_id_t, node_id_t>, node_id_t> next_;
 };

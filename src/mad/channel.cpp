@@ -123,7 +123,7 @@ Status Packing::end_packing() {
   if (split != 0) control.push_back(control_.chunk(0, split));
   if (pos > split) control.push_back(control_.chunk(split, pos - split));
   Status status = endpoint_->net_->send_message(remote_, std::move(control),
-                                                separate_, delivery_);
+                                                separate_.span(), delivery_);
   connection_lock_.unlock();
   return status;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/byte_buffer.hpp"
+#include "common/inline_vector.hpp"
 #include "mad/message.hpp"
 #include "mad/modes.hpp"
 #include "net/driver.hpp"
@@ -86,7 +87,7 @@ class Packing {
   /// end_packing() it leaves as (up to) two chunk references — the EXPRESS
   /// prefix and the CHEAPER remainder — into that same slab.
   ChunkWriter control_;
-  std::vector<net::OutBlock> separate_;
+  InlineVector<net::OutBlock, 2> separate_;  // the usual body needs no heap
   std::size_t express_prefix_ = 0;  // control bytes before the first
                                     // non-express inline block
   bool split_marked_ = false;

@@ -39,7 +39,9 @@ class Device {
   virtual Status send(rank_t src, rank_t dst, const Envelope& env,
                       byte_span packed, TransferMode mode) = 0;
 
-  /// True when this device can carry src -> dst.
+  /// True when the topology this device was built on connects src and
+  /// dst. Link health is not consulted: send() over a pair whose every
+  /// route has died returns kUnreachable.
   virtual bool reaches(rank_t src, rank_t dst) const = 0;
 
   /// Flow-control admission for an eager transfer of `bytes` from `src`

@@ -43,6 +43,8 @@ class Blocks {
   Blocks(const Datatype& type, std::span<const int> counts,
          std::span<const int> displs)
       : type_(type) {
+    blocks_.reserve(counts.size());
+    if (!type.is_contiguous()) user_.reserve(counts.size());
     std::size_t packed = 0;
     for (std::size_t r = 0; r < counts.size(); ++r) {
       const std::size_t bytes =
@@ -110,6 +112,7 @@ std::pair<std::vector<int>, std::vector<int>> equal_blocks(int count, int n) {
       count >= 0 && static_cast<std::int64_t>(count) * n <= INT_MAX,
       "collective buffer exceeds the int displacement range");
   std::vector<int> displs;
+  displs.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) displs.push_back(r * count);
   return {std::vector<int>(static_cast<std::size_t>(n), count),
           std::move(displs)};

@@ -111,10 +111,31 @@ MpiStatus place_recv(const PostedRecv& posted, const Envelope& env,
 /// a handle onto `posted` (paper §4.2.2 step 2).
 using RendezvousMatch = std::function<void(const Envelope&, PostedRecv)>;
 
-/// Called when an eager message is consumed (copied into its user buffer).
-/// Devices with credit-based flow control hook this to return credits to
-/// the sender only once the receiver has actually drained the message.
-using EagerConsumed = std::function<void()>;
+/// Where an eager message's flow-control credits go once it is consumed
+/// (copied into its user buffer). Devices with credit-based flow control
+/// implement it to return credits to the sender only once the receiver
+/// has actually drained the message.
+class CreditSink {
+ public:
+  virtual void credit_consumed(node_id_t me, node_id_t origin,
+                               std::size_t charge) = 0;
+
+ protected:
+  ~CreditSink() = default;
+};
+
+/// One eager message's credit release, run when the message is consumed.
+/// Plain data rather than a std::function, so an eager delivery costs no
+/// heap block. Empty (no sink) when the device keeps no credits.
+struct EagerConsumed {
+  CreditSink* sink = nullptr;
+  node_id_t me = kInvalidNode;
+  node_id_t origin = kInvalidNode;
+  std::size_t charge = 0;
+
+  explicit operator bool() const { return sink != nullptr; }
+  void operator()() const { sink->credit_consumed(me, origin, charge); }
+};
 
 /// An unexpected message as the queues store it. Public only so a
 /// MatchedMessage (MPI_Mprobe handle) can own one after removal; devices

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -209,7 +208,7 @@ class Endpoint {
 
   mutable std::mutex mutex_;
   std::map<node_id_t, sim::WirePath> paths_;
-  std::map<node_id_t, std::deque<sim::Frame>> per_source_;
+  std::map<node_id_t, sim::FrameRing> per_source_;
   std::map<node_id_t, std::uint32_t> send_seq_;
   std::map<node_id_t, sim::LinkHealth> health_;
 

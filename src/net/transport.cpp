@@ -221,7 +221,7 @@ std::optional<IncomingMessage> Endpoint::poll_message() {
   // either order. The bias is pure in (seed, dst, src, frame seq) — it
   // perturbs only the *choice*, never the frame's real arrival timestamp.
   auto* sched = sim::ScheduleController::current();
-  std::deque<sim::Frame>* best = nullptr;
+  sim::FrameRing* best = nullptr;
   usec_t best_key = 0.0;
   for (auto& [src, queue] : per_source_) {
     if (queue.empty() || queue.front().kind != kControlFrame) continue;
@@ -236,8 +236,7 @@ std::optional<IncomingMessage> Endpoint::poll_message() {
   }
   if (best == nullptr) return std::nullopt;
 
-  sim::Frame control = std::move(best->front());
-  best->pop_front();
+  sim::Frame control = best->pop_front();
   ++messages_received_;
   bytes_received_ += control.payload.size();
   // Handling starts once the frame has arrived AND the CPU is free; a
@@ -288,8 +287,7 @@ std::optional<sim::Frame> Endpoint::wait_frame_from(node_id_t src) {
       pump();
       auto& queue = per_source_[src];
       if (!queue.empty()) {
-        sim::Frame frame = std::move(queue.front());
-        queue.pop_front();
+        sim::Frame frame = queue.pop_front();
         bytes_received_ += frame.payload.size();
         node_.clock().sync_to(frame.arrival_time);
         return frame;

@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/slab_pool.hpp"
 #include "common/types.hpp"
@@ -43,6 +45,55 @@ struct Frame {
   /// Copying a frame (retransmission under fault injection) bumps slab
   /// refcounts instead of duplicating bytes.
   ChunkList payload;
+};
+
+/// FIFO queue of frames on a ring that keeps its storage: a frame queue in
+/// steady state costs no heap allocation per frame (a std::deque churns a
+/// node per few frames). Capacity doubles when full and never shrinks.
+/// pop_front() moves the frame out and empties the slot's payload at once,
+/// so a taken frame's chunk references live exactly as long as the taken
+/// frame, never until the slot is reused. Not synchronized: the owner's
+/// lock guards it.
+class FrameRing {
+ public:
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
+
+  const Frame& front() const { return slots_[head_]; }
+
+  void push_back(Frame frame) {
+    if (count_ == slots_.size()) grow();
+    slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(frame);
+    ++count_;
+  }
+
+  Frame pop_front() {
+    Frame& slot = slots_[head_];
+    Frame frame = std::move(slot);
+    slot.payload.clear();
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --count_;
+    return frame;
+  }
+
+ private:
+  static constexpr std::size_t kInitialCapacity = 8;
+
+  // Re-lays the frames out in order at the start of a ring twice the size
+  // (a power of two, so the index wrap is a mask).
+  void grow() {
+    std::vector<Frame> bigger(slots_.empty() ? kInitialCapacity
+                                             : 2 * slots_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<Frame> slots_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace madmpi::sim

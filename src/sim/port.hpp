@@ -2,7 +2,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <optional>
 
@@ -33,9 +32,7 @@ class Port {
   std::optional<Frame> try_take() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (frames_.empty()) return std::nullopt;
-    Frame frame = std::move(frames_.front());
-    frames_.pop_front();
-    return frame;
+    return frames_.pop_front();
   }
 
   /// Blocking take; empty optional means the port was closed and drained.
@@ -43,9 +40,7 @@ class Port {
     std::unique_lock<std::mutex> lock(mutex_);
     available_.wait(lock, [this] { return closed_ || !frames_.empty(); });
     if (frames_.empty()) return std::nullopt;
-    Frame frame = std::move(frames_.front());
-    frames_.pop_front();
-    return frame;
+    return frames_.pop_front();
   }
 
   bool has_frame() const {
@@ -75,7 +70,7 @@ class Port {
  private:
   mutable std::mutex mutex_;
   std::condition_variable available_;
-  std::deque<Frame> frames_;
+  FrameRing frames_;
   bool closed_ = false;
 };
 

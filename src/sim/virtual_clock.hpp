@@ -34,6 +34,15 @@
 // slice — one publication per touched clock per slice instead of one per
 // advance. high_water() folds the caller's own unpublished lanes back in,
 // so a context always observes its own progress.
+//
+// Each LaneMap remembers the last clock it looked up and that clock's slot,
+// so the run of now()/advance()/sync_to() calls one message makes on one
+// node's clock pays a single hash lookup. The first clock a map touches
+// keeps its slot inline: a temporary Marcel thread (a credit return, an
+// acknowledgement) touches one clock only, so its fresh map takes no hash
+// node. A cached slot still goes through the generation check: a reset(),
+// or a new clock built where a dead one lived, re-seeds the lane exactly as
+// an uncached lookup would.
 #pragma once
 
 #include <algorithm>
@@ -89,7 +98,15 @@ class VirtualClock {
 
    private:
     friend class VirtualClock;
+    // The first clock touched and its slot, held inline; every other clock
+    // has an entry in slots_.
+    const VirtualClock* first_clock_ = nullptr;
+    std::shared_ptr<Lane> first_slot_;
     std::unordered_map<const VirtualClock*, std::shared_ptr<Lane>> slots_;
+    // The last clock looked up and its slot (first_slot_ or a node-based
+    // slots_ entry, never erased, so the pointer stays valid).
+    const VirtualClock* last_clock_ = nullptr;
+    std::shared_ptr<Lane>* last_slot_ = nullptr;
     bool batching_ = false;
     // Lanes advanced during the open batch, awaiting high-water flush.
     std::vector<std::pair<const VirtualClock*, std::shared_ptr<Lane>>>
@@ -169,9 +186,14 @@ class VirtualClock {
   usec_t high_water() const {
     usec_t hw = high_water_.load(std::memory_order_acquire);
     if (const LaneMap* map = active_override(); map && map->batching_) {
-      auto it = map->slots_.find(this);
-      if (it != map->slots_.end() && it->second->deferred) {
-        hw = std::max(hw, it->second->time.load(std::memory_order_relaxed));
+      const std::shared_ptr<Lane>* slot = nullptr;
+      if (map->first_clock_ == this) {
+        slot = &map->first_slot_;
+      } else if (auto it = map->slots_.find(this); it != map->slots_.end()) {
+        slot = &it->second;
+      }
+      if (slot != nullptr && *slot && (*slot)->deferred) {
+        hw = std::max(hw, (*slot)->time.load(std::memory_order_relaxed));
       }
     }
     return hw;
@@ -187,20 +209,13 @@ class VirtualClock {
         generation_.load(std::memory_order_acquire);
     std::vector<LaneInfo> out;
     std::lock_guard<std::mutex> lock(registry_mutex_);
-    auto survivor = registry_.begin();
-    for (auto it = registry_.begin(); it != registry_.end(); ++it) {
-      std::shared_ptr<Lane> strong = it->lock();
-      if (!strong) continue;  // thread exited: prune
-      // Guard the self-position case: weak_ptr move-assignment onto itself
-      // empties it (libstdc++ releases before stealing), which would
-      // silently deregister a live lane.
-      if (survivor != it) *survivor = std::move(*it);
-      ++survivor;
-      if (strong->generation != generation) continue;
+    prune_registry();
+    for (const std::weak_ptr<Lane>& lane : registry_) {
+      std::shared_ptr<Lane> strong = lane.lock();
+      if (!strong || strong->generation != generation) continue;
       out.push_back(
           {strong->id, strong->time.load(std::memory_order_acquire)});
     }
-    registry_.erase(survivor, registry_.end());
     std::sort(out.begin(), out.end(),
               [](const LaneInfo& a, const LaneInfo& b) { return a.id < b.id; });
     return out;
@@ -230,7 +245,13 @@ class VirtualClock {
   }
 
   const std::shared_ptr<Lane>& lane_in(LaneMap& map) const {
-    std::shared_ptr<Lane>& slot = map.slots_[this];
+    if (map.last_clock_ != this) {
+      if (map.first_clock_ == nullptr) map.first_clock_ = this;
+      map.last_slot_ =
+          map.first_clock_ == this ? &map.first_slot_ : &map.slots_[this];
+      map.last_clock_ = this;
+    }
+    std::shared_ptr<Lane>& slot = *map.last_slot_;
     const std::uint64_t generation =
         generation_.load(std::memory_order_acquire);
     if (!slot || slot->generation != generation) {
@@ -243,9 +264,22 @@ class VirtualClock {
       slot->time.store(high_water_.load(std::memory_order_acquire),
                        std::memory_order_release);
       std::lock_guard<std::mutex> lock(registry_mutex_);
+      // Prune before the vector regrows, so the registry stays within
+      // twice the most lanes ever live at once even when nothing calls
+      // lanes() (a session without the watchdog): each expired
+      // entry pins its lane's block (make_shared puts the control block
+      // and the Lane in one), and every temporary Marcel thread adds one.
+      if (registry_.size() == registry_.capacity()) prune_registry();
       registry_.push_back(slot);
     }
     return slot;
+  }
+
+  /// Drop the entries of lanes whose context ended (registry_mutex_ held).
+  void prune_registry() const {
+    std::erase_if(registry_, [](const std::weak_ptr<Lane>& lane) {
+      return lane.expired();
+    });
   }
 
   /// Publish a lane's new time: immediately outside a batch, deferred (one

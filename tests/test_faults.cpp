@@ -315,5 +315,30 @@ TEST(Faults, NoRouteRendezvousAlsoFailsCleanly) {
   });
 }
 
+TEST(Faults, SecondSendAfterNoRouteAlsoFailsCleanly) {
+  // The first failed send marks the only route dead. Every later send to
+  // the same peer must still reach ch_mad's route election and come back
+  // kUnreachable: the device choice goes by the topology as built, not by
+  // link health, so it never aborts the process.
+  auto session = tcp_pair();
+  install_plan(*session, 0, sim::Protocol::kTcp, 0)->kill_at(0.0);
+  session->run([](Comm comm) {
+    if (comm.rank() != 0) return;
+    int value = 5;
+    for (int i = 0; i < 2; ++i) {
+      const Status status = comm.send(&value, 1, Datatype::int32(), 1, 0);
+      EXPECT_EQ(status.code(), ErrorCode::kUnreachable) << "eager send " << i;
+    }
+    std::vector<std::uint8_t> big(128 * 1024, 0xab);
+    for (int i = 0; i < 2; ++i) {
+      const Status status = comm.send(big.data(),
+                                      static_cast<int>(big.size()),
+                                      Datatype::uint8(), 1, 0);
+      EXPECT_EQ(status.code(), ErrorCode::kUnreachable)
+          << "rendezvous send " << i;
+    }
+  });
+}
+
 }  // namespace
 }  // namespace madmpi

@@ -175,6 +175,31 @@ TEST(ForwardingMpi, DisabledForwardingStillRejectsUnreachable) {
   EXPECT_DEATH(session.device_for(0, 3), "unreachable");
 }
 
+TEST(ForwardingMpi, IslandsWithoutAGatewayStayUnreachable) {
+  // Forwarding joins only what some chain of networks joins: two SCI
+  // pairs with no common member are two islands, gateway or not.
+  sim::ClusterSpec spec;
+  for (const char* name : {"a0", "a1", "b0", "b1"}) {
+    sim::NodeSpec node;
+    node.name = name;
+    spec.nodes.push_back(node);
+  }
+  spec.networks.push_back({sim::Protocol::kSisci, 0, {"a0", "a1"}});
+  spec.networks.push_back({sim::Protocol::kSisci, 1, {"b0", "b1"}});
+  Session::Options options;
+  options.cluster = spec;
+  options.enable_forwarding = true;
+  Session session(std::move(options));
+  const auto* router = session.ch_mad()->forward_router();
+  ASSERT_NE(router, nullptr);
+  EXPECT_TRUE(router->connected_as_built(0, 1));
+  EXPECT_TRUE(router->connected_as_built(3, 2));
+  EXPECT_FALSE(router->connected_as_built(1, 2));
+  EXPECT_TRUE(session.ch_mad()->reaches(0, 1));
+  EXPECT_FALSE(session.ch_mad()->reaches(0, 2));
+  EXPECT_FALSE(session.ch_mad()->reaches(3, 1));
+}
+
 TEST(ForwardingMpi, ThreeHopChain) {
   // n0 -SCI- n1 -TCP- n2 -BIP- n3: n0 to n3 crosses two gateways.
   sim::ClusterSpec spec;

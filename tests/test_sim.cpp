@@ -2,6 +2,8 @@
 // ports, fabric.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -140,6 +142,56 @@ TEST(VirtualClock, LaneIdsAreStableAcrossSnapshots) {
   EXPECT_DOUBLE_EQ(after[0].time, 2.0);
 }
 
+// ------------------------------------------------- the lane-lookup cache
+
+TEST(VirtualClock, CachedLookupKeepsTwoClocksApart) {
+  // One context alternating between two clocks: each switch moves the
+  // map's last-slot cache, and neither clock may see the other's lane.
+  VirtualClock::LaneMap context;
+  VirtualClock::LaneMap* previous = VirtualClock::exchange_lane_map(&context);
+  VirtualClock a;
+  VirtualClock b;
+  for (int i = 1; i <= 4; ++i) {
+    a.advance(1.0);
+    b.advance(10.0);
+    b.sync_to(b.now() + 100.0);
+    EXPECT_DOUBLE_EQ(a.now(), 1.0 * i);
+    EXPECT_DOUBLE_EQ(b.now(), 110.0 * i);
+  }
+  EXPECT_EQ(a.lanes().size(), 1u);
+  EXPECT_EQ(b.lanes().size(), 1u);
+  EXPECT_NE(a.lanes()[0].id, b.lanes()[0].id);
+  VirtualClock::exchange_lane_map(previous);
+}
+
+TEST(VirtualClock, ResetReseedsTheCachedLaneFromTheHighWaterMark) {
+  VirtualClock clock;
+  clock.advance(50.0);
+  const auto before = clock.lanes();
+  clock.reset(7.0);  // the next touch hits the cached slot, stale by now
+  EXPECT_DOUBLE_EQ(clock.advance(1.0), 8.0);
+  const auto after = clock.lanes();
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_NE(before[0].id, after[0].id);  // a fresh lane, not the old one
+  EXPECT_DOUBLE_EQ(after[0].time, 8.0);
+}
+
+TEST(VirtualClock, ClockBuiltWhereADeadOneLivedStartsAfresh) {
+  // Placement-new pins the address, so the second clock is exactly the
+  // pointer the lane map's cache (and its hash map) still holds.
+  alignas(VirtualClock) std::byte storage[sizeof(VirtualClock)];
+  auto* dead = new (storage) VirtualClock();
+  dead->advance(100.0);
+  dead->~VirtualClock();
+  auto* fresh = new (storage) VirtualClock();
+  ASSERT_EQ(static_cast<void*>(fresh), static_cast<void*>(dead));
+  EXPECT_DOUBLE_EQ(fresh->now(), 0.0);
+  EXPECT_DOUBLE_EQ(fresh->advance(2.0), 2.0);
+  EXPECT_EQ(fresh->lanes().size(), 1u);
+  fresh->~VirtualClock();
+}
+
 TEST(CostModel, FactoriesMatchProtocol) {
   EXPECT_EQ(tcp_fast_ethernet_model().protocol, Protocol::kTcp);
   EXPECT_EQ(sisci_sci_model().protocol, Protocol::kSisci);
@@ -238,6 +290,86 @@ TEST(Port, CloseDrainsThenEof) {
   EXPECT_TRUE(port.take_blocking().has_value());
   EXPECT_FALSE(port.take_blocking().has_value());
   EXPECT_TRUE(port.closed());
+}
+
+TEST(Port, TakenFrameReleasesItsPayloadAtPop) {
+  // The ring keeps its slots, but a taken frame's chunk references leave
+  // with the frame: the lender's hook runs when the taken frame drops, not
+  // when a later delivery reuses the slot.
+  Port port;
+  const std::byte bytes[4] = {};
+  bool released = false;
+  Frame frame;
+  frame.payload.push_back(
+      ChunkRef::lend(byte_span(bytes, sizeof bytes), [&] { released = true; }));
+  port.deliver(std::move(frame));
+  {
+    std::optional<Frame> taken = port.try_take();
+    ASSERT_TRUE(taken.has_value());
+    EXPECT_EQ(taken->payload.size(), sizeof bytes);
+    EXPECT_FALSE(released);
+  }
+  EXPECT_TRUE(released);
+}
+
+TEST(Port, PerSourceFifoAcrossGrowthAndWrap) {
+  // Two senders interleave into one port while the reader drains it, so
+  // the ring both wraps (reads free the head) and grows (bursts outrun the
+  // reader). Each source's frames must come out in its send order.
+  Port port;
+  constexpr std::uint64_t kPerSource = 5000;
+  auto sender = [&port](node_id_t src) {
+    for (std::uint64_t i = 0; i < kPerSource; ++i) {
+      Frame frame;
+      frame.src_node = src;
+      frame.seq = i;
+      port.deliver(std::move(frame));
+    }
+  };
+  std::thread first(sender, 0);
+  std::thread second(sender, 1);
+  std::uint64_t next[2] = {0, 0};
+  for (std::uint64_t taken = 0; taken < 2 * kPerSource;) {
+    std::optional<Frame> frame = port.take_blocking();
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->seq, next[frame->src_node]++);
+    ++taken;
+  }
+  first.join();
+  second.join();
+  EXPECT_EQ(next[0], kPerSource);
+  EXPECT_EQ(next[1], kPerSource);
+  EXPECT_EQ(port.pending(), 0u);
+}
+
+TEST(FrameRing, FifoAcrossWrapAndGrowthWithTwoSources) {
+  // Deterministic twin of the port test: wrap the head past the end of
+  // the initial storage, then grow while wrapped, with two sources
+  // interleaved.
+  FrameRing ring;
+  std::uint64_t sent[2] = {0, 0};
+  std::uint64_t next[2] = {0, 0};
+  auto push = [&](node_id_t src) {
+    Frame frame;
+    frame.src_node = src;
+    frame.seq = sent[src]++;
+    ring.push_back(std::move(frame));
+  };
+  auto pop = [&] {
+    const Frame frame = ring.pop_front();
+    EXPECT_EQ(frame.seq, next[frame.src_node]++);
+  };
+  for (int round = 0; round < 5; ++round) {  // head walks around the ring
+    for (int i = 0; i < 6; ++i) push(i % 2);
+    for (int i = 0; i < 6; ++i) pop();
+  }
+  for (int i = 0; i < 5; ++i) push(i % 2);
+  for (int i = 0; i < 3; ++i) pop();
+  for (int i = 0; i < 40; ++i) push(i % 3 == 0 ? 1 : 0);  // grows, wrapped
+  EXPECT_EQ(ring.size(), 42u);
+  while (!ring.empty()) pop();
+  EXPECT_EQ(next[0], sent[0]);
+  EXPECT_EQ(next[1], sent[1]);
 }
 
 TEST(Node, PollInterferenceSumsOtherChannels) {

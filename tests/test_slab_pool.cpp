@@ -28,7 +28,6 @@ namespace {
 
 SlabPool::Options small_pool_options() {
   SlabPool::Options options;
-  options.max_cached_per_class = 4;
   options.max_slab_bytes = 4096;
   options.refill_batch = 1;  // no spares: allocation counts stay exact
   return options;
@@ -59,7 +58,6 @@ TEST(SlabPool, SizeClassRoundsUpAndReuses) {
 TEST(SlabPool, RefillBatchCachesSpares) {
   SlabPool::Options options = small_pool_options();
   options.refill_batch = 3;
-  options.max_cached_per_class = 8;
   SlabPool pool(options);
   Slab* slab = pool.acquire(64);
   const auto stats = pool.stats();
@@ -114,6 +112,21 @@ TEST(SlabPool, HighWaterTracksPeakOutstandingBytes) {
   EXPECT_EQ(pool.stats().outstanding_bytes, 64u);
   EXPECT_EQ(pool.stats().high_water_bytes, 3u * 64);
   c.reset();
+}
+
+TEST(SlabPool, RecycleKeepsEverySlabOfAPeak) {
+  // No per-class cap: however many slabs a burst held at once, all of
+  // them come back to the cache, and the same burst again carves none.
+  SlabPool pool(small_pool_options());
+  constexpr std::size_t kBurst = 64;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<ChunkRef> burst;
+    for (std::size_t i = 0; i < kBurst; ++i) burst.push_back(pool.allocate(64));
+    burst.clear();
+    EXPECT_EQ(pool.stats().cached_slabs, kBurst);
+    EXPECT_EQ(pool.stats().fresh_allocs, kBurst);
+  }
+  EXPECT_EQ(pool.stats().reuses, kBurst);
 }
 
 TEST(SlabPool, TrimDropsCachedSlabs) {
