@@ -214,6 +214,159 @@ TEST(Rma, HeterogeneousPutAndAccumulate) {
   });
 }
 
+std::unique_ptr<Session> big_endian_pair_session() {
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kTcp);
+  options.cluster.nodes[1].big_endian = true;
+  return std::make_unique<Session>(std::move(options));
+}
+
+TEST(Rma, HeterogeneousGetBothDirections) {
+  // A get reply travels in the target's order and the origin converts:
+  // each rank reads the other's window, one direction big-endian to
+  // little-endian and the other the reverse.
+  auto session = big_endian_pair_session();
+  session->run([&](Comm comm) {
+    Win win = Win::allocate(comm, 64);
+    const std::int64_t mine[2] = {0x0102030405060708LL + comm.rank(),
+                                  -9 - comm.rank()};
+    std::memcpy(win.base(), mine, sizeof mine);
+    ASSERT_TRUE(win.fence().is_ok());
+    const int peer = 1 - comm.rank();
+    std::int64_t fetched[2] = {0, 0};
+    ASSERT_TRUE(win.get(fetched, 2, RmaType::kInt64, peer, 0).is_ok());
+    ASSERT_TRUE(win.fence().is_ok());
+    EXPECT_EQ(fetched[0], 0x0102030405060708LL + peer);
+    EXPECT_EQ(fetched[1], -9 - peer);
+    EXPECT_TRUE(win.free().is_ok());
+  });
+}
+
+TEST(Rma, ReplaceAccumulateFromBigEndianOrigin) {
+  // MPI_REPLACE from a big-endian origin stores host-order values, like a
+  // put, and counts as an accumulate.
+  auto session = big_endian_pair_session();
+  session->run([&](Comm comm) {
+    Win win = Win::allocate(comm, 64);
+    ASSERT_TRUE(win.fence().is_ok());
+    const std::int32_t ints[3] = {0x01020304, -7, 1 << 30};
+    const double real = -2.75;
+    if (comm.rank() == 1) {
+      EXPECT_TRUE(win.accumulate(ints, 3, RmaType::kInt32, RmaOp::kReplace,
+                                 0, 0)
+                      .is_ok());
+      EXPECT_TRUE(win.accumulate(&real, 1, RmaType::kFloat64,
+                                 RmaOp::kReplace, 0, 16)
+                      .is_ok());
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    if (comm.rank() == 0) {
+      EXPECT_EQ(win.accumulates_applied(), 2u);
+      EXPECT_EQ(win.puts_applied(), 0u);
+      std::int32_t in[3] = {0, 0, 0};
+      std::memcpy(in, win.base(), sizeof in);
+      EXPECT_EQ(in[0], 0x01020304);
+      EXPECT_EQ(in[1], -7);
+      EXPECT_EQ(in[2], 1 << 30);
+      double stored = 0.0;
+      std::memcpy(&stored, win.base() + 16, sizeof stored);
+      EXPECT_EQ(stored, -2.75);
+    }
+    EXPECT_TRUE(win.free().is_ok());
+  });
+}
+
+// --------------------------------------------------------------- same node
+
+TEST(Rma, PutAccumulateGetBetweenRanksOfOneNode) {
+  // Ranks 0 and 1 share node 0 (ranks 2 and 3 node 1): their one-sided
+  // traffic is a host store under the window lock, never a packet.
+  Session::Options options;
+  options.cluster = sim::ClusterSpec::homogeneous(2, sim::Protocol::kSisci, 2);
+  Session session(std::move(options));
+  session.run([&](Comm comm) {
+    Win win = Win::allocate(comm, 64);
+    ASSERT_TRUE(win.fence().is_ok());
+    if (comm.rank() == 0) {
+      const std::int32_t values[2] = {17, -3};
+      EXPECT_TRUE(win.put(values, 2, RmaType::kInt32, 1, 0).is_ok());
+      const std::int32_t addend = 25;
+      EXPECT_TRUE(
+          win.accumulate(&addend, 1, RmaType::kInt32, RmaOp::kSum, 1, 0)
+              .is_ok());
+      const double replaced = 0.5;
+      EXPECT_TRUE(win.accumulate(&replaced, 1, RmaType::kFloat64,
+                                 RmaOp::kReplace, 1, 8)
+                      .is_ok());
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    std::int32_t fetched[2] = {0, 0};
+    double fetched_real = 0.0;
+    if (comm.rank() == 0) {
+      ASSERT_TRUE(win.get(fetched, 2, RmaType::kInt32, 1, 0).is_ok());
+      ASSERT_TRUE(win.get(&fetched_real, 1, RmaType::kFloat64, 1, 8).is_ok());
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    if (comm.rank() == 0) {
+      EXPECT_EQ(fetched[0], 42);  // 17 + 25
+      EXPECT_EQ(fetched[1], -3);
+      EXPECT_EQ(fetched_real, 0.5);
+    }
+    if (comm.rank() == 1) {
+      EXPECT_EQ(win.puts_applied(), 1u);
+      EXPECT_EQ(win.accumulates_applied(), 2u);
+    }
+    EXPECT_TRUE(win.free().is_ok());
+  });
+}
+
+// -------------------------------------------------------------- forwarding
+
+TEST(Rma, PutGetAndFenceAcrossAGateway) {
+  // a0 and b0 share no network: every one-sided packet (the put, the get
+  // and its reply, the fence sync and its ack) is relayed by gw.
+  sim::ClusterSpec spec;
+  for (const char* name : {"a0", "gw", "b0"}) {
+    sim::NodeSpec node;
+    node.name = name;
+    spec.nodes.push_back(node);
+  }
+  spec.networks.push_back({sim::Protocol::kSisci, 0, {"a0", "gw"}});
+  spec.networks.push_back({sim::Protocol::kBip, 0, {"gw", "b0"}});
+  Session::Options options;
+  options.cluster = spec;
+  options.enable_forwarding = true;
+  Session session(std::move(options));
+  session.run([&](Comm comm) {
+    Win win = Win::allocate(comm, 4096);
+    if (comm.rank() == 2) {
+      for (int i = 0; i < 256; ++i) {
+        const std::int32_t value = 1000 + i;
+        std::memcpy(win.base() + 1024 + 4 * i, &value, sizeof value);
+      }
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    std::vector<std::int32_t> out(256), in(256, 0);
+    if (comm.rank() == 0) {
+      for (int i = 0; i < 256; ++i) out[i] = 3 * i - 100;
+      EXPECT_TRUE(win.put(out.data(), 256, RmaType::kInt32, 2, 0).is_ok());
+      EXPECT_TRUE(win.get(in.data(), 256, RmaType::kInt32, 2, 1024).is_ok());
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    if (comm.rank() == 0) {
+      for (int i = 0; i < 256; ++i) ASSERT_EQ(in[i], 1000 + i) << i;
+    }
+    if (comm.rank() == 2) {
+      EXPECT_EQ(win.puts_applied(), 1u);
+      std::vector<std::int32_t> landed(256);
+      std::memcpy(landed.data(), win.base(), 4 * landed.size());
+      for (int i = 0; i < 256; ++i) ASSERT_EQ(landed[i], 3 * i - 100) << i;
+    }
+    EXPECT_TRUE(win.free().is_ok());
+  });
+  EXPECT_GE(session.ch_mad()->forwarded(), 4u);
+}
+
 // ------------------------------------------------------------ error paths
 
 TEST(Rma, WindowBoundsAndBadTargetAreRefused) {
