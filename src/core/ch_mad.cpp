@@ -700,7 +700,7 @@ void ChMadDevice::post_rma_reply(NodeState& state, node_id_t dst_node,
     // Failure is survivable: the origin's watchdog/fence error path owns
     // recovery, the same as a lost rendezvous ack.
     Status status =
-        send_packet(src_node, dst_node, header, body.span(), /*rma_data=*/true);
+        send_packet(src_node, dst_node, header, body, /*rma_data=*/true);
     if (!status.is_ok()) {
       MADMPI_LOG_WARN("ch_mad", "one-sided reply to node %d failed: %s",
                       static_cast<int>(dst_node), status.message().c_str());

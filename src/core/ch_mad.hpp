@@ -238,13 +238,15 @@ class ChMadDevice final : public ManagedDevice, private mpi::CreditSink {
     return transmit_packet(src_node, dst_node, header, body, nullptr,
                            rma_data);
   }
-  /// Chunk form: `body` (lent memory) travels by reference through
-  /// Packing::pack_chunk — the same wire layout and virtual charges as the
-  /// span form, whose pack() stages the body into a pooled slab.
+  /// Chunk form: `body` (lent memory or a get reply's snapshot) travels
+  /// by reference through Packing::pack_chunk — the same wire layout and
+  /// virtual charges as the span form, whose pack() stages the body into a
+  /// pooled slab.
   Status send_packet(node_id_t src_node, node_id_t dst_node,
-                     const PacketHeader& header, const ChunkRef& body) {
+                     const PacketHeader& header, const ChunkRef& body,
+                     bool rma_data = false) {
     return transmit_packet(src_node, dst_node, header, body.span(), &body,
-                           false);
+                           rma_data);
   }
   Status transmit_packet(node_id_t src_node, node_id_t dst_node,
                          const PacketHeader& header, byte_span body,

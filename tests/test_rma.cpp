@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/datapath_stats.hpp"
 #include "core/session.hpp"
 #include "harness.hpp"
 #include "mad/madeleine.hpp"
@@ -123,6 +124,43 @@ TEST(Rma, AccumulateSumAndReplace) {
     }
     EXPECT_TRUE(win.free().is_ok());
   });
+}
+
+// Host bytes copied by one get of `bytes` over an SCI pair, from before the
+// request to after the fence that completes it.
+std::uint64_t bytes_copied_by_one_get(std::size_t bytes) {
+  auto session = pair_session(sim::Protocol::kSisci);
+  std::uint64_t copied = 0;
+  session->run([&](Comm comm) {
+    Win win = Win::allocate(comm, bytes);
+    std::vector<std::uint8_t> fetched(bytes);
+    ASSERT_TRUE(win.fence().is_ok());
+    ASSERT_TRUE(comm.barrier().is_ok());
+    const auto before = DatapathStats::global().snapshot();
+    ASSERT_TRUE(comm.barrier().is_ok());
+    if (comm.rank() == 0) {
+      ASSERT_TRUE(win.get(fetched.data(), static_cast<int>(bytes),
+                          RmaType::kUint8, 1, 0)
+                      .is_ok());
+    }
+    ASSERT_TRUE(win.fence().is_ok());
+    ASSERT_TRUE(comm.barrier().is_ok());
+    if (comm.rank() == 0) {
+      copied = (DatapathStats::global().snapshot() - before).bytes_copied;
+    }
+    EXPECT_TRUE(win.free().is_ok());
+  });
+  return copied;
+}
+
+TEST(Rma, GetReplyTravelsByReference) {
+  // The target snapshots the window range into a pooled chunk and lends
+  // that chunk to the wire; the origin copies it into the get buffer. Two
+  // copies, no staging in between.
+  EXPECT_EQ(bytes_copied_by_one_get(4096), 8192u);
+  // SCI carries blocks of 64 B or less inline in the control frame, which
+  // is a copy of its own.
+  EXPECT_EQ(bytes_copied_by_one_get(32), 96u);
 }
 
 // ---------------------------------------------------------- passive target
