@@ -186,9 +186,16 @@ void ChMadDevice::shutdown() {
 Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
                                     const PacketHeader& header, byte_span body,
                                     const ChunkRef* chunk, bool rma_data) {
-  // A data-bearing packet's CHEAPER body: a lent chunk travels by
-  // reference, borrowed bytes stage into a pooled slab.
-  auto pack_body = [&](mad::Packing& packing) {
+  // The EXPRESS header (plus the descriptor on one-sided packets), then a
+  // data-bearing packet's CHEAPER body: a lent chunk travels by reference,
+  // borrowed bytes stage into a pooled slab.
+  auto pack_packet = [&](mad::Packing& packing) {
+    packing.pack(&header, kBaseHeaderBytes, mad::SendMode::kSafer,
+                 mad::RecvMode::kExpress);
+    if (header.type == PacketType::kRma) {
+      packing.pack(&header.rma, sizeof header.rma, mad::SendMode::kSafer,
+                   mad::RecvMode::kExpress);
+    }
     if (body.empty()) return;
     if (chunk != nullptr) {
       packing.pack_chunk(*chunk, mad::SendMode::kLater,
@@ -216,13 +223,7 @@ Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
       }
     }
     mad::Packing packing = endpoint->begin_packing(dst_node, mode);
-    packing.pack(&header, kBaseHeaderBytes, mad::SendMode::kSafer,
-                 mad::RecvMode::kExpress);
-    if (is_rma(header.type)) {
-      packing.pack(&header.rma, sizeof header.rma, mad::SendMode::kSafer,
-                   mad::RecvMode::kExpress);
-    }
-    pack_body(packing);
+    pack_packet(packing);
     Status status = packing.end_packing();
     if (status.is_ok()) return status;
 
@@ -259,13 +260,7 @@ Status ChMadDevice::transmit_packet(node_id_t src_node, node_id_t dst_node,
   mad::Packing packing = egress->at(src_node)->begin_packing(next);
   packing.pack(&fwd, sizeof fwd, mad::SendMode::kSafer,
                mad::RecvMode::kExpress);
-  packing.pack(&header, kBaseHeaderBytes, mad::SendMode::kSafer,
-               mad::RecvMode::kExpress);
-  if (is_rma(header.type)) {
-    packing.pack(&header.rma, sizeof header.rma, mad::SendMode::kSafer,
-                 mad::RecvMode::kExpress);
-  }
-  pack_body(packing);
+  pack_packet(packing);
   return packing.end_packing();
 }
 
@@ -407,6 +402,7 @@ Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
   sim::Node& src_node = directory_.node_of(src);
   sim::Node& dst_node = directory_.node_of(dst);
   PacketHeader header;
+  header.type = PacketType::kRma;
   header.src_global = src;
   header.dst_global = dst;
   header.rma = desc;
@@ -416,19 +412,6 @@ Status ChMadDevice::rma(rank_t src, rank_t dst, const mpi::RmaDesc& desc,
   header.envelope.dst = dst;
   header.envelope.bytes = desc.bytes;
   header.envelope.sender_big_endian = src_node.big_endian();
-  switch (desc.kind) {
-    case mpi::RmaKind::kPut: header.type = PacketType::kRmaPut; break;
-    case mpi::RmaKind::kGet: header.type = PacketType::kRmaGet; break;
-    case mpi::RmaKind::kAccumulate:
-      header.type = PacketType::kRmaAccumulate;
-      break;
-    case mpi::RmaKind::kLock: header.type = PacketType::kRmaLock; break;
-    case mpi::RmaKind::kUnlock: header.type = PacketType::kRmaUnlock; break;
-    case mpi::RmaKind::kSync: header.type = PacketType::kRmaSync; break;
-    default:
-      return Status(ErrorCode::kInvalidArgument,
-                    "not an origin-issued one-sided kind");
-  }
 
   NodeState& state = state_of(src_node.id());
   std::uint64_t handle = 0;
@@ -693,9 +676,19 @@ std::size_t ChMadDevice::watchdog_sweep(const RouteDead& route_dead,
   return canceled;
 }
 
-void ChMadDevice::post_rma_reply(NodeState& state, node_id_t dst_node,
-                                 PacketHeader header, ChunkRef body) {
+PacketHeader ChMadDevice::reply_to(const PacketHeader& request,
+                                   mpi::RmaKind kind) {
+  PacketHeader reply = request;  // echoes sender_handle and the descriptor
+  reply.rma.kind = kind;
+  reply.src_global = request.dst_global;
+  reply.dst_global = request.src_global;
+  return reply;
+}
+
+void ChMadDevice::post_rma_reply(NodeState& state, const PacketHeader& header,
+                                 ChunkRef body) {
   const node_id_t src_node = state.node->id();
+  const node_id_t dst_node = directory_.node_of(header.dst_global).id();
   marcel::Executor::run_here(*state.node, marcel::ThreadCosts::kCreate, [&] {
     // Failure is survivable: the origin's watchdog/fence error path owns
     // recovery, the same as a lost rendezvous ack.
@@ -713,7 +706,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
   PacketHeader header;
   incoming.unpack(&header, kBaseHeaderBytes, mad::SendMode::kSafer,
                   mad::RecvMode::kExpress);
-  if (is_rma(header.type)) {
+  if (header.type == PacketType::kRma) {
     incoming.unpack(&header.rma, sizeof header.rma, mad::SendMode::kSafer,
                     mad::RecvMode::kExpress);
   }
@@ -730,15 +723,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       case PacketType::kRndvData: kind = "rndv_data"; break;
       case PacketType::kTerm: kind = "term"; break;
       case PacketType::kCredit: kind = "credit"; break;
-      case PacketType::kRmaPut: kind = "rma_put"; break;
-      case PacketType::kRmaGet: kind = "rma_get"; break;
-      case PacketType::kRmaGetReply: kind = "rma_get_reply"; break;
-      case PacketType::kRmaAccumulate: kind = "rma_acc"; break;
-      case PacketType::kRmaLock: kind = "rma_lock"; break;
-      case PacketType::kRmaLockGrant: kind = "rma_lock_grant"; break;
-      case PacketType::kRmaUnlock: kind = "rma_unlock"; break;
-      case PacketType::kRmaSync: kind = "rma_sync"; break;
-      case PacketType::kRmaAck: kind = "rma_ack"; break;
+      case PacketType::kRma: kind = mpi::rma_kind_name(header.rma.kind); break;
     }
     sim::trace(state.node->clock().now(), state.node->id(),
                sim::TraceCategory::kDispatch, header.envelope.bytes, kind);
@@ -953,15 +938,26 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       return;
     }
 
-    case PacketType::kRmaPut:
-    case PacketType::kRmaAccumulate: {
+    case PacketType::kRma:
+      handle_rma(state, header, incoming);
+      return;
+  }
+  fatal("corrupt ch_mad packet type");
+}
+
+void ChMadDevice::handle_rma(NodeState& state, const PacketHeader& header,
+                             mad::Unpacking& incoming) {
+  const mpi::RmaDesc& desc = header.rma;
+  switch (desc.kind) {
+    case mpi::RmaKind::kPut:
+    case mpi::RmaKind::kAccumulate: {
       // Data lands straight in window memory: view the wire bytes where
       // the driver put them (for kRmaDirect, "where the NIC wrote them")
       // and place them under the window lock. No unexpected-store staging,
       // no rendezvous bounce.
       mad::Unpacking::View view;
-      if (header.rma.bytes != 0) {
-        view = incoming.unpack_view(header.rma.bytes, mad::SendMode::kLater,
+      if (desc.bytes != 0) {
+        view = incoming.unpack_view(desc.bytes, mad::SendMode::kLater,
                                     mad::RecvMode::kCheaper);
       }
       const sim::LinkCostModel& model = incoming.model();
@@ -971,65 +967,36 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         // next-best route; dropping keeps application exactly-once.
         return;
       }
-      mpi::WinTarget* win = directory_.context_of(header.dst_global)
-                                .find_window(header.rma.win_id);
+      mpi::WinTarget* win =
+          directory_.context_of(header.dst_global).find_window(desc.win_id);
       if (win == nullptr) {
         MADMPI_LOG_WARN("ch_mad", "one-sided op for unknown window %llu",
-                        static_cast<unsigned long long>(header.rma.win_id));
+                        static_cast<unsigned long long>(desc.win_id));
         return;
       }
       std::vector<std::function<void()>> ready;
       {
         std::lock_guard<std::mutex> lock(win->mutex);
-        const std::uint64_t offset = header.rma.offset;
-        const std::uint64_t bytes = header.rma.bytes;
-        const bool in_range =
-            bytes <= win->bytes && offset <= win->bytes - bytes;
-        if (!in_range || view.bytes.size() != bytes) {
+        const bool in_range = desc.bytes <= win->bytes &&
+                              desc.offset <= win->bytes - desc.bytes;
+        if (!in_range || view.bytes.size() != desc.bytes) {
           // Origin-side bounds checks make this unreachable from the Win
           // API; a corrupt descriptor must not scribble past the window.
           MADMPI_LOG_WARN("ch_mad",
                           "dropping out-of-range one-sided op at %llu+%llu",
-                          static_cast<unsigned long long>(offset),
-                          static_cast<unsigned long long>(bytes));
-        } else if (bytes != 0) {
-          const std::size_t width = mpi::rma_type_width(header.rma.type);
-          if (header.type == PacketType::kRmaPut) {
-            std::memcpy(win->base + offset, view.bytes.data(), bytes);
-            if (header.envelope.sender_big_endian && width > 1) {
-              // Window memory holds host order; the wire slab (shared
-              // with retransmits) stays untouched.
-              mpi::rma_datatype(header.rma.type)
-                  .swap_packed_bytes(win->base + offset, bytes);
-            }
-            ++win->puts_applied;
-          } else {
-            byte_span wire = view.bytes;
-            ChunkRef swapped;
-            if (header.envelope.sender_big_endian && width > 1) {
-              swapped = SlabPool::global().stage(wire);
-              mpi::rma_datatype(header.rma.type)
-                  .swap_packed_bytes(swapped.mutable_data(), bytes);
-              wire = swapped.span();
-            }
-            if (header.rma.op == mpi::RmaOp::kReplace) {
-              std::memcpy(win->base + offset, wire.data(), bytes);
-            } else {
-              mpi::rma_op(header.rma.op)
-                  .apply(wire.data(), win->base + offset,
-                         static_cast<int>(bytes / width),
-                         mpi::rma_datatype(header.rma.type));
-            }
-            ++win->accs_applied;
-          }
-          DatapathStats::global().count_copy(bytes);
+                          static_cast<unsigned long long>(desc.offset),
+                          static_cast<unsigned long long>(desc.bytes));
+        } else if (desc.bytes != 0) {
+          // Window memory holds host order; the wire slab (shared with
+          // retransmits) stays untouched.
+          win->apply(desc, view.bytes, header.envelope.sender_big_endian);
           // Landing cost: zero where the network wrote into the mapped
           // window itself (SISCI PIO), a host copy where it was emulated.
-          state.node->clock().advance(static_cast<double>(bytes) *
+          state.node->clock().advance(static_cast<double>(desc.bytes) *
                                       model.rma_landing_us_per_byte);
           if (header.envelope.sender_big_endian !=
               state.node->big_endian()) {
-            state.node->clock().advance(static_cast<double>(bytes) *
+            state.node->clock().advance(static_cast<double>(desc.bytes) *
                                         sim::kHostCopyUsPerByte);
           }
         }
@@ -1041,34 +1008,25 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
       return;
     }
 
-    case PacketType::kRmaGet: {
+    case mpi::RmaKind::kGet: {
       incoming.end_unpacking();
       const sim::LinkCostModel& model = incoming.model();
-      PacketHeader reply = header;  // echoes sender_handle and rma
-      reply.type = PacketType::kRmaGetReply;
-      reply.src_global = header.dst_global;
-      reply.dst_global = header.src_global;
+      PacketHeader reply = reply_to(header, mpi::RmaKind::kGetReply);
       reply.envelope.sender_big_endian = state.node->big_endian();
-      mpi::WinTarget* win = directory_.context_of(header.dst_global)
-                                .find_window(header.rma.win_id);
+      mpi::WinTarget* win =
+          directory_.context_of(header.dst_global).find_window(desc.win_id);
       ChunkRef body;
-      const std::uint64_t offset = header.rma.offset;
-      const std::uint64_t bytes = header.rma.bytes;
-      if (win != nullptr && bytes != 0 && bytes <= win->bytes &&
-          offset <= win->bytes - bytes) {
+      if (win != nullptr && desc.bytes != 0 && desc.bytes <= win->bytes &&
+          desc.offset <= win->bytes - desc.bytes) {
         // Snapshot the window range into a pool chunk (the reply task
         // must not read live window memory unlocked); a big-endian target
         // ships it in its own order, the origin converts.
-        body = SlabPool::global().allocate(bytes);
+        body = SlabPool::global().allocate(desc.bytes);
         std::lock_guard<std::mutex> lock(win->mutex);
-        std::memcpy(body.mutable_data(), win->base + offset, bytes);
-        if (state.node->big_endian() &&
-            mpi::rma_type_width(header.rma.type) > 1) {
-          mpi::rma_datatype(header.rma.type)
-              .swap_packed_bytes(body.mutable_data(), bytes);
-        }
-        DatapathStats::global().count_copy(bytes);
-        state.node->clock().advance(static_cast<double>(bytes) *
+        mpi::rma_land(body.mutable_data(),
+                      {win->base + desc.offset, desc.bytes}, desc.type,
+                      mpi::RmaOp::kReplace, state.node->big_endian());
+        state.node->clock().advance(static_cast<double>(desc.bytes) *
                                     model.rma_landing_us_per_byte);
       } else {
         // Unknown window or out-of-range read: reply empty; the origin
@@ -1076,19 +1034,86 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         reply.rma.bytes = 0;
         reply.envelope.bytes = 0;
         MADMPI_LOG_WARN("ch_mad", "one-sided get rejected at %llu+%llu",
-                        static_cast<unsigned long long>(offset),
-                        static_cast<unsigned long long>(bytes));
+                        static_cast<unsigned long long>(desc.offset),
+                        static_cast<unsigned long long>(desc.bytes));
       }
-      const node_id_t origin_node =
-          directory_.node_of(header.src_global).id();
-      post_rma_reply(state, origin_node, reply, std::move(body));
+      post_rma_reply(state, reply, std::move(body));
       return;
     }
 
-    case PacketType::kRmaGetReply: {
+    case mpi::RmaKind::kLock: {
+      incoming.end_unpacking();
+      mpi::WinTarget* win =
+          directory_.context_of(header.dst_global).find_window(desc.win_id);
+      if (win == nullptr) {
+        MADMPI_LOG_WARN("ch_mad", "lock request for unknown window %llu",
+                        static_cast<unsigned long long>(desc.win_id));
+        return;
+      }
+      NodeState* state_ptr = &state;
+      auto fire = [this, state_ptr,
+                   grant = reply_to(header, mpi::RmaKind::kLockGrant)] {
+        post_rma_reply(*state_ptr, grant, ChunkRef());
+      };
+      bool now = false;
+      {
+        std::lock_guard<std::mutex> lock(win->mutex);
+        if (win->grantable(desc.lock)) {
+          win->acquire(desc.lock);
+          now = true;
+        } else {
+          win->waiters.push_back({desc.lock, fire});
+        }
+      }
+      if (now) fire();
+      return;
+    }
+
+    case mpi::RmaKind::kSync:
+    case mpi::RmaKind::kUnlock: {
+      incoming.end_unpacking();
+      mpi::WinTarget* win =
+          directory_.context_of(header.dst_global).find_window(desc.win_id);
+      if (win == nullptr) {
+        MADMPI_LOG_WARN("ch_mad", "fence for unknown window %llu",
+                        static_cast<unsigned long long>(desc.win_id));
+        return;
+      }
+      NodeState* state_ptr = &state;
+      auto fire = [this, state_ptr,
+                   ack = reply_to(header, mpi::RmaKind::kAck)] {
+        post_rma_reply(*state_ptr, ack, ChunkRef());
+      };
+      const bool is_unlock = desc.kind == mpi::RmaKind::kUnlock;
+      std::vector<std::function<void()>> ready;
+      bool now = false;
+      {
+        std::lock_guard<std::mutex> lock(win->mutex);
+        if (win->applied[header.src_global] >= desc.op_count) {
+          if (is_unlock) ready = win->release_and_grant(desc.lock);
+          now = true;
+        } else {
+          // Ledger behind the origin's cumulative count: park the ack (and
+          // the unlock's release); note_applied fires it when the last
+          // in-flight op lands.
+          win->pending_acks.push_back(
+              {header.src_global, desc.op_count,
+               is_unlock ? desc.lock : mpi::RmaLockType::kNone, fire});
+        }
+      }
+      for (auto& grant : ready) grant();
+      if (now) fire();
+      return;
+    }
+
+    case mpi::RmaKind::kGetReply:
+    case mpi::RmaKind::kLockGrant:
+    case mpi::RmaKind::kAck: {
+      // Replies complete the origin's pending operation; a get reply first
+      // lands its bytes in the get buffer.
       mad::Unpacking::View view;
-      if (header.rma.bytes != 0) {
-        view = incoming.unpack_view(header.rma.bytes, mad::SendMode::kLater,
+      if (desc.bytes != 0) {
+        view = incoming.unpack_view(desc.bytes, mad::SendMode::kLater,
                                     mad::RecvMode::kCheaper);
       }
       incoming.end_unpacking();
@@ -1098,7 +1123,7 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         std::lock_guard<std::mutex> lock(state.mutex);
         auto it = state.rma_pending.find(header.sender_handle);
         if (it == state.rma_pending.end()) {
-          MADMPI_LOG_WARN("ch_mad", "get reply for unknown handle %llu",
+          MADMPI_LOG_WARN("ch_mad", "one-sided reply for unknown handle %llu",
                           static_cast<unsigned long long>(
                               header.sender_handle));
           return;
@@ -1106,126 +1131,32 @@ void ChMadDevice::handle_message(NodeState& state, mad::Unpacking& incoming,
         pending = std::move(it->second);
         state.rma_pending.erase(it);
       }
-      if (!view.bytes.empty() && pending.get_dest != nullptr) {
-        std::memcpy(pending.get_dest, view.bytes.data(), view.bytes.size());
-        if (header.envelope.sender_big_endian &&
-            mpi::rma_type_width(header.rma.type) > 1) {
-          mpi::rma_datatype(header.rma.type)
-              .swap_packed_bytes(static_cast<std::byte*>(pending.get_dest),
-                                 view.bytes.size());
-        }
-        if (header.envelope.sender_big_endian != state.node->big_endian()) {
-          state.node->clock().advance(
-              static_cast<double>(view.bytes.size()) *
-              sim::kHostCopyUsPerByte);
-        }
-        DatapathStats::global().count_copy(view.bytes.size());
-      }
       mpi::MpiStatus status;
-      status.bytes = view.bytes.size();
-      if (view.bytes.size() != pending.bytes) {
-        status.error = ErrorCode::kTruncated;
+      if (desc.kind == mpi::RmaKind::kGetReply) {
+        if (!view.bytes.empty() && pending.get_dest != nullptr) {
+          mpi::rma_land(static_cast<std::byte*>(pending.get_dest),
+                        view.bytes, desc.type, mpi::RmaOp::kReplace,
+                        header.envelope.sender_big_endian);
+          if (header.envelope.sender_big_endian !=
+              state.node->big_endian()) {
+            state.node->clock().advance(
+                static_cast<double>(view.bytes.size()) *
+                sim::kHostCopyUsPerByte);
+          }
+        }
+        status.bytes = view.bytes.size();
+        if (view.bytes.size() != pending.bytes) {
+          status.error = ErrorCode::kTruncated;
+        }
       }
       mpi::RequestState::complete(pending.completion, status);
       return;
     }
 
-    case PacketType::kRmaLock: {
-      incoming.end_unpacking();
-      mpi::WinTarget* win = directory_.context_of(header.dst_global)
-                                .find_window(header.rma.win_id);
-      if (win == nullptr) {
-        MADMPI_LOG_WARN("ch_mad", "lock request for unknown window %llu",
-                        static_cast<unsigned long long>(header.rma.win_id));
-        return;
-      }
-      PacketHeader grant = header;
-      grant.type = PacketType::kRmaLockGrant;
-      grant.src_global = header.dst_global;
-      grant.dst_global = header.src_global;
-      const node_id_t origin_node =
-          directory_.node_of(header.src_global).id();
-      NodeState* state_ptr = &state;
-      auto fire = [this, state_ptr, origin_node, grant] {
-        post_rma_reply(*state_ptr, origin_node, grant, ChunkRef());
-      };
-      bool now = false;
-      {
-        std::lock_guard<std::mutex> lock(win->mutex);
-        if (win->grantable(header.rma.lock)) {
-          win->acquire(header.rma.lock);
-          now = true;
-        } else {
-          win->waiters.push_back({header.rma.lock, fire});
-        }
-      }
-      if (now) fire();
-      return;
-    }
-
-    case PacketType::kRmaSync:
-    case PacketType::kRmaUnlock: {
-      incoming.end_unpacking();
-      mpi::WinTarget* win = directory_.context_of(header.dst_global)
-                                .find_window(header.rma.win_id);
-      if (win == nullptr) {
-        MADMPI_LOG_WARN("ch_mad", "fence for unknown window %llu",
-                        static_cast<unsigned long long>(header.rma.win_id));
-        return;
-      }
-      PacketHeader ack = header;
-      ack.type = PacketType::kRmaAck;
-      ack.src_global = header.dst_global;
-      ack.dst_global = header.src_global;
-      const node_id_t origin_node =
-          directory_.node_of(header.src_global).id();
-      NodeState* state_ptr = &state;
-      auto fire = [this, state_ptr, origin_node, ack] {
-        post_rma_reply(*state_ptr, origin_node, ack, ChunkRef());
-      };
-      const bool is_unlock = header.type == PacketType::kRmaUnlock;
-      std::vector<std::function<void()>> ready;
-      bool now = false;
-      {
-        std::lock_guard<std::mutex> lock(win->mutex);
-        if (win->applied[header.src_global] >= header.rma.op_count) {
-          if (is_unlock) ready = win->release_and_grant(header.rma.lock);
-          now = true;
-        } else {
-          // Ledger behind the origin's cumulative count: park the ack (and
-          // the unlock's release); note_applied fires it when the last
-          // in-flight op lands.
-          win->pending_acks.push_back(
-              {header.src_global, header.rma.op_count,
-               is_unlock ? header.rma.lock : mpi::RmaLockType::kNone, fire});
-        }
-      }
-      for (auto& grant : ready) grant();
-      if (now) fire();
-      return;
-    }
-
-    case PacketType::kRmaLockGrant:
-    case PacketType::kRmaAck: {
-      incoming.end_unpacking();
-      RmaPending pending;
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        auto it = state.rma_pending.find(header.sender_handle);
-        if (it == state.rma_pending.end()) {
-          MADMPI_LOG_WARN("ch_mad", "one-sided ack for unknown handle %llu",
-                          static_cast<unsigned long long>(
-                              header.sender_handle));
-          return;
-        }
-        pending = std::move(it->second);
-        state.rma_pending.erase(it);
-      }
-      mpi::RequestState::complete(pending.completion, mpi::MpiStatus{});
-      return;
-    }
+    case mpi::RmaKind::kNone:
+      break;
   }
-  fatal("corrupt ch_mad packet type");
+  fatal("corrupt one-sided descriptor");
 }
 
 }  // namespace madmpi::core

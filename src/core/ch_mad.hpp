@@ -264,10 +264,18 @@ class ChMadDevice final : public ManagedDevice, private mpi::CreditSink {
   /// channel's polling thread on the gateway node).
   void relay(node_id_t me, ForwardHeader fwd, mad::Unpacking& incoming);
 
+  /// Dispatch of a PacketType::kRma packet on its descriptor's kind.
+  void handle_rma(NodeState& state, const PacketHeader& header,
+                  mad::Unpacking& incoming);
+  /// The reply of kind `kind` to a one-sided request: source and
+  /// destination swapped, sender_handle and descriptor echoed.
+  static PacketHeader reply_to(const PacketHeader& request,
+                               mpi::RmaKind kind);
   /// One-sided replies (lock grants, fence acks, get replies) are
-  /// temporary threads too; `body` holds a get reply's bytes.
-  void post_rma_reply(NodeState& state, node_id_t dst_node,
-                      PacketHeader header, ChunkRef body);
+  /// temporary threads too, sent to the node of `header.dst_global`;
+  /// `body` holds a get reply's bytes.
+  void post_rma_reply(NodeState& state, const PacketHeader& header,
+                      ChunkRef body);
   /// Register a rendezvous send that completes `completion` and inject its
   /// REQUEST on the calling thread (per-source program order, which the
   /// matching layer's FIFO relies on). A REQUEST that cannot leave

@@ -3,7 +3,8 @@
 // Every MPI message is one Madeleine message built from one or two packets:
 // a header packed EXPRESS (it carries what is needed to unpack the body)
 // and, for data-bearing types only, a body packed CHEAPER. The five packet
-// types mirror the paper exactly.
+// types mirror the paper exactly; flow control and one-sided traffic add
+// one type each.
 #pragma once
 
 #include <cstddef>
@@ -24,17 +25,9 @@ enum class PacketType : std::uint8_t {
                    // (header only; used when no reverse traffic exists
                    // to piggyback credits on)
 
-  // One-sided extension (no paper equivalent; ROADMAP "RMA over the slab
-  // pool"). Data-bearing kinds carry a body; the rest are header-only.
-  kRmaPut,         // header + body landing at rma.offset in the window
-  kRmaGet,         // get request (header only)
-  kRmaGetReply,    // header + body: the requested window bytes
-  kRmaAccumulate,  // header + body combined into the window with rma.op
-  kRmaLock,        // passive-target lock request (header only)
-  kRmaLockGrant,   // lock granted (header only)
-  kRmaUnlock,      // lock release + completion fence (header only)
-  kRmaSync,        // active-target completion fence (header only)
-  kRmaAck,         // kRmaSync / kRmaUnlock acknowledgement (header only)
+  kRma,            // one-sided extension (no paper equivalent): the
+                   // descriptor's rma.kind picks the handler; puts,
+                   // accumulates and get replies carry a body
 };
 
 /// The fixed header carried EXPRESS with every ch_mad message. Contains the
@@ -71,16 +64,12 @@ struct PacketHeader {
   std::uint64_t credit_bytes = 0;
   node_id_t credit_origin = kInvalidNode;
 
-  // One-sided descriptor (kRma* types only; zero otherwise). For replies
-  // (kRmaGetReply/kRmaLockGrant/kRmaAck) `sender_handle` echoes the
-  // origin's pending-operation handle. MUST stay the last member: the wire
-  // carries it only on kRma* packets (see kBaseHeaderBytes).
+  // One-sided descriptor (kRma only; zero otherwise). For replies
+  // (kGetReply/kLockGrant/kAck) `sender_handle` echoes the origin's
+  // pending-operation handle. MUST stay the last member: the wire carries
+  // it only on kRma packets (see kBaseHeaderBytes).
   mpi::RmaDesc rma;
 };
-
-constexpr bool is_rma(PacketType type) {
-  return type >= PacketType::kRmaPut && type <= PacketType::kRmaAck;
-}
 
 /// Wire size of the header on two-sided packets. RMA packets append the
 /// descriptor as a second EXPRESS block; everything else sends only the

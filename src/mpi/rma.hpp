@@ -5,18 +5,21 @@
 //
 // Design (ROADMAP "RMA over the slab pool"; the RDMA-channel literature in
 // PAPERS.md): a window is a registered memory region. A put travels as one
-// control header plus a ChunkRef body the target-side handler lands
-// directly into window memory — no unexpected-store staging, no rendezvous
-// bounce. Epoch completion is a per-origin cumulative ledger: each
-// put/accumulate applied at the target bumps `applied[origin]`; a fence or
-// unlock carries the origin's cumulative sent-count and is acknowledged
-// once the ledger catches up, so completion needs no per-message acks.
+// control header plus a body the target-side handler lands directly into
+// window memory — no unexpected-store staging, no rendezvous bounce. A put
+// is an accumulate with RmaOp::kReplace: both take one path at the origin
+// and one landing (WinTarget::apply) at the target. Epoch completion is a
+// per-origin cumulative ledger: each put/accumulate applied at the target
+// bumps `applied[origin]`; a fence or unlock carries the origin's
+// cumulative sent-count and is acknowledged once the ledger catches up, so
+// completion needs no per-message acks.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -29,10 +32,11 @@
 
 namespace madmpi::mpi {
 
-/// The one-sided verbs as they appear on the wire.
+/// The one-sided verbs as they appear on the wire: every one-sided packet
+/// carries its RmaDesc, and the kind picks the target's handler.
 enum class RmaKind : std::uint8_t {
   kNone = 0,
-  kPut,         // data lands at desc.offset in the target window
+  kPut,         // data stored at desc.offset in the target window
   kGet,         // request: target replies with window bytes
   kGetReply,    // reply carrying the requested bytes
   kAccumulate,  // data combined into the window with desc.op
@@ -42,6 +46,17 @@ enum class RmaKind : std::uint8_t {
   kSync,        // active-target completion fence (carries op_count)
   kAck,         // kSync/kUnlock acknowledgement
 };
+
+/// Trace label of a one-sided packet.
+inline const char* rma_kind_name(RmaKind kind) {
+  // Indexed by RmaKind.
+  static constexpr const char* kNames[] = {
+      "rma",       "rma_put",        "rma_get",    "rma_get_reply",
+      "rma_acc",   "rma_lock",       "rma_lock_grant",
+      "rma_unlock", "rma_sync",      "rma_ack"};
+  const auto index = static_cast<std::size_t>(kind);
+  return index < std::size(kNames) ? kNames[index] : "rma";
+}
 
 enum class RmaLockType : std::uint8_t { kNone = 0, kShared, kExclusive };
 
@@ -92,6 +107,13 @@ inline std::size_t rma_type_width(RmaType type) {
   return 1;
 }
 
+/// Byte-swap `bytes` bytes of `type` elements in place (no-op for
+/// single-byte types).
+inline void rma_swap(RmaType type, std::byte* data, std::size_t bytes) {
+  if (rma_type_width(type) <= 1 || bytes == 0) return;
+  rma_datatype(type).swap_packed_bytes(data, bytes);
+}
+
 /// Reduction selector for accumulate (the wire-encodable subset of Op).
 /// kReplace is MPI_REPLACE: a plain store, giving MPI_Put semantics.
 enum class RmaOp : std::uint8_t {
@@ -118,10 +140,19 @@ inline Op rma_op(RmaOp op) {
     case RmaOp::kBand: return Op::band();
     case RmaOp::kBor: return Op::bor();
     case RmaOp::kBxor: return Op::bxor();
-    case RmaOp::kReplace: break;  // handled by the caller as a store
+    case RmaOp::kReplace: break;  // rma_land stores instead
   }
   return Op::sum();
 }
+
+/// The one landing step of every one-sided transfer: store `data` at `dst`
+/// (kReplace; a put, a get's snapshot or its reply) or combine it into
+/// `dst` with `op`. `swap` says `data` holds `type` elements in the other
+/// byte order: a store swaps in place after the copy, a reduction needs
+/// host-order operands and so stages one swapped copy. Counts the copy; the
+/// caller charges virtual time.
+void rma_land(std::byte* dst, byte_span data, RmaType type, RmaOp op,
+              bool swap);
 
 /// The fixed one-sided descriptor carried EXPRESS in the ch_mad packet
 /// header (flat POD; unused fields are zero for kinds that do not need
@@ -225,6 +256,13 @@ struct WinTarget {
       --shared_holders;
     }
     return grant_waiters();
+  }
+
+  /// Land one put or accumulate (`data` is desc.bytes long, in range) and
+  /// count it. Caller holds `mutex`.
+  void apply(const RmaDesc& desc, byte_span data, bool swap) {
+    rma_land(base + desc.offset, data, desc.type, desc.op, swap);
+    ++(desc.kind == RmaKind::kPut ? puts_applied : accs_applied);
   }
 
   /// One put/accumulate from `origin` was applied: bump the ledger and

@@ -41,15 +41,25 @@ struct Win::State {
   bool freed = false;
 };
 
-namespace {
-
-/// Byte-swap `bytes` wire bytes of `type` elements in place.
-void swap_wire(RmaType type, std::byte* data, std::size_t bytes) {
-  if (rma_type_width(type) <= 1 || bytes == 0) return;
-  rma_datatype(type).swap_packed_bytes(data, bytes);
+void rma_land(std::byte* dst, byte_span data, RmaType type, RmaOp op,
+              bool swap) {
+  if (data.empty()) return;
+  if (op == RmaOp::kReplace) {
+    std::memcpy(dst, data.data(), data.size());
+    if (swap) rma_swap(type, dst, data.size());
+  } else {
+    ChunkRef swapped;
+    if (swap && rma_type_width(type) > 1) {
+      swapped = SlabPool::global().stage(data);
+      rma_swap(type, swapped.mutable_data(), data.size());
+      data = swapped.span();
+    }
+    rma_op(op).apply(data.data(), dst,
+                     static_cast<int>(data.size() / rma_type_width(type)),
+                     rma_datatype(type));
+  }
+  DatapathStats::global().count_copy(data.size());
 }
-
-}  // namespace
 
 Win Win::init(const Comm& comm, void* base, std::size_t bytes,
               ChunkRef backing) {
@@ -147,15 +157,38 @@ Status Win::access_check(rank_t target, std::uint64_t offset,
 
 Status Win::put(const void* origin, int count, RmaType type, rank_t target,
                 std::uint64_t target_offset) {
+  return issue({.kind = RmaKind::kPut, .type = type, .offset = target_offset},
+               count, target, origin, nullptr);
+}
+
+Status Win::accumulate(const void* origin, int count, RmaType type, RmaOp op,
+                       rank_t target, std::uint64_t target_offset) {
+  return issue({.kind = RmaKind::kAccumulate,
+                .type = type,
+                .op = op,
+                .offset = target_offset},
+               count, target, origin, nullptr);
+}
+
+Status Win::get(void* origin, int count, RmaType type, rank_t target,
+                std::uint64_t target_offset) {
+  return issue({.kind = RmaKind::kGet, .type = type, .offset = target_offset},
+               count, target, nullptr, origin);
+}
+
+Status Win::issue(RmaDesc desc, int count, rank_t target, const void* source,
+                  void* get_dest) {
   State& s = *state_;
-  const std::size_t width = rma_type_width(type);
-  const std::uint64_t bytes = static_cast<std::uint64_t>(count) * width;
-  if (Status check = access_check(target, target_offset, bytes); !check) {
+  desc.win_id = s.win_id;
+  desc.bytes = static_cast<std::uint64_t>(count) * rma_type_width(desc.type);
+  if (Status check = access_check(target, desc.offset, desc.bytes); !check) {
     return s.comm.raise_error(check);
   }
   const rank_t my_global = s.comm.global_rank_of(s.comm.rank());
   const rank_t target_global = s.comm.global_rank_of(target);
   Runtime* runtime = s.comm.shared_->runtime;
+  const byte_span data{static_cast<const std::byte*>(source),
+                       static_cast<std::size_t>(desc.bytes)};
 
   if (runtime->node_of(my_global).id() == runtime->node_of(target_global).id()) {
     // Same node (or self): a plain host store under the window lock. No
@@ -167,11 +200,15 @@ Status Win::put(const void* origin, int count, RmaType type, rank_t target,
     }
     {
       std::lock_guard<std::mutex> lock(win->mutex);
-      std::memcpy(win->base + target_offset, origin, bytes);
-      ++win->puts_applied;
+      if (get_dest != nullptr) {
+        rma_land(static_cast<std::byte*>(get_dest),
+                 {win->base + desc.offset, data.size()}, desc.type,
+                 RmaOp::kReplace, false);
+      } else {
+        win->apply(desc, data, false);
+      }
     }
-    DatapathStats::global().count_copy(bytes);
-    s.comm.my_node().clock().advance(static_cast<double>(bytes) *
+    s.comm.my_node().clock().advance(static_cast<double>(desc.bytes) *
                                      sim::kHostCopyUsPerByte);
     return Status::ok();
   }
@@ -181,26 +218,27 @@ Status Win::put(const void* origin, int count, RmaType type, rank_t target,
     return s.comm.raise_error(Status(
         ErrorCode::kProtocol, "inter-node device has no one-sided support"));
   }
-  RmaDesc desc;
-  desc.win_id = s.win_id;
-  desc.kind = RmaKind::kPut;
-  desc.type = type;
-  desc.offset = target_offset;
-  desc.bytes = bytes;
+  if (get_dest != nullptr) {
+    auto completion = std::make_shared<RequestState>(s.comm.my_node());
+    Status status =
+        device.rma(my_global, target_global, desc, {}, get_dest, completion);
+    if (!status) return s.comm.raise_error(status);
+    s.pending_gets.emplace_back(std::move(completion));
+    return status;
+  }
 
   // Wire data travels in the sender's byte order; a big-endian origin
   // stages and swaps (charged only when the peers genuinely differ, the
   // same convention as the two-sided path).
-  byte_span payload{static_cast<const std::byte*>(origin),
-                    static_cast<std::size_t>(bytes)};
+  byte_span payload = data;
   std::vector<std::byte> staging;
-  if (s.comm.my_node().big_endian() && width > 1) {
-    staging.assign(payload.begin(), payload.end());
-    swap_wire(type, staging.data(), staging.size());
+  if (s.comm.my_node().big_endian() && rma_type_width(desc.type) > 1) {
+    staging.assign(data.begin(), data.end());
+    rma_swap(desc.type, staging.data(), staging.size());
     DatapathStats::global().count_staging_alloc();
     DatapathStats::global().count_copy(staging.size());
     if (!runtime->node_of(target_global).big_endian()) {
-      s.comm.my_node().clock().advance(static_cast<double>(bytes) *
+      s.comm.my_node().clock().advance(static_cast<double>(desc.bytes) *
                                        sim::kHostCopyUsPerByte);
     }
     payload = byte_span{staging.data(), staging.size()};
@@ -210,123 +248,6 @@ Status Win::put(const void* origin, int count, RmaType type, rank_t target,
       device.rma(my_global, target_global, desc, payload, nullptr, nullptr);
   if (!status) return s.comm.raise_error(status);
   ++s.sent[target];
-  return status;
-}
-
-Status Win::accumulate(const void* origin, int count, RmaType type, RmaOp op,
-                       rank_t target, std::uint64_t target_offset) {
-  State& s = *state_;
-  const std::size_t width = rma_type_width(type);
-  const std::uint64_t bytes = static_cast<std::uint64_t>(count) * width;
-  if (Status check = access_check(target, target_offset, bytes); !check) {
-    return s.comm.raise_error(check);
-  }
-  const rank_t my_global = s.comm.global_rank_of(s.comm.rank());
-  const rank_t target_global = s.comm.global_rank_of(target);
-  Runtime* runtime = s.comm.shared_->runtime;
-
-  if (runtime->node_of(my_global).id() == runtime->node_of(target_global).id()) {
-    WinTarget* win = runtime->context_of(target_global).find_window(s.win_id);
-    if (win == nullptr) {
-      return s.comm.raise_error(
-          Status(ErrorCode::kNotConnected, "target window not registered"));
-    }
-    {
-      std::lock_guard<std::mutex> lock(win->mutex);
-      if (op == RmaOp::kReplace) {
-        std::memcpy(win->base + target_offset, origin, bytes);
-      } else {
-        rma_op(op).apply(origin, win->base + target_offset, count,
-                         rma_datatype(type));
-      }
-      ++win->accs_applied;
-    }
-    DatapathStats::global().count_copy(bytes);
-    s.comm.my_node().clock().advance(static_cast<double>(bytes) *
-                                     sim::kHostCopyUsPerByte);
-    return Status::ok();
-  }
-
-  Device& device = s.comm.device_to(target);
-  if (!device.supports_rma()) {
-    return s.comm.raise_error(Status(
-        ErrorCode::kProtocol, "inter-node device has no one-sided support"));
-  }
-  RmaDesc desc;
-  desc.win_id = s.win_id;
-  desc.kind = RmaKind::kAccumulate;
-  desc.type = type;
-  desc.op = op;
-  desc.offset = target_offset;
-  desc.bytes = bytes;
-
-  byte_span payload{static_cast<const std::byte*>(origin),
-                    static_cast<std::size_t>(bytes)};
-  std::vector<std::byte> staging;
-  if (s.comm.my_node().big_endian() && width > 1) {
-    staging.assign(payload.begin(), payload.end());
-    swap_wire(type, staging.data(), staging.size());
-    DatapathStats::global().count_staging_alloc();
-    DatapathStats::global().count_copy(staging.size());
-    if (!runtime->node_of(target_global).big_endian()) {
-      s.comm.my_node().clock().advance(static_cast<double>(bytes) *
-                                       sim::kHostCopyUsPerByte);
-    }
-    payload = byte_span{staging.data(), staging.size()};
-  }
-
-  Status status =
-      device.rma(my_global, target_global, desc, payload, nullptr, nullptr);
-  if (!status) return s.comm.raise_error(status);
-  ++s.sent[target];
-  return status;
-}
-
-Status Win::get(void* origin, int count, RmaType type, rank_t target,
-                std::uint64_t target_offset) {
-  State& s = *state_;
-  const std::size_t width = rma_type_width(type);
-  const std::uint64_t bytes = static_cast<std::uint64_t>(count) * width;
-  if (Status check = access_check(target, target_offset, bytes); !check) {
-    return s.comm.raise_error(check);
-  }
-  const rank_t my_global = s.comm.global_rank_of(s.comm.rank());
-  const rank_t target_global = s.comm.global_rank_of(target);
-  Runtime* runtime = s.comm.shared_->runtime;
-
-  if (runtime->node_of(my_global).id() == runtime->node_of(target_global).id()) {
-    WinTarget* win = runtime->context_of(target_global).find_window(s.win_id);
-    if (win == nullptr) {
-      return s.comm.raise_error(
-          Status(ErrorCode::kNotConnected, "target window not registered"));
-    }
-    {
-      std::lock_guard<std::mutex> lock(win->mutex);
-      std::memcpy(origin, win->base + target_offset, bytes);
-    }
-    DatapathStats::global().count_copy(bytes);
-    s.comm.my_node().clock().advance(static_cast<double>(bytes) *
-                                     sim::kHostCopyUsPerByte);
-    return Status::ok();
-  }
-
-  Device& device = s.comm.device_to(target);
-  if (!device.supports_rma()) {
-    return s.comm.raise_error(Status(
-        ErrorCode::kProtocol, "inter-node device has no one-sided support"));
-  }
-  RmaDesc desc;
-  desc.win_id = s.win_id;
-  desc.kind = RmaKind::kGet;
-  desc.type = type;
-  desc.offset = target_offset;
-  desc.bytes = bytes;
-
-  auto completion = std::make_shared<RequestState>(s.comm.my_node());
-  Status status =
-      device.rma(my_global, target_global, desc, {}, origin, completion);
-  if (!status) return s.comm.raise_error(status);
-  s.pending_gets.emplace_back(std::move(completion));
   return status;
 }
 
@@ -356,20 +277,16 @@ Status Win::flush_target(rank_t target, RmaKind kind, RmaLockType release) {
 
 Status Win::flush_local() {
   State& s = *state_;
+  // A get's reply is its completion event.
   for (auto& get : s.pending_gets) get.wait();
   s.pending_gets.clear();
   return Status::ok();
 }
 
-Status Win::fence() {
+Status Win::quiesce() {
   State& s = *state_;
-  if (s.freed) {
-    return s.comm.raise_error(
-        Status(ErrorCode::kInvalidArgument, "fence on a freed window"));
-  }
-  // 1. My outstanding gets: their replies are the completion events.
-  for (auto& get : s.pending_gets) get.wait();
-  s.pending_gets.clear();
+  // 1. My outstanding gets.
+  flush_local();
 
   // 2. Flush puts/accumulates: one cumulative sync per dirty target; the
   //    target acks once its applied-ledger catches up.
@@ -383,13 +300,22 @@ Status Win::fence() {
     }
   }
 
-  // 3. Epoch boundary for everyone: nobody leaves the fence until every
-  //    rank's issued ops have landed (steps 1-2 on every rank), so puts
-  //    within the closing epoch are visible afterwards.
+  // 3. Nobody leaves until every rank's issued ops have landed (steps 1-2
+  //    on every rank).
   Status barrier = s.comm.barrier();
+  return failure ? barrier : failure;
+}
+
+Status Win::fence() {
+  State& s = *state_;
+  if (s.freed) {
+    return s.comm.raise_error(
+        Status(ErrorCode::kInvalidArgument, "fence on a freed window"));
+  }
+  // The epoch boundary: puts within the closing epoch are visible after it.
+  Status status = quiesce();
   s.fence_open = true;
-  if (!failure) return s.comm.raise_error(failure);
-  if (!barrier) return s.comm.raise_error(barrier);
+  if (!status) return s.comm.raise_error(status);
   return Status::ok();
 }
 
@@ -471,8 +397,7 @@ Status Win::unlock(rank_t target) {
 
   // Gets issued under the lock complete before the release (MPI unlock
   // semantics: all ops are done when unlock returns).
-  for (auto& get : s.pending_gets) get.wait();
-  s.pending_gets.clear();
+  flush_local();
 
   const rank_t my_global = s.comm.global_rank_of(s.comm.rank());
   const rank_t target_global = s.comm.global_rank_of(target);
@@ -505,28 +430,14 @@ Status Win::free() {
   State& s = *state_;
   if (s.freed) return Status::ok();
 
-  // Quiesce: complete my gets and flush my puts everywhere, then a
-  // barrier — after it, no rank has one-sided traffic for this window in
+  // After quiescing, no rank has one-sided traffic for this window in
   // flight anywhere, so unregistering is safe.
-  for (auto& get : s.pending_gets) get.wait();
-  s.pending_gets.clear();
-  Status failure = Status::ok();
-  for (auto& [target, sent_count] : s.sent) {
-    if (sent_count <= s.synced[target]) continue;
-    if (Status status = flush_target(target, RmaKind::kSync,
-                                     RmaLockType::kNone);
-        !status) {
-      failure = status;
-    }
-  }
-  Status barrier = s.comm.barrier();
-
+  Status status = quiesce();
   s.comm.my_context().unregister_window(s.win_id);
   s.local->backing = ChunkRef();  // release the slab registration
   s.freed = true;
   s.fence_open = false;
-  if (!failure) return s.comm.raise_error(failure);
-  if (!barrier) return s.comm.raise_error(barrier);
+  if (!status) return s.comm.raise_error(status);
   return Status::ok();
 }
 

@@ -90,7 +90,15 @@ class Win {
                   ChunkRef backing);
   Status access_check(rank_t target, std::uint64_t offset,
                       std::uint64_t bytes);
+  /// The one origin routine of put, accumulate and get: `desc` names the
+  /// kind, type, op and offset; `source` is read by a put or accumulate,
+  /// `get_dest` written by a get.
+  Status issue(RmaDesc desc, int count, rank_t target, const void* source,
+               void* get_dest);
   Status flush_target(rank_t target, RmaKind kind, RmaLockType release);
+  /// Complete this rank's gets, flush every dirty target, then a barrier:
+  /// the shared body of fence() and free(). Returns the first failure.
+  Status quiesce();
 
   std::shared_ptr<State> state_;
 };
