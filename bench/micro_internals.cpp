@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "common/byte_buffer.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/matching.hpp"
@@ -145,16 +144,6 @@ void BM_MatchingUnexpectedScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchingUnexpectedScan)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_BoundedRingHandoff(benchmark::State& state) {
-  BoundedRing<int> ring(1024);
-  int value = 0;
-  for (auto _ : state) {
-    ring.try_push(value++);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-}
-BENCHMARK(BM_BoundedRingHandoff);
 
 void BM_RngU64(benchmark::State& state) {
   Rng rng(1);

@@ -14,15 +14,13 @@ class RankDirectory {
  public:
   struct Entry {
     sim::Node* node = nullptr;
-    int local_index = 0;  // position of the rank on its node
     std::unique_ptr<mpi::RankContext> context;
   };
 
-  void add_rank(sim::Node& node, int local_index) {
+  void add_rank(sim::Node& node) {
     const auto global = static_cast<rank_t>(entries_.size());
     Entry entry;
     entry.node = &node;
-    entry.local_index = local_index;
     entry.context = std::make_unique<mpi::RankContext>(global, node);
     entries_.push_back(std::move(entry));
   }
@@ -31,7 +29,6 @@ class RankDirectory {
 
   sim::Node& node_of(rank_t global) { return *at(global).node; }
   mpi::RankContext& context_of(rank_t global) { return *at(global).context; }
-  int local_index_of(rank_t global) { return at(global).local_index; }
 
   bool same_node(rank_t a, rank_t b) {
     return at(a).node->id() == at(b).node->id();

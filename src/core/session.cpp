@@ -25,7 +25,7 @@ Session::Session(Options options) {
   for (std::size_t n = 0; n < cluster().nodes.size(); ++n) {
     sim::Node& node = fabric_.node(static_cast<node_id_t>(n));
     for (int local = 0; local < cluster().nodes[n].ranks; ++local) {
-      directory_.add_rank(node, local);
+      directory_.add_rank(node);
     }
   }
 

@@ -116,7 +116,6 @@ class Session final : public mpi::Runtime {
   /// The ch_mad device, or nullptr when a custom inter-node device is
   /// installed.
   ChMadDevice* ch_mad();
-  ManagedDevice& internode_device() { return *internode_; }
 
   /// Reset every node clock to zero (benchmark warm-up isolation).
   void reset_clocks();

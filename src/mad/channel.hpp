@@ -64,7 +64,6 @@ class Packing {
   Status end_packing();
 
   node_id_t remote() const { return remote_; }
-  std::size_t blocks_packed() const { return blocks_packed_; }
 
  private:
   friend class ChannelEndpoint;
@@ -160,7 +159,6 @@ class Unpacking {
   const sim::LinkCostModel& model() const;
 
   node_id_t source() const { return message_.source(); }
-  std::size_t blocks_unpacked() const { return blocks_unpacked_; }
 
  private:
   friend class ChannelEndpoint;
@@ -209,9 +207,6 @@ class ChannelEndpoint {
 
   /// Non-blocking variant for poll loops.
   std::optional<Unpacking> try_begin_unpacking();
-
-  /// Cheap "is something waiting" test (Marcel poll integration).
-  bool incoming_available() { return net_->message_available(); }
 
   Channel& channel() { return *channel_; }
   sim::Node& node() { return net_->node(); }

@@ -86,7 +86,6 @@ class IncomingMessage {
   ChunkRef control_chunk(std::size_t offset, std::size_t length) const {
     return control_.payload.slice(offset, length);
   }
-  usec_t control_arrival() const { return control_.arrival_time; }
 
   /// Blocking: next separate data frame of this message. Protocol error if
   /// the message had no further frames. May return a kAbortFrame when the

@@ -5,11 +5,9 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 
 #include "common/byte_buffer.hpp"
 #include "common/env.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/slab_pool.hpp"
 #include "common/stats.hpp"
@@ -75,39 +73,6 @@ TEST(ByteBuffer, TakeMovesStorage) {
   auto bytes = writer.take();
   EXPECT_EQ(bytes.size(), sizeof(int));
   EXPECT_EQ(writer.size(), 0u);
-}
-
-TEST(BoundedRing, FifoOrder) {
-  BoundedRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(*ring.try_pop(), i);
-  EXPECT_EQ(ring.try_pop(), std::nullopt);
-}
-
-TEST(BoundedRing, BlockingHandoffAcrossThreads) {
-  BoundedRing<int> ring(1);
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) ASSERT_TRUE(ring.push(i));
-    ring.close();
-  });
-  int expected = 0;
-  while (auto item = ring.pop()) {
-    EXPECT_EQ(*item, expected++);
-  }
-  EXPECT_EQ(expected, 100);
-  producer.join();
-}
-
-TEST(BoundedRing, CloseUnblocksAndDrains) {
-  BoundedRing<int> ring(8);
-  ring.push(1);
-  ring.push(2);
-  ring.close();
-  EXPECT_FALSE(ring.push(3));  // closed
-  EXPECT_EQ(*ring.pop(), 1);
-  EXPECT_EQ(*ring.pop(), 2);
-  EXPECT_EQ(ring.pop(), std::nullopt);
 }
 
 TEST(RunningStats, MeanVarianceMinMax) {
