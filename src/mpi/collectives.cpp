@@ -161,7 +161,8 @@ Status Comm::coll_try_send(const void* buf, std::size_t bytes, rank_t dest,
   env.context = shared_->context + 1;
   return send_core(dest, env,
                    byte_span{static_cast<const std::byte*>(buf), bytes},
-                   SendKind::kBlocking);
+                   SendKind::kBlocking)
+      .status;
 }
 
 Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
@@ -171,10 +172,10 @@ Request Comm::coll_isend(const void* buf, std::size_t bytes, rank_t dest,
   // paying a staging copy per tree hop.
   Envelope env = make_envelope(dest, tag, bytes, false);
   env.context = shared_->context + 1;
-  auto state = std::make_shared<RequestState>(my_node());
-  send_core(dest, env, byte_span{static_cast<const std::byte*>(buf), bytes},
-            SendKind::kBorrowed, &state);
-  return Request(std::move(state));
+  return send_request(
+      env, send_core(dest, env,
+                     byte_span{static_cast<const std::byte*>(buf), bytes},
+                     SendKind::kBorrowed));
 }
 
 void Comm::coll_send(const void* buf, std::size_t bytes, rank_t dest,

@@ -115,18 +115,11 @@ TransferMode Comm::admit_or_demote(Device& device, rank_t dst_global,
   return mode;
 }
 
-Status Comm::send_core(rank_t dest, const Envelope& env, byte_span packed,
-                       SendKind kind,
-                       std::shared_ptr<RequestState>* request) {
-  auto finish = [&](const Status& status) {
-    if (request != nullptr && *request) {
-      RequestState::complete(*request, MpiStatus::of_send(env, status.code()));
-    }
-    return status;
-  };
+Comm::SendOutcome Comm::send_core(rank_t dest, const Envelope& env,
+                                  byte_span packed, SendKind kind) {
   // Collective hops (context + 1) pass their guard's entry check instead.
   if (env.context == shared_->context) {
-    if (Status entry = ft_entry_check(); !entry.is_ok()) return finish(entry);
+    if (Status entry = ft_entry_check(); !entry.is_ok()) return {entry, {}};
   }
   Device& device = device_to(dest);
   const rank_t src_global = global_rank_of(rank_);
@@ -142,10 +135,9 @@ Status Comm::send_core(rank_t dest, const Envelope& env, byte_span packed,
       shared_->runtime->context_of(dst_global).release_eager_admission(
           env.bytes);
     }
-    return finish(status);
+    return {status, {}};
   }
-  std::shared_ptr<RequestState>& state = *request;
-  if (!state) state = std::make_shared<RequestState>(my_node());
+  auto state = std::make_shared<RequestState>(my_node());
   std::vector<std::byte> owned;
   if (kind != SendKind::kBorrowed) {
     // Stage the payload so the caller's buffer is free on return; the
@@ -167,7 +159,16 @@ Status Comm::send_core(rank_t dest, const Envelope& env, byte_span packed,
   // this rank already sent (MPI non-overtaking).
   device.isend_rendezvous(src_global, dst_global, env, packed,
                           std::move(owned), state);
-  return Status::ok();
+  return {Status::ok(), std::move(state)};
+}
+
+Request Comm::send_request(const Envelope& env, SendOutcome sent) {
+  if (!sent.detached) {
+    sent.detached = std::make_shared<RequestState>(my_node());
+    RequestState::complete(sent.detached,
+                           MpiStatus::of_send(env, sent.status.code()));
+  }
+  return Request(std::move(sent.detached));
 }
 
 void Comm::set_errhandler(Errhandler handler) {
@@ -208,7 +209,8 @@ Status Comm::send(const void* buf, int count, const Datatype& type,
   const byte_span packed = pack_for_send(buf, count, type, staging);
   return raise_error(
       send_core(dest, make_envelope(dest, tag, packed.size(), false), packed,
-                SendKind::kBlocking));
+                SendKind::kBlocking)
+          .status);
 }
 
 Status Comm::ssend(const void* buf, int count, const Datatype& type,
@@ -218,7 +220,8 @@ Status Comm::ssend(const void* buf, int count, const Datatype& type,
   const byte_span packed = pack_for_send(buf, count, type, staging);
   return raise_error(
       send_core(dest, make_envelope(dest, tag, packed.size(), true), packed,
-                SendKind::kBlocking));
+                SendKind::kBlocking)
+          .status);
 }
 
 namespace {
@@ -280,13 +283,6 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK_MSG(pool != nullptr && pool->capacity != 0,
                    "MPI_Bsend without an attached buffer");
 
-  // A revoked communicator parks nothing; with no request to carry the
-  // error, it goes through the error handler.
-  if (Status entry = ft_entry_check(); !entry.is_ok()) {
-    raise_error(entry);
-    return;
-  }
-
   std::vector<std::byte> staging;
   const byte_span view = pack_for_send(buf, count, type, staging);
   const std::size_t needed = view.size() + bsend_overhead();
@@ -296,6 +292,14 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
                      "attached bsend buffer too small (MPI_ERR_BUFFER)");
     pool->in_flight += needed;
   }
+  auto release = [pool, needed] {
+    {
+      std::lock_guard<std::mutex> lock(pool->mutex);
+      pool->in_flight -= needed;
+      pool->drained.notify_all();
+    }
+    marcel::engine_notify();
+  };
 
   // Send from a temporary thread run in place: its frames leave before
   // any later frame of this rank (MPI non-overtaking), and a rendezvous
@@ -304,35 +308,27 @@ void Comm::bsend(const void* buf, int count, const Datatype& type,
   // buffer; on the host only a rendezvous parks one, because an eager send
   // has staged its payload by the time it returns.
   const Envelope env = make_envelope(dest, tag, view.size(), false);
-  // A buffered send has no request to carry the error; log and drop, as
-  // real implementations do for undeliverable bsends.
-  auto release = [pool, needed, env](ErrorCode error) {
-    if (error != ErrorCode::kOk) {
-      MADMPI_LOG_WARN("mpi", "bsend to rank %d failed: %s",
-                      static_cast<int>(env.dst), error_code_name(error));
-    }
-    {
-      std::lock_guard<std::mutex> lock(pool->mutex);
-      pool->in_flight -= needed;
-      pool->drained.notify_all();
-    }
-    marcel::engine_notify();
-  };
+  SendOutcome sent;
   marcel::Executor::run_here(
       my_node(),
       marcel::ThreadCosts::kCreate +
           static_cast<double>(view.size()) * sim::kHostCopyUsPerByte,
-      [&] {
-        std::shared_ptr<RequestState> rendezvous;
-        const Status status =
-            send_core(dest, env, view, SendKind::kParked, &rendezvous);
-        if (!rendezvous) {
-          release(status.code());
-          return;
-        }
-        rendezvous->set_on_complete(
-            [release](const MpiStatus& done) { release(done.error); });
-      });
+      [&] { sent = send_core(dest, env, view, SendKind::kParked); });
+  if (!sent.detached) {
+    // Finished in the call: eager, or refused on a revoked communicator.
+    release();
+    raise_error(sent.status);
+    return;
+  }
+  // A rendezvous has no request to carry a later error; log and drop it,
+  // as real implementations do for undeliverable bsends.
+  sent.detached->set_on_complete([release, env](const MpiStatus& done) {
+    if (done.error != ErrorCode::kOk) {
+      MADMPI_LOG_WARN("mpi", "bsend to rank %d failed: %s",
+                      static_cast<int>(env.dst), error_code_name(done.error));
+    }
+    release();
+  });
 }
 
 Request Comm::irecv(void* buf, int count, const Datatype& type,
@@ -390,10 +386,8 @@ Request Comm::isend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK(dest >= 0 && dest < size());
   std::vector<std::byte> staging;
   const byte_span packed = pack_for_send(buf, count, type, staging);
-  auto state = std::make_shared<RequestState>(my_node());
-  send_core(dest, make_envelope(dest, tag, packed.size(), false), packed,
-            SendKind::kStaged, &state);
-  return Request(std::move(state));
+  const Envelope env = make_envelope(dest, tag, packed.size(), false);
+  return send_request(env, send_core(dest, env, packed, SendKind::kStaged));
 }
 
 Request Comm::issend(const void* buf, int count, const Datatype& type,
@@ -401,10 +395,8 @@ Request Comm::issend(const void* buf, int count, const Datatype& type,
   MADMPI_CHECK(dest >= 0 && dest < size());
   std::vector<std::byte> staging;
   const byte_span packed = pack_for_send(buf, count, type, staging);
-  auto state = std::make_shared<RequestState>(my_node());
-  send_core(dest, make_envelope(dest, tag, packed.size(), true), packed,
-            SendKind::kStaged, &state);
-  return Request(std::move(state));
+  const Envelope env = make_envelope(dest, tag, packed.size(), true);
+  return send_request(env, send_core(dest, env, packed, SendKind::kStaged));
 }
 
 MpiStatus Comm::sendrecv(const void* send_buf, int send_count,

@@ -367,6 +367,15 @@ class Comm {
     kStaged,    // return at once; a rendezvous payload is first copied,
                 // charged as a host copy, and MPI_Cancel can detach it
     kParked,    // bsend: copied like kStaged, the copy charged by the caller
+                // in both modes, so before the core learns the mode
+  };
+
+  /// What send_core() did: finished the send in the call with `status`,
+  /// or handed a nonblocking rendezvous to the device, which completes
+  /// `detached`.
+  struct SendOutcome {
+    Status status = Status::ok();
+    std::shared_ptr<RequestState> detached;
   };
 
   /// The one send path from every entry point to the device (paper §2.2:
@@ -375,12 +384,13 @@ class Comm {
   /// before it admits anything. Then flow-control admission picks the
   /// mode; eager and blocking sends finish in the call, and a failed eager
   /// send hands its store reservation back. A nonblocking rendezvous is
-  /// handed to the device and completes `*request`, made here when the
-  /// caller passed an empty one. Returns the outcome of a send that
-  /// finished in the call, and completes a given `*request` with it.
-  Status send_core(rank_t dest, const Envelope& env, byte_span packed,
-                   SendKind kind,
-                   std::shared_ptr<RequestState>* request = nullptr);
+  /// handed to the device with a request made for it.
+  SendOutcome send_core(rank_t dest, const Envelope& env, byte_span packed,
+                        SendKind kind);
+  /// The request a nonblocking send returns: the detached rendezvous's, or
+  /// one completed now with the outcome of a send that finished in the
+  /// call.
+  Request send_request(const Envelope& env, SendOutcome sent);
 
   /// Flow-control admission (tentpole of the robustness layer): picks the
   /// transfer mode, then asks the *receiver's* unexpected store and the
