@@ -366,8 +366,8 @@ class Comm {
                 // the request completes (collective schedules)
     kStaged,    // return at once; a rendezvous payload is first copied,
                 // charged as a host copy, and MPI_Cancel can detach it
-    kParked,    // bsend: copied like kStaged, the copy charged by the caller
-                // in both modes, so before the core learns the mode
+    kParked,    // bsend: copied like kStaged but not charged here; the
+                // caller charged the copy in both modes, before admission
   };
 
   /// What send_core() did: finished the send in the call with `status`,

@@ -49,11 +49,10 @@ enum class RmaKind : std::uint8_t {
 
 /// Trace label of a one-sided packet.
 inline const char* rma_kind_name(RmaKind kind) {
-  // Indexed by RmaKind.
-  static constexpr const char* kNames[] = {
-      "rma",       "rma_put",        "rma_get",    "rma_get_reply",
-      "rma_acc",   "rma_lock",       "rma_lock_grant",
-      "rma_unlock", "rma_sync",      "rma_ack"};
+  static constexpr const char* kNames[] = {  // indexed by RmaKind
+      "rma",      "rma_put",  "rma_get",        "rma_get_reply",
+      "rma_acc",  "rma_lock", "rma_lock_grant", "rma_unlock",
+      "rma_sync", "rma_ack"};
   const auto index = static_cast<std::size_t>(kind);
   return index < std::size(kNames) ? kNames[index] : "rma";
 }
