@@ -191,7 +191,7 @@ Status Win::issue(RmaDesc desc, int count, rank_t target, const void* source,
                        static_cast<std::size_t>(desc.bytes)};
 
   if (runtime->node_of(my_global).id() == runtime->node_of(target_global).id()) {
-    // Same node (or self): a plain host store under the window lock. No
+    // Same node (or self): a plain host copy under the window lock. No
     // wire format is involved, so no byte-order conversion either.
     WinTarget* win = runtime->context_of(target_global).find_window(s.win_id);
     if (win == nullptr) {
